@@ -30,7 +30,9 @@ evaluations.
 from __future__ import annotations
 
 import math
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .blocks import (
@@ -167,6 +169,15 @@ def escape_paths(instance_or_graph, block, v):
     return paths
 
 
+def _index_graph(graph, internal, boundary_edges, k):
+    """The graph every sub-instance of a block's boundary index k+1 uses.
+
+    It drops the block's internal edges and the boundary edges at 0-based
+    positions >= k; build_subinstance and _block_terms both derive it here.
+    """
+    return graph.remove_edges([*internal, *boundary_edges[k:]])
+
+
 def build_subinstance(instance, block, i, rho):
     """Materialize the derived instance for boundary index i (1..m+1).
 
@@ -178,9 +189,8 @@ def build_subinstance(instance, block, i, rho):
     if not 1 <= i <= m + 1:
         raise ParseError(f"boundary index {i} out of range 1..{m + 1}")
     rho = Configuration(rho)
-    drop = list(instance.graph.induced_edges(block.vertices))
-    drop.extend(block.boundary_edges[i - 1 :])
-    new_graph = instance.graph.remove_edges(drop)
+    internal = instance.graph.induced_edges(block.vertices)
+    new_graph = _index_graph(instance.graph, internal, block.boundary_edges, i - 1)
     pins = dict(instance.pinned)
     for j in range(i - 1):
         u = block.boundary_edges[j][0]
@@ -196,9 +206,38 @@ def _check_limits(diag, limits):
             f"recursion call budget {limits.max_calls} exceeded "
             f"(termination_events={diag.termination_events})"
         )
-    if limits.deadline is not None and diag.recursive_calls % 64 == 0:
-        if time.monotonic() > limits.deadline:
-            raise BudgetError("recursion wall-clock deadline exceeded")
+    if limits.deadline is not None and time.monotonic() > limits.deadline:
+        raise BudgetError("recursion wall-clock deadline exceeded")
+
+
+@contextmanager
+def _root_call(diag, depth):
+    """Surface every abort of a root estimate as a BudgetError carrying diag.
+
+    The error's `diagnostics` attribute holds the counts gathered up to the
+    abort. Python's own stack limit is turned into a BudgetError too, so a
+    depth too deep for the stack fails with exit code 4 like any budget.
+    """
+    try:
+        yield
+    except RecursionError:
+        err = BudgetError(
+            f"recursion at depth {depth} nested deeper than the Python stack "
+            f"allows (recursion limit {sys.getrecursionlimit()}); use a smaller depth"
+        )
+        err.diagnostics = diag
+        raise err from None
+    except BudgetError as err:
+        err.diagnostics = diag
+        raise
+
+
+def _root_vector(instance, v, ell, limits):
+    diag = MargDiagnostics()
+    depth = _depth(ell)
+    with _root_call(diag, depth):
+        vec = _marg_vector(instance, v, depth, diag, limits or RecursionLimits())
+    return vec, diag
 
 
 def _logsumexp(values):
@@ -235,8 +274,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     child = []
     for i in range(m):
         _, v_i = bedges[i]
-        drop = internal + list(bedges[i:])
-        g_i = graph.remove_edges(drop)
+        g_i = _index_graph(graph, internal, bedges, i)
         sub_ell = ell - (len(paths[i]) - 1)
         vectors = {}
         prefix_pos = upos[:i]
@@ -337,8 +375,7 @@ def marg(instance, v, x, ell, limits=None):
     _common_checks(instance, v)
     if not (1 <= x <= instance.params.q):
         raise ParseError(f"color {x} out of range for q={instance.params.q}")
-    diag = MargDiagnostics()
-    vec = _marg_vector(instance, v, _depth(ell), diag, limits or RecursionLimits())
+    vec, diag = _root_vector(instance, v, ell, limits)
     return vec[x - 1], diag
 
 
@@ -349,16 +386,14 @@ def marg_coloring(instance, v, x, ell, limits=None):
     _common_checks(instance, v)
     if not (1 <= x <= instance.params.q):
         raise ParseError(f"color {x} out of range for q={instance.params.q}")
-    diag = MargDiagnostics()
-    vec = _marg_vector(instance, v, _depth(ell), diag, limits or RecursionLimits())
+    vec, diag = _root_vector(instance, v, ell, limits)
     return vec[x - 1], diag
 
 
 def marginal_vector(instance, v, ell, limits=None):
     """Raw clamped per-color estimates at v (no normalization applied)."""
     _common_checks(instance, v)
-    diag = MargDiagnostics()
-    vec = _marg_vector(instance, v, _depth(ell), diag, limits or RecursionLimits())
+    vec, diag = _root_vector(instance, v, ell, limits)
     diag.raw_sum = math.fsum(vec)
     return vec, diag
 
@@ -396,7 +431,9 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
     diag = MargDiagnostics()
     diag.max_block_size = len(verts)
     diag.max_f_size = len(F)
-    terms = _block_terms(instance, block, F, anchor, _depth(ell), diag, limits)
+    depth = _depth(ell)
+    with _root_call(diag, depth):
+        terms = _block_terms(instance, block, F, anchor, depth, diag, limits)
     den = _logsumexp(terms)
     if den == -math.inf:
         raise InfeasibleError(

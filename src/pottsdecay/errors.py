@@ -22,5 +22,7 @@ class BudgetError(PottsError):
 
     Raised by the exact enumerator (leaf evaluations), the block closure
     (block size), feasible-configuration enumeration, SAW-tree construction,
-    and the estimator's optional call/deadline limits.
+    the estimator's optional call/deadline limits, and a recursion nested
+    deeper than the Python stack allows. Errors from the estimator carry the
+    partial MargDiagnostics of the aborted estimate as `diagnostics`.
     """

@@ -2,10 +2,17 @@
 
 Vertices are always the dense range 0..n-1. Edges are unordered pairs stored
 canonically as (u, v) with u < v, sorted lexicographically, and adjacency
-lists are sorted ascending. Graphs are treated as immutable: operations that
-change the edge set return new Graph objects, never mutate in place. Every
-enumeration order in the package ultimately derives from these orders, which
-is what makes results bit-reproducible.
+lists are sorted ascending. Every enumeration order in the package
+ultimately derives from these orders, which is what makes results
+bit-reproducible.
+
+Graphs are immutable. A graph built by the constructor is a root graph;
+remove_edges returns a view of it, which holds the root graph and the
+frozenset of canonical edges removed from it. A view of a view is again a
+view of the root, so deriving a graph costs O(removed edges), not O(m). A
+view filters a vertex's adjacency row from the root's the first time it is
+read and builds its edge tuple only when asked for; its values and orders
+are those of a root graph built from the remaining edges.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from .errors import ParseError
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1 (root or view)."""
 
-    __slots__ = ("n", "edges", "adjacency", "_hash")
+    __slots__ = ("n", "m", "adjacency", "_root", "_removed", "_edges", "_hash")
 
     def __init__(self, n, edges=()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -45,21 +52,19 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.edges = tuple(canon)
+        self.m = len(canon)
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-
-    @classmethod
-    def _from_parts(cls, n, edges, adjacency):
-        # Trusted fast path for derived graphs; inputs must already be canonical.
-        g = cls.__new__(cls)
-        g.n = n
-        g.edges = edges
-        g.adjacency = adjacency
-        return g
+        self._root = None
+        self._removed = frozenset()
+        self._edges = tuple(canon)
 
     @property
-    def m(self):
-        return len(self.edges)
+    def edges(self):
+        """Canonical edges, sorted; a view builds the tuple on first access."""
+        if self._edges is None:
+            removed = self._removed
+            self._edges = tuple(e for e in self._root._edges if e not in removed)
+        return self._edges
 
     def degree(self, v):
         return len(self.adjacency[v])
@@ -71,28 +76,48 @@ class Graph:
         return v in self.adjacency[u]
 
     def remove_edges(self, drop):
-        """Return a copy with the given edges removed; vertex set unchanged.
+        """Return a view with the given edges removed; vertex set unchanged.
 
         Vertices that lose all their edges stay in the graph as isolated
-        vertices, so ids remain stable across derived graphs.
+        vertices, so ids remain stable across derived graphs. Pairs that are
+        not edges of this graph are ignored. Costs O(|drop| + edges already
+        removed from the root graph).
         """
-        gone = {(u, v) if u < v else (v, u) for u, v in drop}
-        edges = tuple(e for e in self.edges if e not in gone)
-        adj = [[] for _ in range(self.n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return Graph._from_parts(self.n, edges, tuple(tuple(a) for a in adj))
+        root = self if self._root is None else self._root
+        rows = root.adjacency
+        n = self.n
+        gone = []
+        for u, v in drop:
+            if u > v:
+                u, v = v, u
+            if 0 <= u < n and v in rows[u]:
+                gone.append((u, v))
+        removed = self._removed.union(gone)
+        view = Graph.__new__(Graph)
+        view.n = n
+        view.m = root.m - len(removed)
+        view._root = root
+        view._removed = removed
+        view._edges = None
+        view.adjacency = _ViewAdjacency(rows, removed)
+        return view
 
     def induced_edges(self, vertices):
-        """Edges with both endpoints in the given vertex set, canonical order."""
+        """Edges with both endpoints in the given vertex set, canonical order.
+
+        Reads only the adjacency rows of the given vertices.
+        """
         inside = set(vertices)
-        return [e for e in self.edges if e[0] in inside and e[1] in inside]
+        adj = self.adjacency
+        return [(u, w) for u in sorted(inside) for w in adj[u] if w > u and w in inside]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-        )
+        if not isinstance(other, Graph) or self.n != other.n or self.m != other.m:
+            return False
+        root = self if self._root is None else self._root
+        if root is (other if other._root is None else other._root):
+            return self._removed == other._removed
+        return self.edges == other.edges
 
     def __hash__(self):
         try:
@@ -103,7 +128,35 @@ class Graph:
             return h
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.m})"
+
+
+class _ViewAdjacency(dict):
+    """Adjacency rows of a view: row v is the root's row v minus removed edges.
+
+    Indexing, len() and iteration behave like a root graph's tuple of rows.
+    A row is filtered on first access and kept; later reads are plain dict
+    lookups.
+    """
+
+    __slots__ = ("_rows", "_removed")
+
+    def __init__(self, rows, removed):
+        super().__init__()
+        self._rows = rows
+        self._removed = removed
+
+    def __missing__(self, v):
+        removed = self._removed
+        row = tuple(w for w in self._rows[v] if ((v, w) if v < w else (w, v)) not in removed)
+        self[v] = row
+        return row
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return (self[v] for v in range(len(self._rows)))
 
 
 def dist(graph, v, targets):
@@ -186,10 +239,15 @@ def generate_gnp(n, d, seed):
         raise ParseError(f"gnp mean degree must satisfy 0 <= d <= n, got {d}")
     if not isinstance(seed, int) or seed < 0:
         raise ParseError("gnp seed must be a non-negative integer")
-    iu, iv = np.triu_indices(n, k=1)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    mask = rng.random(iu.size) < (d / n)
-    edges = [(int(u), int(v)) for u, v in zip(iu[mask], iv[mask])]
+    p = d / n
+    edges = []
+    # Row u holds the pairs (u, u+1..n-1). Drawing row by row consumes the
+    # stream in the same order as one draw of all C(n, 2) pairs would, so the
+    # graph is the same, and the peak memory is one row, not C(n, 2) draws.
+    for u in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - u) < p).tolist()
+        edges.extend((u, u + 1 + j) for j in hits)
     return Graph(n, edges)
 
 

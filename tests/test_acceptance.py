@@ -301,7 +301,10 @@ def test_criterion_9_large_sparse_runtime():
 
     Reaching L = 23 is reported, not asserted. On a 2-CPU machine L = 0, 1
     and 2 make 121, 6 327 and 280 521 calls (52x and 44x per level), and
-    L = 2 alone takes about 56 s. No exact cache closes that gap: vertex 0
+    L = 2 alone takes about 12 s; L = 3 would need about 12 million calls
+    and stops at the deadline after about 1.2 million of them, a count the
+    PASS line reports from the aborted call's diagnostics. No exact cache
+    closes that gap: vertex 0
     has eccentricity 8 in its 1 959-vertex component and about 3.85^k
     self-avoiding walks of length k, so at each of the top 15 levels the
     remaining depth reaches the whole component, which leaves roughly 10^9
@@ -316,13 +319,15 @@ def test_criterion_9_large_sparse_runtime():
     deadline = time.monotonic() + budget
     limits = RecursionLimits(deadline=deadline)
     done = []  # (L, calls, seconds, max block size, call bound)
-    abort = None  # (L, message, seconds past the deadline)
+    abort = None  # (L, message, seconds past the deadline, calls made before it)
     for L in range(target + 1):
         t0 = time.perf_counter()
         try:
             _, diag = marginal_vector(inst, v, L, limits)
         except BudgetError as err:
-            abort = (L, str(err), time.monotonic() - deadline)
+            abort = (
+                L, str(err), time.monotonic() - deadline, err.diagnostics.recursive_calls
+            )
             break
         branching = 1 + (max_degree * diag.max_block_size - 1) * diag.max_f_size
         bound = sum(branching**k for k in range(L + 2))
@@ -339,7 +344,8 @@ def test_criterion_9_large_sparse_runtime():
     ladder = ", ".join(f"L={L}: {calls} calls {t:.1f}s" for L, calls, t, _, _ in done)
     rates = ", ".join(f"{r:.1f}x" for r in growth) or "n/a"
     stop = (
-        f"L={abort[0]} stopped {abort[2] * 1000:.0f} ms after the deadline ({abort[1]})"
+        f"L={abort[0]} stopped after {abort[3]} calls, {abort[2] * 1000:.0f} ms after "
+        f"the deadline ({abort[1]})"
         if abort
         else "no abort"
     )

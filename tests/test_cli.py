@@ -327,6 +327,18 @@ def test_budget_exhaustion_exits_4(capsys, tmp_path):
     assert "budget" in captured.err
 
 
+def test_stack_overflow_exits_4(capsys, tmp_path):
+    run(["gen", "--family", "path", "--n", "1200"])
+    f = tmp_path / "p1200.txt"
+    f.write_text(capsys.readouterr().out)
+    code = run(
+        ["marginal", "--q", "6", "--instance", str(f), "--vertex", "600", "--depth", "1200"]
+    )
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "budget exceeded" in captured.err and "depth 1200" in captured.err
+
+
 def test_instance_file_alias(edge_file, capsys):
     code = run(["exact", "--q", "3", "--instance-file", edge_file])
     assert code == 0

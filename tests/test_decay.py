@@ -193,6 +193,36 @@ def test_deadline_guard():
     assert math.isclose(sum(vec), 1.0, rel_tol=1e-9)
 
 
+def test_deadline_checked_on_first_call():
+    # A one-call estimate past its deadline aborts instead of returning.
+    inst = _inst(generate("path", n=3), 5)
+    limits = RecursionLimits(deadline=time.monotonic() - 1.0)
+    with pytest.raises(BudgetError, match="deadline") as err:
+        marginal_vector(inst, 1, 0, limits)
+    assert err.value.diagnostics.recursive_calls == 1
+
+
+def test_abort_keeps_partial_diagnostics():
+    g = generate("cycle", n=12)
+    limits = RecursionLimits(max_calls=5)
+    for fn, beta in ((marginal_vector, "0"), (marg_coloring, "0"), (marg, "0.5")):
+        args = (1,) if fn is not marginal_vector else ()
+        with pytest.raises(BudgetError, match="call budget") as err:
+            fn(_inst(g, 7, beta), 0, *args, 14, limits)
+        diag = err.value.diagnostics
+        assert diag.recursive_calls == 6
+        assert diag.max_block_size == 1 and diag.max_f_size > 0
+
+
+def test_stack_overflow_is_budget_error():
+    # Each level nests two Python frames, so depth 1200 on a long path runs
+    # past the default recursion limit.
+    inst = _inst(generate("path", n=1200), 6)
+    with pytest.raises(BudgetError, match="depth 1200") as err:
+        marginal_vector(inst, 600, 1200)
+    assert err.value.diagnostics.recursive_calls > 100
+
+
 # ------------------------------------------------------------ scalar dispatch
 
 

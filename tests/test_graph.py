@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsdecay import (
     Graph,
@@ -55,6 +58,73 @@ def test_induced_edges():
     assert g.induced_edges([0]) == []
 
 
+def test_view_of_view_flattens_onto_root():
+    g = generate_cycle(6)
+    h = g.remove_edges([(1, 0)]).remove_edges([(3, 2), (0, 1), (0, 3)])
+    assert h._root is g
+    assert h._removed == {(0, 1), (2, 3)}
+    assert h.m == 4
+    assert h == g.remove_edges([(2, 3), (0, 1)])
+
+
+@st.composite
+def _graph_and_drop_chain(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 30))
+        d = draw(st.floats(0.0, min(n, 6.0)))
+        g = generate_gnp(n, d, seed=draw(st.integers(0, 2**40)))
+    else:
+        g = generate_cycle(draw(st.integers(3, 30)))
+    vertex = st.integers(0, g.n - 1)
+    pair = st.tuples(vertex, vertex)
+    if g.m:
+        # Edges in either orientation, mixed with pairs that are not edges.
+        edge = st.sampled_from(g.edges).flatmap(
+            lambda e: st.sampled_from([e, (e[1], e[0])])
+        )
+        pair = st.one_of(edge, edge, pair)
+    chain = draw(st.lists(st.lists(pair, max_size=8), min_size=1, max_size=4))
+    subsets = draw(st.lists(st.sets(vertex, max_size=g.n), min_size=1, max_size=4))
+    return g, chain, subsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_drop_chain())
+def test_views_match_fresh_graphs(case):
+    g, chain, subsets = case
+    root_edges = g.edges
+    kept = set(g.edges)
+    view = g
+    for drop in chain:
+        view = view.remove_edges(drop)
+        kept -= {(min(u, v), max(u, v)) for u, v in drop}
+        fresh = Graph(g.n, kept)
+        # Lazy rows and m first, before anything materialises the edge tuple.
+        assert view.n == fresh.n
+        assert view.m == fresh.m
+        for v in range(g.n):
+            assert view.adjacency[v] == fresh.adjacency[v]
+            assert view.degree(v) == fresh.degree(v)
+        assert len(view.adjacency) == g.n
+        assert list(view.adjacency) == list(fresh.adjacency)
+        for vertices in subsets:
+            inside = set(vertices)
+            expect = [e for e in fresh.edges if e[0] in inside and e[1] in inside]
+            assert view.induced_edges(vertices) == expect
+        assert view.edges == fresh.edges
+        assert view == fresh and fresh == view
+        assert hash(view) == hash(fresh)
+        assert (view == g) == (kept == set(root_edges))
+        removed = set(root_edges) - kept
+        twin = g.remove_edges(removed)
+        assert twin == view and hash(twin) == hash(view)
+        if kept and removed:
+            # Same root and same m, one edge swapped: not equal.
+            swapped = g.remove_edges(removed - {min(removed)} | {min(kept)})
+            assert swapped != view
+    assert g.edges == root_edges
+
+
 def test_dist_bfs():
     g = generate_path(6)
     assert dist(g, 0, [5]) == 5
@@ -94,6 +164,21 @@ def test_gnp_reproducible_and_in_range():
     assert 150 <= g1.m <= 350
     g3 = generate_gnp(100, 5, seed=8)
     assert g3.edges != g1.edges
+
+
+def _gnp_edges_all_pairs(n, d, seed):
+    # One draw over all C(n, 2) pairs at once: the stream order generate_gnp
+    # must reproduce row by row.
+    iu, iv = np.triu_indices(n, k=1)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mask = rng.random(iu.size) < (d / n)
+    return tuple((int(u), int(v)) for u, v in zip(iu[mask], iv[mask]))
+
+
+@pytest.mark.parametrize("n,d", [(1, 0), (2, 2), (60, 3), (500, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 3 * 2**32 + 7])
+def test_gnp_rows_match_one_draw_over_all_pairs(n, d, seed):
+    assert generate_gnp(n, d, seed).edges == _gnp_edges_all_pairs(n, d, seed)
 
 
 def test_gnp_edge_count_mean():
