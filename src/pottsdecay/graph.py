@@ -105,19 +105,18 @@ class Graph:
     def induced_edges(self, vertices):
         """Edges with both endpoints in the given vertex set, canonical order.
 
-        Reads only the adjacency rows of the given vertices.
+        Reads only the adjacency rows of the given vertices; ids outside
+        0..n-1 are not vertices and are ignored.
         """
-        inside = set(vertices)
+        n = self.n
+        inside = {u for u in vertices if 0 <= u < n}
         adj = self.adjacency
         return [(u, w) for u in sorted(inside) for w in adj[u] if w > u and w in inside]
 
     def __eq__(self, other):
-        if not isinstance(other, Graph) or self.n != other.n or self.m != other.m:
-            return False
-        root = self if self._root is None else self._root
-        if root is (other if other._root is None else other._root):
-            return self._removed == other._removed
-        return self.edges == other.edges
+        return (
+            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        )
 
     def __hash__(self):
         try:
@@ -134,7 +133,8 @@ class Graph:
 class _ViewAdjacency(dict):
     """Adjacency rows of a view: row v is the root's row v minus removed edges.
 
-    Indexing, len() and iteration behave like a root graph's tuple of rows.
+    len() and iteration behave like a root graph's tuple of rows, and so
+    does indexing by a vertex id 0..n-1; any other index raises IndexError.
     A row is filtered on first access and kept; later reads are plain dict
     lookups.
     """
@@ -147,6 +147,8 @@ class _ViewAdjacency(dict):
         self._removed = removed
 
     def __missing__(self, v):
+        if not 0 <= v < len(self._rows):
+            raise IndexError(f"vertex id {v!r} out of range for n={len(self._rows)}")
         removed = self._removed
         row = tuple(w for w in self._rows[v] if ((v, w) if v < w else (w, v)) not in removed)
         self[v] = row
