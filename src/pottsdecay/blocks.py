@@ -175,7 +175,7 @@ def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
     """
     verts = tuple(sorted(verts))
     q = instance.params.q
-    if instance.params.beta > 0:
+    if instance.params.beta_positive:
         if q ** len(verts) > config_budget:
             raise BudgetError(
                 f"feasible-configuration budget {config_budget} exceeded: "

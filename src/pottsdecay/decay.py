@@ -23,8 +23,27 @@ agree on the first i-1 boundary spins, so the recursion evaluates each
 distinct sub-instance once, obtains the full color vector of the queried
 neighbor, and reads off every needed entry. The arithmetic performed per
 value is unchanged, and every enumeration order is fixed, so results are
-bit-identical to the naive schedule; diagnostics count these distinct
-evaluations.
+bit-identical to the naive schedule; recursive_calls counts these distinct
+sub-instances.
+
+Colour-class memo. Potts weights do not change when colours are permuted,
+and a sub-instance breaks that symmetry only through the colours of its
+pins. Within one block and one boundary index, let `held` be the colours of
+the parent's pins and `free` the other colours, ascending. A prefix pattern
+is canonicalised by relabelling its non-held colours, in order of first
+appearance, to free[0], free[1], ...; held colours stay. Only the first
+pattern of each canonical class is evaluated, with its pins set to the
+canonical pattern, and every pattern of the class reads the result back
+through a colour permutation pi fixing `held`: vec[x] = canon_vec[pi(x)].
+The estimator is colour-equivariant bit for bit, so this moves no float:
+F is only reordered by a colour permutation, every sum over F goes through
+_logsumexp (its max and the correctly rounded math.fsum do not depend on
+order), boundary factors multiply in index order, which no colour affects,
+and the termination values, the marginal cap and the monochromatic-edge
+count are colour-free. A memo hit adds the cached subtree's call,
+termination and infeasibility counts and checks the limits, so those
+counters and max_calls aborts keep the values of the schedule without the
+memo; MargDiagnostics.evaluations and cache_hits say what the memo saved.
 """
 
 from __future__ import annotations
@@ -50,9 +69,13 @@ from .saw import e_delta_profile
 class MargDiagnostics:
     """Instrumentation threaded through one root estimate.
 
-    recursive_calls counts distinct sub-instance evaluations (see module
-    docstring); termination_events counts depth-exhausted base cases, so
+    recursive_calls counts the calls of the schedule that evaluates each
+    distinct sub-instance once (see module docstring), including those the
+    colour-class memo served from a cached subtree; termination_events and
+    infeasible_events count that schedule's depth-exhausted base cases, so
     termination_events == 0 certifies the returned value is exact.
+    evaluations counts the calls actually run and cache_hits the children
+    read back from the memo; with no hit, evaluations == recursive_calls.
     """
 
     recursive_calls: int = 0
@@ -60,6 +83,8 @@ class MargDiagnostics:
     max_block_size: int = 0
     max_f_size: int = 0
     infeasible_events: int = 0
+    evaluations: int = 0
+    cache_hits: int = 0
     raw_sum: float | None = None
 
     def as_dict(self):
@@ -69,6 +94,8 @@ class MargDiagnostics:
             "max_block_size": self.max_block_size,
             "max_f_size": self.max_f_size,
             "infeasible_events": self.infeasible_events,
+            "evaluations": self.evaluations,
+            "cache_hits": self.cache_hits,
             "raw_sum": self.raw_sum,
         }
 
@@ -250,6 +277,30 @@ def _logsumexp(values):
     return hi + math.log(math.fsum(math.exp(x - hi) for x in values))
 
 
+def _canonical(pat, held, free):
+    """Canonical representative of a prefix pattern's colour class.
+
+    Non-held colours are relabelled, in order of first appearance, to
+    free[0], free[1], ... Returns the canonical pattern and the moves (x, y)
+    of a permutation pi on the colours with pi(x) = y, so that the pattern's
+    vector is the canonical one read back as vec[x] = canon_vec[pi(x)]. pi
+    moves only what it has to: each pattern colour goes to its label and the
+    labels it displaces fill the colours the pattern vacated.
+    """
+    relabel = {}
+    for c in pat:
+        if c not in held and c not in relabel:
+            relabel[c] = free[len(relabel)]
+    moves = [(c, y) for c, y in relabel.items() if c != y]
+    if not moves:
+        return pat, ()
+    labels = set(relabel.values())
+    displaced = [y for y in relabel.values() if y not in relabel]
+    vacated = [c for c in relabel if c not in labels]
+    moves.extend(zip(displaced, vacated))
+    return tuple(relabel.get(c, c) for c in pat), moves
+
+
 def _block_terms(instance, block, F, anchor, ell, diag, limits):
     """Log-weight of every feasible block configuration, in F's order.
 
@@ -261,6 +312,8 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     params = instance.params
     beta_f = params.beta_float
     one_minus = 1.0 - beta_f
+    held = set(instance.pinned.values())
+    free = [c for c in range(1, params.q + 1) if c not in held]
     verts = block.vertices
     pos = {u: i for i, u in enumerate(verts)}
     bedges = block.boundary_edges
@@ -269,7 +322,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     ipos = [(pos[a], pos[b]) for a, b in internal]
     upos = [pos[u] for u, _ in bedges]
     paths = escape_paths(graph, block, anchor)
-    ln_beta = math.log(beta_f) if params.beta > 0 else None
+    ln_beta = math.log(beta_f) if params.beta_positive else None
 
     child = []
     for i in range(m):
@@ -277,16 +330,41 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         g_i = _index_graph(graph, internal, bedges, i)
         sub_ell = ell - (len(paths[i]) - 1)
         vectors = {}
+        memo = {}  # canonical pattern -> (vector, calls, terminations, infeasible)
         prefix_pos = upos[:i]
         for t in F:
             pat = tuple(t[p] for p in prefix_pos)
             if pat in vectors:
                 continue
-            pins = dict(instance.pinned)
-            for j, p in enumerate(prefix_pos):
-                pins[verts[p]] = pat[j]
-            sub = Instance(g_i, params, pins)
-            vectors[pat] = _marg_vector(sub, v_i, sub_ell, diag, limits)
+            canon, moves = _canonical(pat, held, free) if free else (pat, ())
+            hit = memo.get(canon)
+            if hit is None:
+                pins = dict(instance.pinned)
+                for j, p in enumerate(prefix_pos):
+                    pins[verts[p]] = canon[j]
+                calls = diag.recursive_calls
+                terminations = diag.termination_events
+                infeasible = diag.infeasible_events
+                vec = _marg_vector(Instance(g_i, params, pins), v_i, sub_ell, diag, limits)
+                memo[canon] = (
+                    vec,
+                    diag.recursive_calls - calls,
+                    diag.termination_events - terminations,
+                    diag.infeasible_events - infeasible,
+                )
+            else:
+                vec, calls, terminations, infeasible = hit
+                diag.recursive_calls += calls
+                diag.termination_events += terminations
+                diag.infeasible_events += infeasible
+                diag.cache_hits += 1
+                _check_limits(diag, limits)
+            if moves:
+                out = list(vec)
+                for x, y in moves:
+                    out[x - 1] = vec[y - 1]
+                vec = out
+            vectors[pat] = vec
         child.append(vectors)
 
     terms = []
@@ -314,6 +392,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
 def _marg_vector(instance, v, ell, diag, limits):
     """Full per-color estimate vector at v; the scalar API reads one entry."""
     diag.recursive_calls += 1
+    diag.evaluations += 1
     _check_limits(diag, limits)
     params = instance.params
     q = params.q
@@ -322,7 +401,7 @@ def _marg_vector(instance, v, ell, diag, limits):
         out = [0.0] * q
         out[pin - 1] = 1.0
         return out
-    beta_positive = params.beta > 0
+    beta_positive = params.beta_positive
     if beta_positive and ell < 0:
         diag.termination_events += 1
         return [1.0 / q] * q

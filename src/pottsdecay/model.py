@@ -52,7 +52,15 @@ class PottsParams:
     the threshold (where it equals exactly 1), and saturates at 1 beyond it.
     """
 
-    __slots__ = ("q", "beta", "beta_float", "max_low_degree", "_max_first_branch")
+    __slots__ = (
+        "q",
+        "beta",
+        "beta_float",
+        "beta_positive",
+        "one_minus_beta_float",
+        "max_low_degree",
+        "_max_first_branch",
+    )
 
     def __init__(self, q, beta=0):
         if not isinstance(q, int) or isinstance(q, bool) or q < 2:
@@ -63,6 +71,11 @@ class PottsParams:
         self.q = q
         self.beta = beta
         self.beta_float = float(beta)
+        # Float views read on the recursion's hot path, so that it does no
+        # Fraction arithmetic; one_minus_beta_float is float(1 - beta), which
+        # can differ in the last bit from 1.0 - beta_float.
+        self.beta_positive = beta > 0
+        self.one_minus_beta_float = float(1 - beta)
         threshold = Fraction(q - 1) / (1 - beta) - 2
         t_floor = math.floor(threshold)
         self.max_low_degree = t_floor - 1 if threshold == t_floor else t_floor
@@ -82,7 +95,7 @@ class PottsParams:
 
     def marginal_upper_bound(self, d):
         """Upper bound 1/max(1, q - (1-beta) d) on any conditional marginal."""
-        return 1.0 / max(1.0, self.q - float(1 - self.beta) * d)
+        return 1.0 / max(1.0, self.q - self.one_minus_beta_float * d)
 
     def marginal_lower_bound(self, d):
         """Lower bound beta^d / q on conditional marginals (0 when beta=0, d>0)."""

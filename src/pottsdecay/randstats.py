@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .counting import find_feasible_config
 from .blocks import verify_locally_sparse
@@ -24,7 +23,10 @@ from .graph import generate_gnp
 from .model import Instance, PottsParams
 from .saw import verify_contraction
 
-_Z95 = float(stats.norm.ppf(0.975))
+# float(scipy.stats.norm.ppf(0.975)), written out so that importing the
+# package does not import scipy; statistics.NormalDist().inv_cdf(0.975)
+# rounds to a different float.
+_Z95 = 1.959963984540054
 
 
 @dataclass
@@ -59,6 +61,8 @@ def expected_contraction(n, degree, q, beta=0):
         raise ParseError("n must be >= 1")
     if not 0 < degree <= n:
         raise ParseError(f"mean degree must satisfy 0 < degree <= n, got {degree}")
+    from scipy import stats  # imported here: it dominates the package's import time
+
     params = PottsParams(q, beta)
     ks = np.arange(n + 1)
     logpmf = stats.binom.logpmf(ks, n, degree / n)

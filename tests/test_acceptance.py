@@ -11,10 +11,10 @@ under one 60 s deadline and asserts three things: blocks stay at 64
 vertices or fewer, calls stay within the instance's local branching bound,
 and the first depth that cannot finish ends in a deadline BudgetError
 rather than a hang. The deepest depth reached is reported, not asserted:
-L = 0, 1 and 2 make 121, 6 327 and 280 521 calls (52x and 44x per level),
-and vertex 0's component (eccentricity 8, about 3.85^k self-avoiding walks
-of length k) leaves roughly 10^9 distinct sub-instance histories that no
-exact cache can merge, so L = 23 is far out of reach within 60 s.
+L = 0 to 5 make 121, 6 327, 280 521, about 1.3e7, 6.6e8 and 3.3e10 calls
+(about 50x per level); the colour-class memo runs only 9, 60, 433, 3 623,
+37 175 and 421 827 of them (about 10x per level), so L = 5 completes within
+60 s and L = 23 is far out of reach.
 """
 
 import math
@@ -299,16 +299,19 @@ def test_criterion_9_large_sparse_runtime():
       BudgetError within 1 s of the deadline instead of hanging. At least
       L = 0 and L = 1 must complete first.
 
-    Reaching L = 23 is reported, not asserted. On a 2-CPU machine L = 0, 1
-    and 2 make 121, 6 327 and 280 521 calls (52x and 44x per level), and
-    L = 2 alone takes about 12 s; L = 3 would need about 12 million calls
-    and stops at the deadline after about 1.2 million of them, a count the
-    PASS line reports from the aborted call's diagnostics. No exact cache
-    closes that gap: vertex 0
-    has eccentricity 8 in its 1 959-vertex component and about 3.85^k
+    Reaching L = 23 is reported, not asserted. The calls counted are those
+    of the schedule without the colour-class memo: L = 0 to 5 make 121,
+    6 327, 280 521, 12 883 455, 664 589 710 and 32 679 197 961 calls
+    (44x to 52x per level). The memo runs 9, 60, 433, 3 623, 37 175 and
+    421 827 of them (about 10x per level), and on a 2-CPU machine L = 3, 4
+    and 5 take about 0.4 s, 2.3 s and 31 s, so L = 5 is the deepest depth
+    reached and L = 6 stops at the deadline, with the calls it made
+    reported from the aborted call's diagnostics. Vertex 0 has
+    eccentricity 8 in its 1 959-vertex component and about 3.85^k
     self-avoiding walks of length k, so at each of the top 15 levels the
-    remaining depth reaches the whole component, which leaves roughly 10^9
-    histories with different removed edges.
+    remaining depth reaches the whole component: sub-instances that differ
+    in their removed edges do not share a colour class, and L = 23 stays
+    far out of reach.
     """
     g = generate("gnp", n=2000, d=4, seed=1)
     inst = Instance(g, PottsParams(17, "0"), {})
@@ -318,7 +321,7 @@ def test_criterion_9_large_sparse_runtime():
     budget = 60.0
     deadline = time.monotonic() + budget
     limits = RecursionLimits(deadline=deadline)
-    done = []  # (L, calls, seconds, max block size, call bound)
+    done = []  # (L, calls, seconds, max block size, call bound, evaluations)
     abort = None  # (L, message, seconds past the deadline, calls made before it)
     for L in range(target + 1):
         t0 = time.perf_counter()
@@ -332,16 +335,25 @@ def test_criterion_9_large_sparse_runtime():
         branching = 1 + (max_degree * diag.max_block_size - 1) * diag.max_f_size
         bound = sum(branching**k for k in range(L + 2))
         done.append(
-            (L, diag.recursive_calls, time.perf_counter() - t0, diag.max_block_size, bound)
+            (
+                L,
+                diag.recursive_calls,
+                time.perf_counter() - t0,
+                diag.max_block_size,
+                bound,
+                diag.evaluations,
+            )
         )
 
-    big_blocks = [(L, b) for L, _, _, b, _ in done if b > 64]
-    over_bound = [(L, calls, bound) for L, calls, _, _, bound in done if calls > bound]
+    big_blocks = [(L, b) for L, _, _, b, _, _ in done if b > 64]
+    over_bound = [(L, calls, bound) for L, calls, _, _, bound, _ in done if calls > bound]
     clean_abort = abort is None or ("deadline" in abort[1] and 0.0 <= abort[2] <= 1.0)
     deepest = done[-1][0] if done else None
     growth = [b[1] / a[1] for a, b in zip(done, done[1:])]
     projected = f"{done[-1][1] * growth[-1] ** (target - deepest):.1e}" if growth else "n/a"
-    ladder = ", ".join(f"L={L}: {calls} calls {t:.1f}s" for L, calls, t, _, _ in done)
+    ladder = ", ".join(
+        f"L={L}: {calls} calls ({run} run) {t:.1f}s" for L, calls, t, _, _, run in done
+    )
     rates = ", ".join(f"{r:.1f}x" for r in growth) or "n/a"
     stop = (
         f"L={abort[0]} stopped after {abort[3]} calls, {abort[2] * 1000:.0f} ms after "
@@ -350,7 +362,7 @@ def test_criterion_9_large_sparse_runtime():
         else "no abort"
     )
     ok = len(done) >= 2 and not big_blocks and not over_bound and clean_abort
-    max_block = max((b for _, _, _, b, _ in done), default=None)
+    max_block = max((b for _, _, _, b, _, _ in done), default=None)
     _line(
         9,
         ok,

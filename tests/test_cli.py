@@ -79,6 +79,8 @@ def test_marginal_pinned_path(pinned_path3_file, capsys):
     assert doc["marginals"] == [0.5, 0.25, 0.25]
     assert doc["diagnostics"]["termination_events"] == 0
     assert doc["diagnostics"]["raw_sum"] == 1
+    assert doc["diagnostics"]["evaluations"] <= doc["diagnostics"]["recursive_calls"]
+    assert doc["diagnostics"]["cache_hits"] >= 0
 
 
 def test_partition_infeasible_exits_3(k4_file, capsys):

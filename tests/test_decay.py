@@ -223,6 +223,52 @@ def test_stack_overflow_is_budget_error():
     assert err.value.diagnostics.recursive_calls > 100
 
 
+# ---------------------------------------------------------- colour-class memo
+
+
+def test_naive_counts_on_gnp200():
+    # Counters keep the values of the schedule without the memo.
+    inst = _inst(generate("gnp", n=200, d=4, seed=1), 17)
+    _, diag = marginal_vector(inst, 0, 2)
+    assert diag.recursive_calls == 55_169
+    assert diag.termination_events == 54_486
+    assert diag.cache_hits > 0
+    assert diag.evaluations < diag.recursive_calls // 100
+
+
+def test_naive_counts_on_criterion_9_graph():
+    inst = _inst(generate("gnp", n=2000, d=4, seed=1), 17)
+    _, diag = marginal_vector(inst, 0, 3)
+    assert diag.recursive_calls == 12_883_455
+    assert diag.termination_events == 12_602_934
+
+
+def test_memo_evaluates_one_child_per_colour_class():
+    # Path 1 - 0 - 2 - 3 at q = 6: the root block {0} has boundary edges
+    # (0, 1) and (0, 2). Index 1 evaluates one child; index 2's six patterns
+    # (c,) form one class, so one subtree of 2 calls is run and 5 are read back.
+    inst = _inst(Graph(4, [(0, 1), (0, 2), (2, 3)]), 6)
+    vec, diag = marginal_vector(inst, 0, 6)
+    assert diag.recursive_calls == 14 and diag.termination_events == 0
+    assert diag.evaluations == 4 and diag.cache_hits == 5
+    assert len(set(vec)) == 1 and vec[0] == pytest.approx(1 / 6)
+
+
+def test_max_calls_crossed_on_a_memo_hit():
+    inst = _inst(Graph(4, [(0, 1), (0, 2), (2, 3)]), 6)
+    # Calls 1-4 run; the first hit adds its cached 2-call subtree, crossing 4.
+    with pytest.raises(BudgetError, match="call budget") as err:
+        marginal_vector(inst, 0, 6, RecursionLimits(max_calls=4))
+    diag = err.value.diagnostics
+    assert (diag.recursive_calls, diag.evaluations, diag.cache_hits) == (6, 4, 1)
+    # A cap aborts exactly when the schedule without the memo would (14 calls).
+    for cap in range(1, 14):
+        with pytest.raises(BudgetError, match="call budget"):
+            marginal_vector(inst, 0, 6, RecursionLimits(max_calls=cap))
+    _, diag = marginal_vector(inst, 0, 6, RecursionLimits(max_calls=14))
+    assert diag.recursive_calls == 14
+
+
 # ------------------------------------------------------------ scalar dispatch
 
 
@@ -394,6 +440,8 @@ def test_diagnostics_dict_round_trip():
         "max_block_size",
         "max_f_size",
         "infeasible_events",
+        "evaluations",
+        "cache_hits",
         "raw_sum",
     }
     assert d["recursive_calls"] == diag.recursive_calls

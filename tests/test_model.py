@@ -80,6 +80,16 @@ def test_marginal_bounds():
     assert p2.marginal_upper_bound(4) == 1.0
 
 
+def test_float_views_of_beta():
+    # 1 - beta is rounded once from the exact Fraction: at beta = 0.059 that
+    # is one float and 1.0 - float(beta) another.
+    p = PottsParams(40, "0.059")
+    assert p.beta_positive and not PottsParams(40, 0).beta_positive
+    assert p.one_minus_beta_float == float(1 - Fraction("0.059"))
+    assert p.one_minus_beta_float != 1.0 - p.beta_float
+    assert p.marginal_upper_bound(7) == 1.0 / (40 - float(1 - Fraction("0.059")) * 7)
+
+
 def test_configuration_api():
     c = Configuration({2: 1, 0: 3})
     assert c.support() == (0, 2)

@@ -1,16 +1,44 @@
 """Tests for binomial contraction averages and the censored growth walk."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pottsdecay
 from pottsdecay import (
     ParseError,
     PottsParams,
     expected_contraction,
+    randstats,
     simulate_block_growth,
     verify_gnp_properties,
 )
+
+
+# ------------------------------------------------------------- lazy scipy
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy costs most of the package's import time; only
+    # expected_contraction needs it, and imports it on first use.
+    src = str(Path(pottsdecay.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, pottsdecay; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_wilson_z_is_scipy_normal_quantile():
+    stats = pytest.importorskip("scipy.stats")
+    assert randstats._Z95 == float(stats.norm.ppf(0.975))
 
 
 # ------------------------------------------------------- expected contraction
