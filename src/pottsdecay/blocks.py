@@ -225,6 +225,8 @@ def verify_locally_sparse(
     """
     if mode not in ("exhaustive", "sampled"):
         raise ParseError(f"unknown mode {mode!r}")
+    if mode == "sampled" and (not isinstance(seed, int) or not 0 <= seed < 2**128):
+        raise ParseError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     bare = Instance(graph, params, {})
     budget = graph.n  # closures may legitimately swallow the whole graph
     worst_ratio = 0.0

@@ -189,6 +189,8 @@ def cmd_sample(args):
             "depth": batch.depth,
             "n": n,
             "mean_log_proposal": mean_logp,
+            "conditionals_evaluated": batch.conditionals_evaluated,
+            "termination_events": batch.termination_events,
         }
     )
     return 0

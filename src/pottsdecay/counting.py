@@ -81,6 +81,10 @@ def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limi
     different orders must agree when the depth is generous). L defaults to
     ceil(3 ln n).
     """
+    if order_seed is not None and (
+        not isinstance(order_seed, int) or not 0 <= order_seed < 2**128
+    ):
+        raise ParseError(f"order_seed must be an integer in [0, 2**128), got {order_seed!r}")
     instance = Instance(graph, params, pinned)
     if L is None:
         L = DepthBudget.for_graph(graph.n)

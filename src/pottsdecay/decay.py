@@ -48,6 +48,7 @@ memo; MargDiagnostics.evaluations and cache_hits say what the memo saved.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 import time
@@ -438,6 +439,87 @@ def _marg_vector(instance, v, ell, diag, limits):
         num = _logsumexp(lst)
         out.append(0.0 if num == -math.inf else min(math.exp(num - den), cap))
     return out
+
+
+def read_region(instance, v, ell):
+    """A superset of the vertices whose pin the estimate at (v, ell) can read.
+
+    Pins outside the returned set may be added, removed or recoloured
+    without changing marginal_vector(instance, v, ell)'s vector, its
+    recursive_calls, termination_events, infeasible_events, max_block_size
+    or max_f_size, or the PottsError it raises; the set itself is computed
+    from the pins inside it only. The graph is held fixed. (The memo's
+    evaluations and cache_hits may change: its `held` colours are all the
+    instance's pin colours, and the memo moves no float.)
+
+    Proof, by induction on the depth of the call. A call _marg_vector at u
+    with depth e, in a derived instance whose graph is a subgraph of the
+    root's and whose pinned set contains the root's, reads:
+
+    - u's pin. A pinned u is a leaf and reads nothing else; so is an
+      unpinned u at beta > 0 with e < 0.
+    - Otherwise its block B(u), the pins and degrees of B(u)'s neighbours
+      (block closure, feasible tuples, the beta = 0 cut-off at e < 0), and
+      for e >= 0 the children at the outside ends of B(u)'s boundary edges.
+      Sub-instances only remove edges and pin block vertices, so every
+      vertex B(u) absorbs is unpinned in the root instance and of high
+      degree in the root graph, and B(u) lies inside B*(u): u closed, in
+      the root graph, through root-unpinned vertices of high root degree.
+    - The child at the far end of boundary edge (b, w) gets depth
+      e - d_B(u, b) - 1, where d_B is the hop distance inside B(u) in the
+      derived graph; that is at most e - d*(w), where d* is the hop
+      distance from u along root-graph paths whose inner vertices lie in
+      B*(u). Its instance is again a derived one.
+
+    So the reads of (u, e) lie in R(u, e): {u} for the leaves above, else
+    B*(u) with its neighbours, together with R(x, e - d*(x)) for every x
+    of those other than u when e >= 0. R(u, e) only grows with e, so a state
+    (u, e) is pruned when u was already expanded at a depth >= e; states
+    are expanded deepest first, so each vertex is expanded once.
+    """
+    _common_checks(instance, v)
+    return _read_region(instance.graph, instance.params, instance.pinned, v, _depth(ell))
+
+
+def _read_region(graph, params, pinned, v, ell):
+    """read_region on a graph and any container of pinned vertices."""
+    adj = graph.adjacency
+    max_low = params.max_low_degree
+    beta_positive = params.beta_positive
+    region = set()
+    best = {v: ell}
+    heap = [(-ell, v)]
+    while heap:
+        neg_e, u = heapq.heappop(heap)
+        e = -neg_e
+        if best[u] != e:
+            continue
+        region.add(u)
+        if u in pinned or (beta_positive and e < 0):
+            continue
+        # d* over B*(u) and its neighbours, breadth first from u; only B*
+        # vertices (u, then unpinned high-degree ones) are expanded.
+        dist = {u: 0}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                d = dist[a] + 1
+                for w in adj[a]:
+                    if w not in dist:
+                        dist[w] = d
+                        if w not in pinned and graph.degree(w) > max_low:
+                            nxt.append(w)
+            frontier = nxt
+        region.update(dist)
+        if e < 0:
+            continue
+        for x, d in dist.items():
+            ex = e - d
+            if x != u and ex > best.get(x, ex - 1):
+                best[x] = ex
+                heapq.heappush(heap, (-ex, x))
+    return region
 
 
 def _common_checks(instance, v):

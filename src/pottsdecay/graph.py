@@ -239,8 +239,8 @@ def generate_gnp(n, d, seed):
         raise ParseError("gnp needs n >= 1")
     if not (0 <= d <= n):
         raise ParseError(f"gnp mean degree must satisfy 0 <= d <= n, got {d}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ParseError("gnp seed must be a non-negative integer")
+    if not isinstance(seed, int) or not 0 <= seed < 2**128:
+        raise ParseError(f"gnp seed must be an integer in [0, 2**128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     p = d / n
     edges = []

@@ -97,8 +97,8 @@ def simulate_block_growth(L, n, d, q, t_max, trials, seed):
         raise ParseError("the censored walk needs q >= 6")
     if not 0 <= d <= n:
         raise ParseError(f"d must satisfy 0 <= d <= n, got {d}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ParseError("seed must be a non-negative integer")
+    if not isinstance(seed, int) or not 0 <= seed < 2**128:
+        raise ParseError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     y = np.full(trials, L, dtype=np.int64)
     p = d / n

@@ -227,6 +227,9 @@ def test_verify_locally_sparse_sampled_reproducible():
     assert r1["paths_checked"] == 80
     with pytest.raises(ParseError):
         verify_locally_sparse(g, PottsParams(17, 0), 4, mode="bogus")
+    for bad in (-1, 2**128):
+        with pytest.raises(ParseError, match="seed"):
+            verify_locally_sparse(g, PottsParams(17, 0), 4, mode="sampled", seed=bad)
 
 
 def test_verify_locally_sparse_walk_budget():

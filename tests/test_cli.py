@@ -9,6 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from pottsdecay import Graph, Instance, PottsParams, generate, sample_batch
 from pottsdecay.cli import run
 
 
@@ -199,6 +200,28 @@ def test_sample_lines_and_footer(edge_file, capsys):
     _check("sample_footer", doc)
     assert doc["samples"] == 5 and doc["n"] == 2 and doc["seed"] == 1
     assert doc["mean_log_proposal"] < 0
+    # Vertex 0 reads no pin and vertex 1 reads only 0's colour, which always
+    # relabels to 1: two conditionals computed. Depth 4 is exact on an edge,
+    # so there are no termination events.
+    batch = sample_batch(Instance(Graph(2, [(0, 1)]), PottsParams(3)), 4, 5, 1)
+    assert doc["conditionals_evaluated"] == batch.conditionals_evaluated == 2
+    assert doc["termination_events"] == batch.termination_events == 0
+
+
+def test_sample_footer_reports_terminations(capsys, tmp_path):
+    run(["gen", "--family", "cycle", "--n", "10"])
+    f = tmp_path / "c10.txt"
+    f.write_text(capsys.readouterr().out)
+    code = run(["sample", "--q", "6", "--instance", str(f), "--samples", "3", "--seed",
+                "2", "--depth", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(out[out.index("{"):])
+    _check("sample_footer", doc)
+    inst = Instance(generate("cycle", n=10), PottsParams(6))
+    batch = sample_batch(inst, 1, 3, 2)
+    assert doc["conditionals_evaluated"] == batch.conditionals_evaluated < 30
+    assert doc["termination_events"] == batch.termination_events > 0
 
 
 def test_sample_deterministic(edge_file, capsys):
@@ -303,6 +326,31 @@ def test_missing_instance_file_exits_2(capsys):
 
 def test_unknown_flag_exits_2(edge_file):
     assert run(["exact", "--q", "3", "--instance", edge_file, "--bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--q", "3", "--samples", "1", "--depth", "2", "--seed", str(2**64)],
+        ["partition", "--q", "3", "--depth", "2", "--order-seed", "-1"],
+        ["partition", "--q", "3", "--depth", "2", "--order-seed", str(2**128)],
+        ["verify-sparse", "--q", "3", "--lmax", "1", "--mode", "sampled", "--seed", "-1"],
+    ],
+)
+def test_out_of_range_seed_exits_2(argv, edge_file, capsys):
+    # Philox keys must lie in [0, 2**128); the sampler keys stream i of a
+    # seed by seed * 2**64 + i.
+    code = run(argv + ["--instance", edge_file])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "seed must be an integer" in err and "Traceback" not in err
+
+
+def test_gen_gnp_out_of_range_seed_exits_2(capsys):
+    code = run(["gen", "--family", "gnp", "--n", "10", "--d", "2", "--seed", str(2**128)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "seed must be an integer" in err and "Traceback" not in err
 
 
 def test_budget_exhaustion_exits_4(capsys, tmp_path):

@@ -119,6 +119,16 @@ def test_partition_order_invariance_at_full_depth():
         ]
 
 
+def test_partition_order_seed_range():
+    # Philox keys lie in [0, 2**128); outside it the seed is a ParseError.
+    g = generate("cycle", n=5)
+    params = PottsParams(4, "0")
+    assert estimate_partition(g, params, L=2, order_seed=2**128 - 1).log_z > 0
+    for bad in (-1, 2**128, "1"):
+        with pytest.raises(ParseError, match="order_seed"):
+            estimate_partition(g, params, L=2, order_seed=bad)
+
+
 def test_partition_order_self_consistency_truncated():
     # shallow depth on a sparse random graph: orders agree to the decay scale
     g = generate("gnp", n=30, d=2, seed=11)

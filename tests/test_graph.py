@@ -120,6 +120,14 @@ def test_gnp_reproducible_and_in_range():
     assert g3.edges != g1.edges
 
 
+def test_gnp_seed_range():
+    # Philox keys lie in [0, 2**128); outside it the seed is a ParseError.
+    assert generate_gnp(10, 2, seed=2**128 - 1).n == 10
+    for bad in (-1, 2**128, 1.5):
+        with pytest.raises(ParseError, match="seed"):
+            generate_gnp(10, 2, seed=bad)
+
+
 def _gnp_edges_all_pairs(n, d, seed):
     # One draw over all C(n, 2) pairs at once: the stream order generate_gnp
     # must reproduce row by row.

@@ -156,6 +156,7 @@ def test_growth_walk_validation():
         ("d", 101),
         ("seed", -3),
         ("seed", 1.5),
+        ("seed", 2**128),
     ]:
         with pytest.raises(ParseError):
             simulate_block_growth(**{**good, key: bad})

@@ -13,9 +13,11 @@ from pottsdecay import (
     SampleBatch,
     empirical_tv,
     generate,
+    marginal_distribution,
     monochromatic_edges,
     sample_batch,
     sample_config,
+    sampling,
     weight,
 )
 
@@ -78,6 +80,71 @@ def test_sample_config_is_first_of_batch():
     assert _as_tuple(one, 3) == _as_tuple(batch.configurations[0], 3)
 
 
+# ----------------------------------------------------------- reach cache
+
+
+def _uncached_batch(inst, depth, n_samples, seed):
+    """The sequential schedule with no cache: every conditional is computed
+    on the instance pinned to the whole sampled prefix."""
+    configs, logps, terminations = [], [], 0
+    for i in range(n_samples):
+        rng = sampling._rng_for(seed, i)
+        pins = dict(inst.pinned)
+        logp = 0.0
+        for v in inst.unpinned():
+            step = Instance(inst.graph, inst.params, pins)
+            vec, diag = marginal_distribution(step, v, depth)
+            c = sampling._draw(vec, rng)
+            logp += math.log(vec[c - 1])
+            terminations += diag.termination_events
+            pins[v] = c
+        configs.append(pins)
+        logps.append(logp)
+    return configs, logps, terminations
+
+
+REACH_CASES = {
+    # low-degree cycle: singleton blocks, regions a ball around v
+    "cycle12-q6-b0": (generate("cycle", n=12), PottsParams(6, "0"), {}, 3),
+    # q >= 256: keys are tuples, not bytes
+    "cycle6-q300-b0": (generate("cycle", n=6), PottsParams(300, "0"), {2: 299}, 2),
+    # centre of degree 7 > 2 is high-degree at q = 6: multi-vertex blocks
+    "star7-q6-b0": (generate("star", k=7), PottsParams(6, "0"), {3: 2}, 2),
+    "star5-q4-b0.4": (generate("star", k=5), PottsParams(4, "0.4"), {}, 2),
+    # spine vertices of degree 3-4 are high-degree at q = 5, beta = 0.3
+    "caterpillar-q5-b0.3": (generate("caterpillar", n=3, k=2), PottsParams(5, "0.3"), {}, 2),
+    "caterpillar-q6-b0": (generate("caterpillar", n=4, k=1), PottsParams(6, "0"), {5: 1}, 3),
+    "gnp10-q5-b0": (generate("gnp", n=10, d=3, seed=2), PottsParams(5, "0"), {0: 4}, 2),
+    "gnp10-q4-b0.5": (generate("gnp", n=10, d=2.5, seed=5), PottsParams(4, "0.5"), {}, 1),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("case", sorted(REACH_CASES))
+def test_reach_cache_matches_uncached_schedule(case, threads):
+    g, params, pins, depth = REACH_CASES[case]
+    inst = Instance(g, params, pins)
+    n_samples = 6
+    configs, logps, terminations = _uncached_batch(inst, depth, n_samples, seed=17)
+    batch = sample_batch(inst, depth, n_samples, seed=17, threads=threads)
+    assert [c.assignment for c in batch.configurations] == configs
+    assert batch.log_proposals == logps
+    assert batch.termination_events == terminations
+    requested = n_samples * len(inst.unpinned())
+    assert 1 <= batch.conditionals_evaluated <= requested
+
+
+def test_conditionals_evaluated_on_cycle40():
+    # The sample-cycle benchmark op: 5 samples x 40 vertices = 200 requests.
+    inst = Instance(generate("cycle", n=40), PottsParams(6, "0"), {})
+    batch = sample_batch(inst, 4, 5, seed=1)
+    assert batch.conditionals_evaluated == 43
+    assert batch.termination_events == 885
+    threaded = sample_batch(inst, 4, 5, seed=1, threads=4)
+    assert threaded.conditionals_evaluated == 43
+    assert threaded.termination_events == 885
+
+
 # ------------------------------------------------------------------ validity
 
 
@@ -113,6 +180,10 @@ def test_sampler_validation():
         sample_batch(inst, 6, 1, seed=-4)
     with pytest.raises(ParseError, match="seed"):
         sample_batch(inst, 6, 1, seed="one")
+    # The Philox key is seed * 2**64 + i and must stay below 2**128.
+    with pytest.raises(ParseError, match="seed"):
+        sample_batch(inst, 6, 1, seed=2**64)
+    assert len(sample_batch(inst, 6, 2, seed=2**64 - 1)) == 2
     with pytest.raises(ParseError, match="q >= 3"):
         sample_batch(Instance(generate("path", n=2), PottsParams(2, "0.5"), {}), 4, 1, 1)
 
