@@ -529,26 +529,27 @@ def _common_checks(instance, v):
         raise ParseError(f"vertex {v} out of range")
 
 
-def marg(instance, v, x, ell, limits=None):
-    """Estimate Pr[c(v) = x], beta > 0 variant. Returns (value, diagnostics)."""
-    if instance.params.beta == 0:
-        raise ParseError("beta = 0: use marg_coloring")
+def _marg_scalar(instance, v, x, ell, limits):
+    """Pr[c(v) = x] from the root vector; the body of marg and marg_coloring."""
     _common_checks(instance, v)
     if not (1 <= x <= instance.params.q):
         raise ParseError(f"color {x} out of range for q={instance.params.q}")
     vec, diag = _root_vector(instance, v, ell, limits)
     return vec[x - 1], diag
+
+
+def marg(instance, v, x, ell, limits=None):
+    """Estimate Pr[c(v) = x], beta > 0 variant. Returns (value, diagnostics)."""
+    if instance.params.beta == 0:
+        raise ParseError("beta = 0: use marg_coloring")
+    return _marg_scalar(instance, v, x, ell, limits)
 
 
 def marg_coloring(instance, v, x, ell, limits=None):
     """Estimate Pr[c(v) = x], beta = 0 (proper coloring) variant."""
     if instance.params.beta != 0:
         raise ParseError("beta > 0: use marg")
-    _common_checks(instance, v)
-    if not (1 <= x <= instance.params.q):
-        raise ParseError(f"color {x} out of range for q={instance.params.q}")
-    vec, diag = _root_vector(instance, v, ell, limits)
-    return vec[x - 1], diag
+    return _marg_scalar(instance, v, x, ell, limits)
 
 
 def marginal_vector(instance, v, ell, limits=None):

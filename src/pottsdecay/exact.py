@@ -1,12 +1,15 @@
 """Brute-force oracles: exact partition functions, marginals, and Gibbs tables.
 
 Everything here enumerates configurations, so it only runs on small problems;
-the point is to be an independent ground truth for the estimator. Enumeration
-work is metered against a budget counted in enumeration leaves: completed
-assignments plus dead-ended prefixes for the backtracking path, the full q^k
-space for the vectorized path. Unpinned isolated vertices are factored out
-analytically (each contributes a factor q to every configuration class), so
-derived instances whose interiors were edge-stripped cost nothing extra.
+the point is to be an independent ground truth for the estimator. There is
+one enumerator per regime, each metered against a budget. At beta = 0 a
+backtracking walk counts proper colorings; it spends one budget unit per
+completed coloring and one per dead-ended prefix. At beta > 0 a chunked numpy
+sweep sums beta^mono over all q^k colorings of the k active vertices; q^k is
+checked against the budget before the sweep starts. Unpinned isolated
+vertices are factored out analytically (each contributes a factor q to every
+configuration class), so derived instances whose interiors were edge-stripped
+cost nothing extra.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .errors import BudgetError, InfeasibleError, ParseError
 from .model import Configuration, monochromatic_edges
 
 DEFAULT_BUDGET = 10**7
-_VECTOR_CAP = 1 << 22
 _CHUNK = 1 << 16
 
 
@@ -51,19 +53,20 @@ def _base_state(instance):
 
 
 def _dfs_enumerate(instance, active, budget, root=None, first_only=False):
-    """Backtracking sum over colorings of `active`; prunes hard at beta = 0.
+    """Backtracking count of the proper colorings of `active` (beta = 0).
 
-    Returns (z, vec, leaves): z the weight sum (excluding the pinned-pinned
-    and isolated factors), vec the per-color mass at `root` or None, leaves
-    the budget units consumed.
+    Returns (z, vec): z the number of proper colorings, vec the count per
+    color at `root` or None. Each completed coloring and each dead-ended
+    prefix costs one budget unit; the colorings that differ only at the last
+    position are counted together. Every coloring weighs 1, so the counts
+    are Python ints, exact as floats while below 2**53.
     """
     graph = instance.graph
-    params = instance.params
-    q = params.q
-    beta = params.beta_float
-    proper = params.beta == 0
+    q = instance.params.q
     pinned = instance.pinned
     k = len(active)
+    if k == 0:
+        return 1.0, None
     pos = {v: i for i, v in enumerate(active)}
     earlier = []
     pinc = []
@@ -79,84 +82,61 @@ def _dfs_enumerate(instance, active, budget, root=None, first_only=False):
         earlier.append(eh)
         pinc.append(pc)
     root_pos = pos[root] if root is not None else None
-    vec = [0.0] * q if root is not None else None
-    vec_c = [0.0] * q if root is not None else None
-    z = 0.0
-    z_c = 0.0
-    leaves = 0
-    if k == 0:
-        return 1.0, vec, 0
-    max_mono = len(graph.edges) + 1
-    beta_pow = None
-    if not proper:
-        beta_pow = [1.0] * max_mono
-        for j in range(1, max_mono):
-            beta_pow[j] = beta_pow[j - 1] * beta
+    vec = [0] * q if root is not None else None
+    palette = range(q, 0, -1)  # popped from the end: ascending color order
     colors = [0] * k
-    mono = [0] * (k + 1)
-    idx = 0
-    while idx >= 0:
-        c = colors[idx] + 1
-        placed = False
-        if proper:
-            while c <= q:
-                if c not in pinc[idx] and all(colors[j] != c for j in earlier[idx]):
-                    placed = True
-                    break
-                c += 1
-        elif c <= q:
-            placed = True
-        if not placed:
-            if colors[idx] == 0:
-                # Dead-ended prefix: costs one budget unit like a leaf.
-                leaves += 1
-                if leaves > budget:
-                    raise BudgetError(f"enumeration budget {budget} exceeded")
-            colors[idx] = 0
-            idx -= 1
-            continue
-        colors[idx] = c
-        if not proper:
-            inc = sum(1 for j in earlier[idx] if colors[j] == c)
-            inc += sum(1 for pc in pinc[idx] if pc == c)
-            mono[idx + 1] = mono[idx] + inc
-        if idx == k - 1:
-            leaves += 1
-            if leaves > budget:
-                raise BudgetError(f"enumeration budget {budget} exceeded")
-            w = 1.0 if proper else beta_pow[mono[k]]
-            # Kahan-compensated accumulation keeps the oracle trustworthy
-            # at 1e-10 tolerances even over millions of leaves.
-            y = w - z_c
-            t = z + y
-            z_c = (t - z) - y
-            z = t
-            if vec is not None:
-                b = colors[root_pos] - 1
-                y = w - vec_c[b]
-                t = vec[b] + y
-                vec_c[b] = (t - vec[b]) - y
-                vec[b] = t
-            if first_only:
-                return z, vec, leaves
+    z = 0
+    leaves = 0
+    stack = []  # per open position, the colors still to try there
+    idx = 0  # the position to enter next
+    while True:
+        banned = {colors[j] for j in earlier[idx]}
+        banned.update(pinc[idx])
+        opts = [c for c in palette if c not in banned]
+        if not opts:
+            leaves += 1  # dead-ended prefix: costs one budget unit
+        elif idx < k - 1:
+            stack.append(opts)
         else:
-            idx += 1
-    return z, vec, leaves
+            # every color left at the last position completes a coloring
+            width = 1 if first_only else len(opts)
+            leaves += width
+            z += width
+            if root_pos == idx:
+                for c in opts:
+                    vec[c - 1] += 1
+            elif vec is not None:
+                vec[colors[root_pos] - 1] += width
+        if leaves > budget:
+            raise BudgetError(f"enumeration budget {budget} exceeded")
+        if first_only and z:
+            break
+        while stack and not stack[-1]:
+            stack.pop()
+        if not stack:
+            break
+        idx = len(stack)
+        colors[idx - 1] = stack[-1].pop()
+    return float(z), None if vec is None else [float(x) for x in vec]
 
 
 def _vector_enumerate(instance, active, budget, root=None):
-    """Chunked numpy enumeration; requires q^k within budget and memory cap."""
+    """Chunked numpy sum of beta^mono over all q^k colorings of `active` (beta > 0).
+
+    Returns (z, vec) like `_dfs_enumerate`, with weights in place of counts.
+    Raises BudgetError before any work when q^k exceeds the budget.
+    """
     graph = instance.graph
-    params = instance.params
-    q = params.q
-    beta = params.beta_float
+    q = instance.params.q
+    beta = instance.params.beta_float
     pinned = instance.pinned
     k = len(active)
     total = q**k
     if total > budget:
         raise BudgetError(f"enumeration budget {budget} exceeded: q^k = {q}^{k}")
     pos = {v: i for i, v in enumerate(active)}
-    weights_pow = [q ** (k - 1 - i) for i in range(k)]
+    # a coloring's code has the color minus 1 of active[i] as its base-q digit
+    # i, most significant first
     aa_edges = []
     ap_edges = []
     for u, v in graph.edges:
@@ -164,68 +144,60 @@ def _vector_enumerate(instance, active, budget, root=None):
         if iu is not None and iv is not None:
             aa_edges.append((iu, iv))
         elif iu is not None:
-            ap_edges.append((iu, pinned[v]))
+            ap_edges.append((iu, pinned[v] - 1))
         elif iv is not None:
-            ap_edges.append((iv, pinned[u]))
+            ap_edges.append((iv, pinned[u] - 1))
+    root_pos = pos[root] if root is not None else None
     z_parts = []
     vec_parts = []
-    root_pos = pos[root] if root is not None else None
     for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        cols = [None] * k
-        needed = {i for i, _ in aa_edges} | {j for _, j in aa_edges}
-        needed |= {i for i, _ in ap_edges}
-        if root_pos is not None:
-            needed.add(root_pos)
-        for i in needed:
-            cols[i] = (codes // weights_pow[i]) % q + 1
-        mono = np.zeros(codes.size, dtype=np.int32)
+        rest = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        digits = [None] * k
+        for i in range(k - 1, -1, -1):
+            rest, digits[i] = np.divmod(rest, q)
+        mono = np.zeros(rest.size, dtype=np.int32)
         for i, j in aa_edges:
-            mono += cols[i] == cols[j]
+            mono += digits[i] == digits[j]
         for i, c in ap_edges:
-            mono += cols[i] == c
-        if params.beta == 0:
-            w = (mono == 0).astype(np.float64)
-        else:
-            w = beta**mono
+            mono += digits[i] == c
+        w = beta**mono
         z_parts.append(float(w.sum()))
         if root_pos is not None:
-            vec_parts.append(np.bincount(cols[root_pos] - 1, weights=w, minlength=q))
+            vec_parts.append(np.bincount(digits[root_pos], weights=w, minlength=q))
     z = math.fsum(z_parts)
     vec = None
     if root_pos is not None:
         vec = [math.fsum(p[c] for p in vec_parts) for c in range(q)]
-    return z, vec, total
+    return z, vec
 
 
 def _enumerate(instance, budget, root=None, first_only=False):
-    """Dispatch between the backtracking and vectorized enumerators."""
+    """Exact (z, vec, iso): a backtracking count at beta = 0, a numpy sweep at beta > 0.
+
+    z and vec exclude the factor q^iso of the unpinned isolated vertices.
+    first_only, read at beta = 0 only, stops at the first proper coloring.
+    """
     active, iso, mono_base = _base_state(instance)
     params = instance.params
     if params.beta == 0 and mono_base > 0:
-        return 0.0, [0.0] * params.q if root is not None else None, active, iso, 0
+        return 0.0, [0.0] * params.q if root is not None else None, iso
     if root is not None and root not in set(active):
         raise ValueError("root must be an active vertex here")
-    proper = params.beta == 0
-    if proper or first_only:
-        z, vec, used = _dfs_enumerate(instance, active, budget, root, first_only)
+    if params.beta == 0:
+        z, vec = _dfs_enumerate(instance, active, budget, root, first_only)
     else:
-        total = params.q ** len(active)
-        if total <= min(budget, _VECTOR_CAP):
-            z, vec, used = _vector_enumerate(instance, active, budget, root)
-        else:
-            z, vec, used = _dfs_enumerate(instance, active, budget, root)
-    if mono_base > 0:
-        scale = params.beta_float**mono_base
-        z *= scale
-        if vec is not None:
-            vec = [x * scale for x in vec]
-    return z, vec, active, iso, used
+        z, vec = _vector_enumerate(instance, active, budget, root)
+        if mono_base > 0:
+            scale = params.beta_float**mono_base
+            z *= scale
+            if vec is not None:
+                vec = [x * scale for x in vec]
+    return z, vec, iso
 
 
 def exact_partition(instance, budget=DEFAULT_BUDGET):
     """Exact partition function (0.0 when no positive-weight configuration exists)."""
-    z, _, _, iso, _ = _enumerate(instance, budget)
+    z, _, iso = _enumerate(instance, budget)
     return z * instance.params.q**iso
 
 
@@ -248,7 +220,7 @@ def exact_marginal_vector(instance, v, budget=DEFAULT_BUDGET):
         if exact_partition(instance, budget) <= 0.0:
             raise InfeasibleError("no positive-weight configuration exists")
         return [1.0 / params.q] * params.q
-    z, vec, _, _, _ = _enumerate(instance, budget, root=v)
+    z, vec, _ = _enumerate(instance, budget, root=v)
     if z <= 0.0:
         raise InfeasibleError("no positive-weight configuration exists")
     return [x / z for x in vec]
@@ -280,7 +252,7 @@ def is_feasible(instance, budget=DEFAULT_BUDGET):
     """Whether any configuration of positive weight extends the pinning."""
     if instance.params.beta > 0:
         return True
-    z, _, _, _, _ = _enumerate(instance, budget, first_only=True)
+    z, _, _ = _enumerate(instance, budget, first_only=True)
     return z > 0.0
 
 

@@ -69,9 +69,6 @@ class Graph:
     def degree(self, v):
         return len(self.adjacency[v])
 
-    def neighbors(self, v):
-        return self.adjacency[v]
-
     def has_edge(self, u, v):
         return v in self.adjacency[u]
 

@@ -206,9 +206,6 @@ class Instance:
             merged[v] = c
         return Instance(self.graph, self.params, merged)
 
-    def with_graph(self, graph):
-        return Instance(graph, self.params, self.pinned)
-
     def __repr__(self):
         return (
             f"Instance({self.graph!r}, {self.params!r}, pins={len(self.pinned)})"

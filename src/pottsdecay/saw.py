@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +108,7 @@ def enumerate_saws(graph, v, length):
 
 def saw_count(graph, v, length):
     """Exact number of self-avoiding walks of the given length from v."""
-    sums, _, _ = _walk_sums(graph.adjacency, [1.0] * graph.n, v, length)
-    return int(sums[length])
+    return saw_count_profile(graph, v, length)[length]
 
 
 def saw_count_profile(graph, v, l_max):
@@ -121,13 +119,7 @@ def saw_count_profile(graph, v, l_max):
 
 def e_delta(graph, v, length, delta, extension_budget=None):
     """Delta-weighted SAW sum at one length (start vertex excluded from products)."""
-    values = _delta_by_vertex(graph, delta)
-    sums, _, exhausted = _walk_sums(graph.adjacency, values, v, length, extension_budget)
-    if exhausted:
-        raise BudgetError(
-            f"SAW extension budget {extension_budget} exceeded at vertex {v}"
-        )
-    return sums[length]
+    return e_delta_profile(graph, v, length, delta, extension_budget)[length]
 
 
 def e_delta_profile(graph, v, l_max, delta, extension_budget=None):

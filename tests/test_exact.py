@@ -79,24 +79,24 @@ def test_partition_matches_brute_force():
         assert exact_partition(inst) == pytest.approx(_brute_z(inst), rel=1e-10, abs=1e-12)
 
 
-def test_dfs_and_vectorized_agree():
-    # beta > 0 runs vectorized when small; force the DFS with a tight budget
-    # that still covers the work, then compare
-    rng = random.Random(23)
-    for _ in range(10):
-        n = rng.randint(2, 6)
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
-        ]
-        inst = Instance(Graph(n, edges), PottsParams(3, "0.5"))
-        z_vec = exact_partition(inst)
-        z_dfs = exact_partition(inst, budget=3**n + n)  # below the 2^22 vector cap gate
-        assert z_vec == pytest.approx(z_dfs, rel=1e-12)
+def test_partition_beta_positive_large_sweep():
+    # 3^14 > 2^22 colorings: the sweep's chunks keep its memory bounded
+    n, q, b = 14, 3, 0.3
+    inst = Instance(generate_cycle(n), PottsParams(q, "0.3"))
+    closed = (q - 1 + b) ** n + (q - 1) * (b - 1) ** n
+    assert exact_partition(inst) == pytest.approx(closed, rel=1e-12)
+
+
+def test_partition_proper_count_exact():
+    # chromatic polynomial of C_n at q: (q-1)^n + (-1)^n (q-1)
+    inst = Instance(generate_cycle(12), PottsParams(4, 0))
+    assert exact_partition(inst) == 3**12 + 3
 
 
 def test_partition_budget_error():
+    # at beta > 0 the q^k size check fires before any enumeration
     inst = Instance(generate_complete(12), PottsParams(5, "0.5"))
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"q\^k"):
         exact_partition(inst, budget=1000)
 
 

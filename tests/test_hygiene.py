@@ -1,0 +1,47 @@
+"""Source hygiene: every name a package module imports is used in it.
+
+The package's `__init__.py` is exempt (it imports to re-export), and so are
+`from __future__` imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pottsdecay"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_checker_flags_unused_and_accepts_used():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import fsum, inf\n"
+        "x = np.zeros(fsum([1.0]))\n"
+    )
+    assert _unused_imports(source) == [(2, "os"), (4, "inf")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path.read_text())
+    assert not unused, f"{path.name}: unused imports " + ", ".join(
+        f"{name} (line {line})" for line, name in unused
+    )
