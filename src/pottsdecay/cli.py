@@ -162,6 +162,8 @@ def cmd_partition(args):
             "z": est.z,
             "depth": est.depth_used,
             "anchor_weight_log": est.anchor_log_weight,
+            "exact": est.exact,
+            "diagnostics": est.diagnostics.as_dict(),
         }
     )
     return 0

@@ -5,6 +5,16 @@ the product of its sequential conditional marginals, each conditioned on the
 previously fixed vertices. Substituting estimated marginals for exact ones
 turns the identity into an estimator whose accuracy is controlled entirely
 by the recursion depth.
+
+Region-scoped conditionals. The step at v hands its conditional only the
+earlier pins inside decay._read_region(graph, params, pins, v, depth).
+read_region's docstring proves that pins outside that set cannot change
+the estimate's vector, its recursive_calls, termination_events,
+infeasible_events, max_block_size or max_f_size, or the PottsError it
+raises, so log Z and every per-vertex marginal are those of the step that
+carries all earlier pins. Each node of the recursion then copies and
+checks O(region) pins, not O(n). The colour memo's held colours shrink to
+the region's, so its evaluations and cache_hits may fall.
 """
 
 from __future__ import annotations
@@ -15,24 +25,42 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import first_feasible_tuple, minimal_permissive_block
-from .decay import DepthBudget, RecursionLimits, _depth, marg, marg_coloring
+from .decay import (
+    DepthBudget,
+    MargDiagnostics,
+    RecursionLimits,
+    _depth,
+    _read_region,
+    marg,
+    marg_coloring,
+)
 from .errors import InfeasibleError, ParseError
 from .model import Configuration, Instance, monochromatic_edges
 
 
 @dataclass
 class PartitionEstimate:
-    """Result of one telescoped run."""
+    """Result of one telescoped run.
+
+    diagnostics merges the MargDiagnostics of every conditional (counters
+    summed, block and F sizes maxed; raw_sum stays None); exact is True when
+    no conditional hit the depth limit, so log_z is exact up to rounding.
+    """
 
     log_z: float
     anchor: Configuration
     per_vertex: list = field(default_factory=list)
     depth_used: int = 0
     anchor_log_weight: float = 0.0
+    diagnostics: MargDiagnostics = field(default_factory=MargDiagnostics)
 
     @property
     def z(self):
         return math.exp(self.log_z)
+
+    @property
+    def exact(self):
+        return self.diagnostics.termination_events == 0
 
 
 def find_feasible_config(instance, block_budget=64):
@@ -107,10 +135,13 @@ def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limi
     log_z = anchor_log
     pins = dict(instance.pinned)
     per_vertex = []
+    diagnostics = MargDiagnostics()
     for v in order:
-        step = Instance(graph, params, pins)
+        region = _read_region(graph, params, pins, v, depth)
+        step = Instance(graph, params, {u: pins[u] for u in region if u in pins})
         x = anchor[v]
-        p, _ = estimate(step, v, x, depth, limits=limits)
+        p, diag = estimate(step, v, x, depth, limits=limits)
+        diagnostics.merge(diag)
         if p <= 0.0:
             raise InfeasibleError(
                 f"conditional marginal vanished at vertex {v} under truncation"
@@ -124,4 +155,5 @@ def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limi
         per_vertex=per_vertex,
         depth_used=depth,
         anchor_log_weight=anchor_log,
+        diagnostics=diagnostics,
     )

@@ -44,6 +44,17 @@ count are colour-free. A memo hit adds the cached subtree's call,
 termination and infeasibility counts and checks the limits, so those
 counters and max_calls aborts keep the values of the schedule without the
 memo; MargDiagnostics.evaluations and cache_hits say what the memo saved.
+
+In-place leaves. A call is a leaf when its vertex is pinned (one-hot
+vector) or unpinned at beta > 0 with ell < 0 (uniform, one termination);
+_leaf holds that rule. A leaf reads its pin and nothing else, so
+_block_terms answers such a child through _leaf directly, without deriving
+its graph, pin dict or Instance; whether the child v_i is pinned is read off
+the parent, because sub-instances pin only block vertices and v_i lies
+outside the block. The child still passes through the colour memo, and
+_leaf counts it as _marg_vector does (recursive_calls and evaluations, then
+the limit check, then the termination), so no float and no counter moves,
+and a max_calls abort lands on the same call.
 """
 
 from __future__ import annotations
@@ -87,6 +98,16 @@ class MargDiagnostics:
     evaluations: int = 0
     cache_hits: int = 0
     raw_sum: float | None = None
+
+    def merge(self, other):
+        """Add another estimate's counters to these; sizes take the max."""
+        self.recursive_calls += other.recursive_calls
+        self.termination_events += other.termination_events
+        self.max_block_size = max(self.max_block_size, other.max_block_size)
+        self.max_f_size = max(self.max_f_size, other.max_f_size)
+        self.infeasible_events += other.infeasible_events
+        self.evaluations += other.evaluations
+        self.cache_hits += other.cache_hits
 
     def as_dict(self):
         return {
@@ -269,6 +290,9 @@ def _root_vector(instance, v, ell, limits):
 
 
 def _logsumexp(values):
+    if len(values) == 1:
+        # x + log(fsum([1.0])) is x itself, bar the sign of a zero.
+        return values[0]
     hi = -math.inf
     for x in values:
         if x > hi:
@@ -328,7 +352,8 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     child = []
     for i in range(m):
         _, v_i = bedges[i]
-        g_i = _index_graph(graph, internal, bedges, i)
+        pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
+        g_i = None
         sub_ell = ell - (len(paths[i]) - 1)
         vectors = {}
         memo = {}  # canonical pattern -> (vector, calls, terminations, infeasible)
@@ -340,13 +365,17 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
             canon, moves = _canonical(pat, held, free) if free else (pat, ())
             hit = memo.get(canon)
             if hit is None:
-                pins = dict(instance.pinned)
-                for j, p in enumerate(prefix_pos):
-                    pins[verts[p]] = canon[j]
                 calls = diag.recursive_calls
                 terminations = diag.termination_events
                 infeasible = diag.infeasible_events
-                vec = _marg_vector(Instance(g_i, params, pins), v_i, sub_ell, diag, limits)
+                vec = _leaf(params, pin_i, sub_ell, diag, limits)
+                if vec is None:
+                    if g_i is None:
+                        g_i = _index_graph(graph, internal, bedges, i)
+                    pins = dict(instance.pinned)
+                    for j, p in enumerate(prefix_pos):
+                        pins[verts[p]] = canon[j]
+                    vec = _block_vector(Instance(g_i, params, pins), v_i, sub_ell, diag, limits)
                 memo[canon] = (
                     vec,
                     diag.recursive_calls - calls,
@@ -390,22 +419,41 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     return terms
 
 
-def _marg_vector(instance, v, ell, diag, limits):
-    """Full per-color estimate vector at v; the scalar API reads one entry."""
+def _leaf(params, pin, ell, diag, limits):
+    """Count one call of the recursion; return its vector if it is a leaf.
+
+    A leaf is a pinned vertex (its one-hot vector) or an unpinned one at
+    beta > 0 with ell < 0 (uniform, one termination). It reads nothing but
+    its pin, so it needs no instance. Any other call returns None, for
+    _block_vector to evaluate.
+    """
     diag.recursive_calls += 1
     diag.evaluations += 1
     _check_limits(diag, limits)
-    params = instance.params
     q = params.q
-    pin = instance.pinned.get(v)
     if pin is not None:
         out = [0.0] * q
         out[pin - 1] = 1.0
         return out
-    beta_positive = params.beta_positive
-    if beta_positive and ell < 0:
+    if params.beta_positive and ell < 0:
         diag.termination_events += 1
         return [1.0 / q] * q
+    return None
+
+
+def _marg_vector(instance, v, ell, diag, limits):
+    """Full per-color estimate vector at v; the scalar API reads one entry."""
+    out = _leaf(instance.params, instance.pinned.get(v), ell, diag, limits)
+    if out is None:
+        out = _block_vector(instance, v, ell, diag, limits)
+    return out
+
+
+def _block_vector(instance, v, ell, diag, limits):
+    """_marg_vector's body for a call that _leaf counted and found no leaf."""
+    params = instance.params
+    q = params.q
+    beta_positive = params.beta_positive
     block = minimal_permissive_block(instance, (v,), limits.block_budget)
     if len(block.vertices) > diag.max_block_size:
         diag.max_block_size = len(block.vertices)

@@ -217,7 +217,7 @@ def exact_marginal_vector(instance, v, budget=DEFAULT_BUDGET):
         out[pin - 1] = 1.0
         return out
     if graph.degree(v) == 0:
-        if exact_partition(instance, budget) <= 0.0:
+        if not is_feasible(instance, budget):
             raise InfeasibleError("no positive-weight configuration exists")
         return [1.0 / params.q] * params.q
     z, vec, _ = _enumerate(instance, budget, root=v)

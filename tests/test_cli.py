@@ -9,7 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from pottsdecay import Graph, Instance, PottsParams, generate, sample_batch
+from pottsdecay import Graph, Instance, PottsParams, generate, sample_batch, serialize_graph
 from pottsdecay.cli import run
 
 
@@ -141,6 +141,20 @@ def test_partition_matches_exact(pinned_path3_file, capsys):
     assert doc["z"] == 4
     assert doc["depth"] == 8
     assert doc["anchor_weight_log"] == 0
+    diag = doc["diagnostics"]
+    assert doc["exact"] is True and diag["termination_events"] == 0
+    assert diag["recursive_calls"] >= diag["evaluations"] > 0
+    assert diag["raw_sum"] is None
+
+
+def test_partition_truncated_is_not_exact(tmp_path, capsys):
+    f = tmp_path / "cycle.txt"
+    f.write_text(serialize_graph(generate("cycle", n=8)))
+    code = run(["partition", "--q", "4", "--beta", "0.5", "--instance", str(f), "--depth", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    _check("partition", doc)
+    assert doc["exact"] is False and doc["diagnostics"]["termination_events"] > 0
 
 
 def test_partition_eps_flag(pinned_path3_file, capsys):

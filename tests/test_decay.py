@@ -16,6 +16,7 @@ from pottsdecay import (
     PottsParams,
     RecursionLimits,
     build_subinstance,
+    decay,
     error_bound,
     escape_paths,
     exact_marginal,
@@ -267,6 +268,50 @@ def test_max_calls_crossed_on_a_memo_hit():
             marginal_vector(inst, 0, 6, RecursionLimits(max_calls=cap))
     _, diag = marginal_vector(inst, 0, 6, RecursionLimits(max_calls=14))
     assert diag.recursive_calls == 14
+
+
+def test_leaf_children_build_no_instance(monkeypatch):
+    # Cycle 0..15 with chords (0, 8) and (4, 12), q = 4, beta 0.5, three pins:
+    # pinned children and depth-exhausted ones are answered in place. The
+    # vector and every counter are those of the schedule that built an
+    # Instance for each of them (38 constructions).
+    g = Graph(16, [(i, (i + 1) % 16) for i in range(16)] + [(0, 8), (4, 12)])
+    inst = _inst(g, 4, "0.5", {5: 1, 11: 1, 14: 2})
+    made = []
+
+    class Counted(Instance):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(decay, "Instance", Counted)
+    vec, diag = marginal_vector(inst, 0, 2)
+    assert len(made) == 21
+    assert vec == [
+        0.24489795918367346, 0.26530612244897955, 0.24489795918367346, 0.24489795918367346
+    ]
+    assert (diag.recursive_calls, diag.termination_events, diag.infeasible_events) == (56, 21, 0)
+    assert (diag.max_block_size, diag.max_f_size) == (1, 4)
+    assert (diag.evaluations, diag.cache_hits) == (39, 4)
+
+
+@pytest.mark.parametrize("pins, ell", [({1: 2}, 3), ({}, 0)])
+def test_leaf_child_checks_limits(pins, ell):
+    # Edge 0 - 1 at beta 0.5: the root's one child is a leaf, pinned or
+    # depth-exhausted, and is the second call.
+    inst = _inst(Graph(2, [(0, 1)]), 3, "0.5", pins)
+    _, diag = marginal_vector(inst, 0, ell)
+    assert diag.recursive_calls == 2
+    with pytest.raises(BudgetError, match="call budget"):
+        marginal_vector(inst, 0, ell, RecursionLimits(max_calls=1))
+
+
+@pytest.mark.parametrize("x", [-math.inf, -0.0, 0.0, -3.25, 1e-300, 7.5])
+def test_logsumexp_of_one_term_is_the_term(x):
+    assert decay._logsumexp([x]) == x
+    assert decay._logsumexp([x, -math.inf]) == x
 
 
 # ------------------------------------------------------------ scalar dispatch

@@ -125,6 +125,21 @@ def test_marginal_isolated_uniform():
     assert exact_marginal_vector(inst, 2) == pytest.approx([0.25] * 4, abs=1e-15)
 
 
+def test_marginal_isolated_beta_positive_needs_no_sweep():
+    # Every beta > 0 instance is feasible, so the 4^12 sweep over the cycle,
+    # above the default budget, is never run.
+    inst = Instance(Graph(13, generate_cycle(12).edges), PottsParams(4, "0.5"))
+    assert exact_marginal_vector(inst, 12) == [0.25] * 4
+
+
+def test_marginal_isolated_beta_zero():
+    inst = Instance(Graph(13, generate_cycle(12).edges), PottsParams(4, 0))
+    assert exact_marginal_vector(inst, 12) == [0.25] * 4
+    inst = Instance(Graph(5, generate_complete(4).edges), PottsParams(3, 0))
+    with pytest.raises(InfeasibleError):
+        exact_marginal_vector(inst, 4)
+
+
 def test_marginal_infeasible_raises():
     inst = Instance(generate_complete(4), PottsParams(3, 0))
     with pytest.raises(InfeasibleError):

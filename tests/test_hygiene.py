@@ -1,13 +1,17 @@
-"""Source hygiene: every name a package module imports is used in it.
+"""Source hygiene: every name a package module imports is used in it, and
+the CLI schemas list every MargDiagnostics counter.
 
 The package's `__init__.py` is exempt (it imports to re-export), and so are
 `from __future__` imports.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
+
+from pottsdecay import MargDiagnostics
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pottsdecay"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -45,3 +49,10 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {line})" for line, name in unused
     )
+
+
+@pytest.mark.parametrize("schema", ["marginal", "partition"])
+def test_schema_lists_every_diagnostics_key(schema):
+    doc = json.loads((PACKAGE / "schemas" / f"{schema}.json").read_text())
+    keys = doc["properties"]["diagnostics"]["properties"]
+    assert set(keys) == set(MargDiagnostics().as_dict())
