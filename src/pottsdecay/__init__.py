@@ -20,7 +20,6 @@ from .decay import (
     DepthBudget,
     MargDiagnostics,
     RecursionLimits,
-    build_subinstance,
     error_bound,
     escape_paths,
     marg,
@@ -98,7 +97,6 @@ __all__ = [
     "RecursionLimits",
     "SampleBatch",
     "build_saw_tree",
-    "build_subinstance",
     "dist",
     "e_delta",
     "e_delta_profile",

@@ -223,6 +223,8 @@ def verify_locally_sparse(
     grows `trials` random self-avoiding walks from a Philox stream keyed by
     the seed.
     """
+    if l_max < 0:
+        raise ParseError(f"l_max must be >= 0, got {l_max}")
     if mode not in ("exhaustive", "sampled"):
         raise ParseError(f"unknown mode {mode!r}")
     if mode == "sampled" and (not isinstance(seed, int) or not 0 <= seed < 2**128):

@@ -68,13 +68,13 @@ def _load_instance(args):
 
 
 def _depth_for(args, n):
-    coeff = args.depth_coeff if args.depth_coeff is not None else 3.0
     if getattr(args, "eps", None) is not None:
         if not 0 < args.eps < 1:
             raise ParseError("--eps must be in (0, 1)")
-        return max(1, math.ceil((math.log(max(n, 2)) + math.log(1 / args.eps)) * coeff))
+        return max(1, math.ceil((math.log(max(n, 2)) + math.log(1 / args.eps)) * 3))
     if args.depth is not None:
         return args.depth
+    coeff = args.depth_coeff if args.depth_coeff is not None else 3.0
     return DepthBudget.for_graph(n, coeff).remaining
 
 
@@ -282,8 +282,7 @@ def _add_depth_flags(p, with_eps=False):
         g.add_argument(
             "--eps",
             type=float,
-            help="target accuracy; sets L = ceil((ln n + ln 1/eps) * c) "
-            "with c from --depth-coeff (heuristic, default c = 3)",
+            help="target accuracy; sets L = ceil((ln n + ln 1/eps) * 3) (heuristic)",
         )
 
 

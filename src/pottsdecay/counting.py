@@ -7,14 +7,11 @@ turns the identity into an estimator whose accuracy is controlled entirely
 by the recursion depth.
 
 Region-scoped conditionals. The step at v hands its conditional only the
-earlier pins inside decay._read_region(graph, params, pins, v, depth).
-read_region's docstring proves that pins outside that set cannot change
-the estimate's vector, its recursive_calls, termination_events,
-infeasible_events, max_block_size or max_f_size, or the PottsError it
-raises, so log Z and every per-vertex marginal are those of the step that
-carries all earlier pins. Each node of the recursion then copies and
-checks O(region) pins, not O(n). The colour memo's held colours shrink to
-the region's, so its evaluations and cache_hits may fall.
+earlier pins that decay._region_steps lists for v, so log Z and every
+per-vertex marginal are those of the step that carries all earlier pins.
+Each node of the recursion then copies and checks O(region) pins, not O(n).
+The colour memo's held colours shrink to the region's, so its evaluations
+and cache_hits may fall.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from .decay import (
     MargDiagnostics,
     RecursionLimits,
     _depth,
-    _read_region,
+    _region_steps,
     marg,
     marg_coloring,
 )
@@ -136,9 +133,8 @@ def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limi
     pins = dict(instance.pinned)
     per_vertex = []
     diagnostics = MargDiagnostics()
-    for v in order:
-        region = _read_region(graph, params, pins, v, depth)
-        step = Instance(graph, params, {u: pins[u] for u in region if u in pins})
+    for v, region_pins in _region_steps(instance, order, depth):
+        step = Instance(graph, params, {u: pins[u] for u in region_pins})
         x = anchor[v]
         p, diag = estimate(step, v, x, depth, limits=limits)
         diagnostics.merge(diag)

@@ -149,21 +149,6 @@ class RecursionLimits:
     deadline: float | None = None
 
 
-@dataclass(frozen=True)
-class SubInstance:
-    """Derived instance for one boundary index of a block.
-
-    The instance keeps the parent's vertex ids: the block's internal edges
-    are removed (its interior becomes isolated rather than renumbered away),
-    boundary edges at positions >= index are removed, and boundary spins at
-    positions < index are pinned.
-    """
-
-    instance: Instance
-    block: object
-    index: int
-
-
 def _depth(ell):
     if isinstance(ell, DepthBudget):
         return ell.remaining
@@ -216,37 +201,6 @@ def escape_paths(instance_or_graph, block, v):
         seq.append(w)
         paths.append(tuple(seq))
     return paths
-
-
-def _index_graph(graph, internal, boundary_edges, k):
-    """The graph every sub-instance of a block's boundary index k+1 uses.
-
-    It drops the block's internal edges and the boundary edges at 0-based
-    positions >= k; build_subinstance and _block_terms both derive it here.
-    """
-    return graph.remove_edges([*internal, *boundary_edges[k:]])
-
-
-def build_subinstance(instance, block, i, rho):
-    """Materialize the derived instance for boundary index i (1..m+1).
-
-    rho supplies the boundary spins: positions j < i get pinned to rho's
-    color of the j-th boundary edge's inside endpoint; boundary edges at
-    positions >= i are removed along with all of the block's internal edges.
-    """
-    m = len(block.boundary_edges)
-    if not 1 <= i <= m + 1:
-        raise ParseError(f"boundary index {i} out of range 1..{m + 1}")
-    rho = Configuration(rho)
-    internal = instance.graph.induced_edges(block.vertices)
-    new_graph = _index_graph(instance.graph, internal, block.boundary_edges, i - 1)
-    pins = dict(instance.pinned)
-    for j in range(i - 1):
-        u = block.boundary_edges[j][0]
-        if u not in rho:
-            raise ParseError(f"rho leaves boundary vertex {u} uncolored")
-        pins[u] = rho[u]
-    return SubInstance(Instance(new_graph, instance.params, pins), block, i)
 
 
 def _check_limits(diag, limits):
@@ -326,6 +280,16 @@ def _canonical(pat, held, free):
     return tuple(relabel.get(c, c) for c in pat), moves
 
 
+def _permute(vec, moves):
+    """A canonical vector read back through _canonical's moves: out[x] = vec[pi(x)]."""
+    if not moves:
+        return vec
+    out = list(vec)
+    for x, y in moves:
+        out[x - 1] = vec[y - 1]
+    return out
+
+
 def _block_terms(instance, block, F, anchor, ell, diag, limits):
     """Log-weight of every feasible block configuration, in F's order.
 
@@ -371,7 +335,9 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
                 vec = _leaf(params, pin_i, sub_ell, diag, limits)
                 if vec is None:
                     if g_i is None:
-                        g_i = _index_graph(graph, internal, bedges, i)
+                        # Every child of index i drops the block's internal
+                        # edges and the boundary edges at positions >= i.
+                        g_i = graph.remove_edges([*internal, *bedges[i:]])
                     pins = dict(instance.pinned)
                     for j, p in enumerate(prefix_pos):
                         pins[verts[p]] = canon[j]
@@ -389,12 +355,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
                 diag.infeasible_events += infeasible
                 diag.cache_hits += 1
                 _check_limits(diag, limits)
-            if moves:
-                out = list(vec)
-                for x, y in moves:
-                    out[x - 1] = vec[y - 1]
-                vec = out
-            vectors[pat] = vec
+            vectors[pat] = _permute(vec, moves)
         child.append(vectors)
 
     terms = []
@@ -568,6 +529,25 @@ def _read_region(graph, params, pinned, v, ell):
                 best[x] = ex
                 heapq.heappush(heap, (-ex, x))
     return region
+
+
+def _region_steps(instance, order, depth):
+    """[(v, the pinned vertices of v's read region, ascending)] along order.
+
+    The pinned set at v is the instance's pins plus the vertices before v in
+    order, as in a telescoping or sequential-sampling pass. By read_region's
+    proof, the depth-`depth` estimate at v reads no other pin, so a step may
+    carry these pins alone.
+    """
+    graph = instance.graph
+    params = instance.params
+    pinned = set(instance.pinned)
+    steps = []
+    for v in order:
+        region = _read_region(graph, params, pinned, v, depth)
+        steps.append((v, sorted(x for x in region if x in pinned)))
+        pinned.add(v)
+    return steps
 
 
 def _common_checks(instance, v):

@@ -88,7 +88,7 @@ class PottsParams:
     def delta(self, d):
         """Per-degree decay coefficient 2(1-beta)/(q-1-(1-beta)d), capped at 1."""
         if d < 0:
-            raise ValueError(f"degree must be non-negative, got {d}")
+            raise ParseError(f"degree must be non-negative, got {d}")
         if d <= self._max_first_branch:
             return float(2 * (1 - self.beta) / ((self.q - 1) - (1 - self.beta) * d))
         return 1.0

@@ -8,12 +8,10 @@ sequential form is our reading of the standard counting-to-sampling
 reduction; we implement the conditional chain directly rather than a
 rejection scheme.
 
-Reach-keyed cache. A depth-L estimate at v reads the pins of
-decay.read_region only. In the sampler the pinned set at v's step is fixed
-(the instance's pins and every vertex before v), so the region is computed
-once per vertex and batch. A conditional is keyed by v and the colours of
-the region's pins, relabelled in order of first appearance over the sorted
-region (decay._canonical's rule, no colour held). A miss evaluates
+Reach-keyed cache. A depth-L estimate at v reads only the pins that
+decay._region_steps lists for v, computed once per batch. A conditional is
+keyed by v and the colours of those pins, relabelled in order of first
+appearance (decay._canonical's rule, no colour held). A miss evaluates
 marginal_distribution on an instance holding only the canonical region
 pins; every other pattern of the class reads the vector back through the
 colour permutation, once, and is then stored under its own key.
@@ -32,7 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decay import RecursionLimits, _canonical, _depth, _read_region, marginal_distribution
+from .decay import (
+    RecursionLimits,
+    _canonical,
+    _depth,
+    _permute,
+    _region_steps,
+    marginal_distribution,
+)
 from .errors import InfeasibleError, ParseError
 from .exact import exact_gibbs_table
 from .model import Configuration, Instance, weight
@@ -86,12 +91,7 @@ class _ReachCache:
         # lists, which grow peak memory; a colour fits in a byte if q < 256.
         self.key = bytes if instance.params.q < 256 else tuple
         self.lock = threading.Lock()
-        pinned = set(instance.pinned)
-        self.steps = []
-        for v in instance.unpinned():
-            region = _read_region(instance.graph, instance.params, pinned, v, depth)
-            self.steps.append((v, sorted(x for x in region if x in pinned)))
-            pinned.add(v)
+        self.steps = _region_steps(instance, instance.unpinned(), depth)
         self.entries = {v: {} for v, _ in self.steps}
 
     def conditional(self, v, region_pins, colors):
@@ -117,10 +117,7 @@ class _ReachCache:
                     entry = entries[canon_key] = (vec, diag.termination_events)
                     missed = True
         if moves:
-            vec = list(entry[0])
-            for x, y in moves:
-                vec[x - 1] = entry[0][y - 1]
-            entry = entries[key] = (vec, entry[1])
+            entry = entries[key] = (_permute(entry[0], moves), entry[1])
         return entry[0], entry[1], missed
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, ParseError
 from .model import PottsParams
 
 log = logging.getLogger(__name__)
@@ -196,7 +196,7 @@ def verify_contraction(graph, delta, l_max, extension_budget=DEFAULT_EXTENSION_B
     budget_exhausted=true in the report.
     """
     if l_max < 1:
-        raise ValueError("l_max must be >= 1")
+        raise ParseError(f"l_max must be >= 1, got {l_max}")
     values = _delta_by_vertex(graph, delta)
     maxima = [0.0] * (l_max + 1)
     spent = 0

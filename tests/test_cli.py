@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via run()."""
 
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -162,11 +163,19 @@ def test_partition_eps_flag(pinned_path3_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["z"] == 4
-    assert doc["depth"] >= 8
+    # L = ceil((ln n + ln 1/eps) * 3) with n = 3.
+    assert doc["depth"] == math.ceil((math.log(3) + math.log(1 / 0.01)) * 3) == 18
 
 
 def test_partition_eps_validation(pinned_path3_file):
     assert run(["partition", "--q", "3", "--instance", pinned_path3_file, "--eps", "3"]) == 2
+
+
+@pytest.mark.parametrize("other", [["--depth", "4"], ["--depth-coeff", "5"]])
+def test_partition_eps_excludes_other_depth_flags(other, pinned_path3_file, capsys):
+    argv = ["partition", "--q", "3", "--instance", pinned_path3_file, "--eps", "0.01"]
+    assert run(argv + other) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_exact_marginals_and_tsv(pinned_path3_file, capsys):
@@ -358,6 +367,27 @@ def test_out_of_range_seed_exits_2(argv, edge_file, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "seed must be an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-contraction", "--q", "7", "--lmax", "0"],
+        ["verify-sparse", "--q", "7", "--lmax", "-1"],
+    ],
+)
+def test_bad_lmax_exits_2(argv, edge_file, capsys):
+    code = run(argv + ["--instance", edge_file])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "l_max must be >=" in err and "Traceback" not in err
+
+
+def test_verify_gnp_bad_lmax_exits_2(capsys):
+    code = run(["verify-gnp", "--n", "20", "--d", "2", "--q", "7", "--lmax", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "l_max must be >= 1" in err and "Traceback" not in err
 
 
 def test_gen_gnp_out_of_range_seed_exits_2(capsys):

@@ -15,7 +15,6 @@ from pottsdecay import (
     ParseError,
     PottsParams,
     RecursionLimits,
-    build_subinstance,
     decay,
     error_bound,
     escape_paths,
@@ -96,57 +95,55 @@ def test_escape_paths_unreachable_anchor():
 # ------------------------------------------------------------- sub-instances
 
 
-def test_build_subinstance_star_leaf():
+@pytest.fixture
+def made(monkeypatch):
+    """Record the (graph, params, pins) of every Instance the recursion builds."""
+    made = []
+
+    class Recorded(Instance):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(decay, "Instance", Recorded)
+    return made
+
+
+def test_build_subinstance_star_leaf(made):
+    # Star centre 0 is high-degree at q = 7, so vertex 1's block is {0, 1}
+    # with boundary edges (0, 2) .. (0, 5). Every prefix pattern of the
+    # centre's colour is one colour class, so child i is built once: it
+    # keeps the boundary edges [:i] and pins the centre to the canonical
+    # colour 1.
     g = generate("star", k=5)
     inst = _inst(g, 7)
     block = minimal_permissive_block(inst, (1,))
-    # i=3: first two boundary edges kept, center pinned from rho
-    sub = build_subinstance(inst, block, 3, {0: 2, 1: 5})
-    assert sub.index == 3
-    assert sub.instance.graph.n == 6
-    assert sub.instance.graph.edges == ((0, 2), (0, 3))
-    assert sub.instance.pinned == {0: 2}
+    assert block.vertices == (0, 1)
+    bedges = block.boundary_edges
+    marginal_vector(inst, 1, 2)
+    assert [graph.edges for graph, _, _ in made] == [tuple(bedges[:i]) for i in range(4)]
+    assert [pins for _, _, pins in made] == [{}, {0: 1}, {0: 1}, {0: 1}]
     # parent untouched
     assert inst.pinned == {}
     assert g.edges == tuple(sorted((0, k) for k in range(1, 6)))
 
 
-def test_build_subinstance_extremes():
-    g = generate("star", k=5)
-    inst = _inst(g, 7)
-    block = minimal_permissive_block(inst, (1,))
-    lo = build_subinstance(inst, block, 1, {})
-    assert lo.instance.graph.edges == ()
-    assert lo.instance.pinned == {}
-    hi = build_subinstance(inst, block, block.m + 1, {0: 3, 1: 1})
-    assert hi.instance.graph.edges == tuple(block.boundary_edges)
-    assert hi.instance.pinned == {0: 3}
-
-
-def test_build_subinstance_index_range():
-    g = generate("star", k=5)
-    inst = _inst(g, 7)
-    block = minimal_permissive_block(inst, (1,))
-    for bad in (0, -1, block.m + 2):
-        with pytest.raises(ParseError):
-            build_subinstance(inst, block, bad, {0: 1})
-
-
-def test_build_subinstance_missing_boundary_color():
-    g = generate("star", k=5)
-    inst = _inst(g, 7)
-    block = minimal_permissive_block(inst, (1,))
-    with pytest.raises(ParseError, match="uncolored"):
-        build_subinstance(inst, block, 2, {1: 4})
-
-
-def test_build_subinstance_keeps_existing_pins():
+def test_build_subinstance_keeps_existing_pins(made):
+    # Path 0-1-2-3 with pin {3: 6}: vertex 1's block is {1}, with boundary
+    # edges (1, 0) and (1, 2); edge (2, 3) lies outside it and stays. The
+    # child at (1, 2) keeps (0, 1) and pins vertex 1 once per colour class,
+    # to the held colour 6 and the canonical free colour 1. Every child
+    # keeps the parent's pin.
     g = generate("path", n=4)
     inst = _inst(g, 7, pins={3: 6})
-    block = minimal_permissive_block(inst, (1,))
-    sub = build_subinstance(inst, block, 2, {1: 2})
-    assert sub.instance.pinned[3] == 6
-    assert sub.instance.pinned[1] == 2
+    marginal_vector(inst, 1, 2)
+    kept = ((0, 1), (2, 3))
+    assert [graph.edges for graph, _, _ in made] == [((2, 3),), kept, kept]
+    assert [pins for _, _, pins in made] == [{3: 6}, {3: 6, 1: 1}, {3: 6, 1: 6}]
+    assert inst.pinned == {3: 6}
+    assert g.edges == ((0, 1), (1, 2), (2, 3))
 
 
 # ------------------------------------------------------- depth and work guards

@@ -1,8 +1,9 @@
-"""Source hygiene: every name a package module imports is used in it, and
-the CLI schemas list every MargDiagnostics counter.
+"""Source hygiene: every name a package module imports is used in it, no
+package module raises a bare ValueError (a PottsError subclass carries the
+CLI's exit code), and the CLI schemas list every MargDiagnostics counter.
 
-The package's `__init__.py` is exempt (it imports to re-export), and so are
-`from __future__` imports.
+The package's `__init__.py` is exempt from the import check (it imports to
+re-export), and so are `from __future__` imports.
 """
 
 import ast
@@ -49,6 +50,38 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {line})" for line, name in unused
     )
+
+
+def _bare_value_errors(source):
+    """Lines that raise ValueError itself, called or not."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_bare_value_error_only():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError('bad')\n"
+        "    try:\n"
+        "        g()\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    raise ParseError('bad')\n"
+        "raise ValueError\n"
+    )
+    assert _bare_value_errors(source) == [3, 9]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_value_error(path):
+    lines = _bare_value_errors(path.read_text())
+    assert not lines, f"{path.name}: bare ValueError raised at lines {lines}; raise ParseError"
 
 
 @pytest.mark.parametrize("schema", ["marginal", "partition"])
