@@ -9,7 +9,6 @@ property verifiers back every estimate.
 
 from .blocks import (
     Block,
-    feasible_block_configs,
     feasible_tuples,
     first_feasible_tuple,
     minimal_permissive_block,
@@ -17,9 +16,9 @@ from .blocks import (
 )
 from .counting import PartitionEstimate, estimate_partition, find_feasible_config
 from .decay import (
-    DepthBudget,
     MargDiagnostics,
     RecursionLimits,
+    default_depth,
     error_bound,
     escape_paths,
     marg,
@@ -40,7 +39,6 @@ from .exact import (
 )
 from .graph import (
     Graph,
-    dist,
     generate,
     generate_caterpillar,
     generate_complete,
@@ -55,7 +53,6 @@ from .model import (
     Configuration,
     Instance,
     PottsParams,
-    log_weight,
     monochromatic_edges,
     parse_activity,
     weight,
@@ -66,9 +63,8 @@ from .randstats import (
     simulate_block_growth,
     verify_gnp_properties,
 )
-from .sampling import SampleBatch, empirical_tv, sample_batch, sample_config
+from .sampling import SampleBatch, empirical_tv, sample_batch
 from .saw import (
-    build_saw_tree,
     e_delta,
     e_delta_profile,
     enumerate_saws,
@@ -83,7 +79,6 @@ __all__ = [
     "Block",
     "BudgetError",
     "Configuration",
-    "DepthBudget",
     "GibbsTable",
     "Graph",
     "GrowthProcessReport",
@@ -96,8 +91,7 @@ __all__ = [
     "PottsParams",
     "RecursionLimits",
     "SampleBatch",
-    "build_saw_tree",
-    "dist",
+    "default_depth",
     "e_delta",
     "e_delta_profile",
     "empirical_tv",
@@ -111,7 +105,6 @@ __all__ = [
     "exact_marginal_vector",
     "exact_partition",
     "expected_contraction",
-    "feasible_block_configs",
     "feasible_tuples",
     "find_feasible_config",
     "first_feasible_tuple",
@@ -124,7 +117,6 @@ __all__ = [
     "generate_star",
     "is_feasible",
     "load_graph",
-    "log_weight",
     "marg",
     "marg_block",
     "marg_coloring",
@@ -134,7 +126,6 @@ __all__ = [
     "monochromatic_edges",
     "parse_activity",
     "sample_batch",
-    "sample_config",
     "saw_count",
     "saw_count_profile",
     "serialize_graph",

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .errors import BudgetError, ParseError
-from .model import Configuration, Instance
+from .model import Instance, _check_seed
 
 DEFAULT_BLOCK_BUDGET = 64
 DEFAULT_CONFIG_BUDGET = 10**6
@@ -38,15 +38,6 @@ class Block:
     @property
     def m(self):
         return len(self.boundary_edges)
-
-    def boundary_vertices(self):
-        """Distinct block-side endpoints of boundary edges, ascending."""
-        return tuple(sorted({u for u, _ in self.boundary_edges}))
-
-    def interior(self):
-        """Block vertices with no edge leaving the block."""
-        owners = {u for u, _ in self.boundary_edges}
-        return tuple(v for v in self.vertices if v not in owners)
 
     def __eq__(self, other):
         return (
@@ -194,13 +185,6 @@ def first_feasible_tuple(instance, verts):
     return out[0] if out else None
 
 
-def feasible_block_configs(instance, block, config_budget=DEFAULT_CONFIG_BUDGET):
-    """Feasible configurations of a block as Configuration objects."""
-    verts = block.vertices if isinstance(block, Block) else tuple(sorted(block))
-    tuples = feasible_tuples(instance, verts, config_budget)
-    return [Configuration(dict(zip(verts, t))) for t in tuples]
-
-
 def _closure_ratio(instance, walk, block_budget):
     block = minimal_permissive_block(instance, set(walk), block_budget)
     return len(block.vertices) / len(walk), block
@@ -220,15 +204,17 @@ def verify_locally_sparse(
     Closures are computed with an empty pinning. Exhaustive mode scans every
     self-avoiding walk of length 0..l_max from every vertex (BudgetError past
     walk_budget walks; switch to sampled mode for large graphs). Sampled mode
-    grows `trials` random self-avoiding walks from a Philox stream keyed by
-    the seed.
+    grows `trials` (at least 1) random self-avoiding walks from a Philox
+    stream keyed by the seed.
     """
     if l_max < 0:
         raise ParseError(f"l_max must be >= 0, got {l_max}")
     if mode not in ("exhaustive", "sampled"):
         raise ParseError(f"unknown mode {mode!r}")
-    if mode == "sampled" and (not isinstance(seed, int) or not 0 <= seed < 2**128):
-        raise ParseError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    if mode == "sampled":
+        if trials < 1:
+            raise ParseError(f"trials must be >= 1 in sampled mode, got {trials}")
+        _check_seed(seed)
     bare = Instance(graph, params, {})
     budget = graph.n  # closures may legitimately swallow the whole graph
     worst_ratio = 0.0

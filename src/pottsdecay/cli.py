@@ -19,7 +19,7 @@ import traceback
 
 from .blocks import verify_locally_sparse
 from .counting import estimate_partition
-from .decay import DepthBudget, RecursionLimits, marginal_vector
+from .decay import RecursionLimits, default_depth, marginal_vector
 from .errors import BudgetError, InfeasibleError, ParseError
 from .exact import exact_marginal_vector, exact_partition
 from .graph import generate, load_graph, serialize_graph
@@ -75,7 +75,7 @@ def _depth_for(args, n):
     if args.depth is not None:
         return args.depth
     coeff = args.depth_coeff if args.depth_coeff is not None else 3.0
-    return DepthBudget.for_graph(n, coeff).remaining
+    return default_depth(n, coeff)
 
 
 def _limits(args):
@@ -370,8 +370,7 @@ def build_parser():
     p = sub.add_parser("verify-gnp", help="contraction/sparsity/colorability on gnp")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--beta", default="0")
+    _add_model_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lmax", type=int, default=6)
     p.add_argument("--trials", type=int, default=500)
@@ -380,8 +379,7 @@ def build_parser():
     p = sub.add_parser("expected-contraction", help="exact E[delta(Bin(n, d/n))]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--beta", default="0")
+    _add_model_flags(p)
     p.set_defaults(func=cmd_expected_contraction)
 
     return parser

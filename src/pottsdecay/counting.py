@@ -23,16 +23,16 @@ import numpy as np
 
 from .blocks import first_feasible_tuple, minimal_permissive_block
 from .decay import (
-    DepthBudget,
     MargDiagnostics,
     RecursionLimits,
     _depth,
     _region_steps,
+    default_depth,
     marg,
     marg_coloring,
 )
 from .errors import InfeasibleError, ParseError
-from .model import Configuration, Instance, monochromatic_edges
+from .model import Configuration, Instance, _check_seed, monochromatic_edges
 
 
 @dataclass
@@ -106,13 +106,11 @@ def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limi
     different orders must agree when the depth is generous). L defaults to
     ceil(3 ln n).
     """
-    if order_seed is not None and (
-        not isinstance(order_seed, int) or not 0 <= order_seed < 2**128
-    ):
-        raise ParseError(f"order_seed must be an integer in [0, 2**128), got {order_seed!r}")
+    if order_seed is not None:
+        _check_seed(order_seed, "order_seed")
     instance = Instance(graph, params, pinned)
     if L is None:
-        L = DepthBudget.for_graph(graph.n)
+        L = default_depth(graph.n)
     depth = _depth(L)
     limits = limits or RecursionLimits()
     anchor = find_feasible_config(instance)

@@ -64,7 +64,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .blocks import (
     DEFAULT_BLOCK_BUDGET,
@@ -110,28 +110,12 @@ class MargDiagnostics:
         self.cache_hits += other.cache_hits
 
     def as_dict(self):
-        return {
-            "recursive_calls": self.recursive_calls,
-            "termination_events": self.termination_events,
-            "max_block_size": self.max_block_size,
-            "max_f_size": self.max_f_size,
-            "infeasible_events": self.infeasible_events,
-            "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
-            "raw_sum": self.raw_sum,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class DepthBudget:
-    """Remaining recursion depth; may go negative, triggering the base case."""
-
-    remaining: int
-
-    @classmethod
-    def for_graph(cls, n, coeff=3.0):
-        """Default root depth ceil(coeff * ln n), at least 1."""
-        return cls(max(1, math.ceil(coeff * math.log(max(n, 2)))))
+def default_depth(n, coeff=3.0):
+    """Default root depth ceil(coeff * ln n), at least 1."""
+    return max(1, math.ceil(coeff * math.log(max(n, 2))))
 
 
 @dataclass
@@ -150,21 +134,18 @@ class RecursionLimits:
 
 
 def _depth(ell):
-    if isinstance(ell, DepthBudget):
-        return ell.remaining
     if isinstance(ell, bool) or not isinstance(ell, int):
-        raise ParseError(f"depth must be an integer or DepthBudget, got {ell!r}")
+        raise ParseError(f"depth must be an integer, got {ell!r}")
     return ell
 
 
-def escape_paths(instance_or_graph, block, v):
+def escape_paths(graph, block, v):
     """Shortest escape path per boundary edge, anchored at v.
 
     Each path runs from v through block vertices to the boundary edge's
     inside endpoint and finishes with the hop outside; ties are broken toward
     the lexicographically smallest vertex sequence.
     """
-    graph = getattr(instance_or_graph, "graph", instance_or_graph)
     inside = set(block.vertices)
     if v not in inside:
         raise ParseError(f"escape path anchor {v} is not in the block")

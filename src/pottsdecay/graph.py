@@ -17,11 +17,10 @@ are those of a root graph built from the remaining edges.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ParseError
+from .model import _check_seed
 
 
 class Graph:
@@ -68,9 +67,6 @@ class Graph:
 
     def degree(self, v):
         return len(self.adjacency[v])
-
-    def has_edge(self, u, v):
-        return v in self.adjacency[u]
 
     def remove_edges(self, drop):
         """Return a view with the given edges removed; vertex set unchanged.
@@ -158,30 +154,6 @@ class _ViewAdjacency(dict):
         return (self[v] for v in range(len(self._rows)))
 
 
-def dist(graph, v, targets):
-    """BFS distance from v to the nearest vertex of `targets` (inf if none reachable)."""
-    targets = set(targets)
-    if v in targets:
-        return 0
-    seen = bytearray(graph.n)
-    seen[v] = 1
-    frontier = [v]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in graph.adjacency[u]:
-                if seen[w]:
-                    continue
-                if w in targets:
-                    return d
-                seen[w] = 1
-                nxt.append(w)
-        frontier = nxt
-    return math.inf
-
-
 def generate_path(n):
     """Path on n >= 1 vertices: edges (i, i+1)."""
     if n < 1:
@@ -236,8 +208,7 @@ def generate_gnp(n, d, seed):
         raise ParseError("gnp needs n >= 1")
     if not (0 <= d <= n):
         raise ParseError(f"gnp mean degree must satisfy 0 <= d <= n, got {d}")
-    if not isinstance(seed, int) or not 0 <= seed < 2**128:
-        raise ParseError(f"gnp seed must be an integer in [0, 2**128), got {seed!r}")
+    _check_seed(seed, "gnp seed")
     rng = np.random.Generator(np.random.Philox(key=seed))
     p = d / n
     edges = []

@@ -44,6 +44,12 @@ def _as_fraction(beta):
     raise ParseError(f"cannot interpret activity {beta!r}")
 
 
+def _check_seed(seed, name="seed", bits=128):
+    """Raise ParseError unless seed is an integer (not a bool) in [0, 2**bits)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**bits:
+        raise ParseError(f"{name} must be an integer in [0, 2**{bits}), got {seed!r}")
+
+
 class PottsParams:
     """Color count q and activity beta, with exact threshold arithmetic.
 
@@ -97,10 +103,6 @@ class PottsParams:
         """Upper bound 1/max(1, q - (1-beta) d) on any conditional marginal."""
         return 1.0 / max(1.0, self.q - self.one_minus_beta_float * d)
 
-    def marginal_lower_bound(self, d):
-        """Lower bound beta^d / q on conditional marginals (0 when beta=0, d>0)."""
-        return self.beta_float**d / self.q if d > 0 else 1.0 / self.q
-
     def __eq__(self, other):
         return (
             isinstance(other, PottsParams)
@@ -130,9 +132,6 @@ class Configuration:
             if not isinstance(c, int) or c < 1:
                 raise ParseError(f"bad color {c!r} for vertex {v}")
         self.assignment = pairs
-
-    def support(self):
-        return tuple(sorted(self.assignment))
 
     def get(self, v, default=None):
         return self.assignment.get(v, default)
@@ -189,9 +188,6 @@ class Instance:
         self.params = params
         self.pinned = pins
 
-    def is_pinned(self, v):
-        return v in self.pinned
-
     def unpinned(self):
         return [v for v in range(self.graph.n) if v not in self.pinned]
 
@@ -235,9 +231,3 @@ def weight(instance, config):
     if mono == 0:
         return 1.0
     return instance.params.beta_float**mono
-
-
-def log_weight(instance, config):
-    """Natural log of weight(); -inf for weight zero."""
-    w = weight(instance, config)
-    return math.log(w) if w > 0 else -math.inf

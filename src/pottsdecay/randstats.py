@@ -12,7 +12,7 @@ small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .counting import find_feasible_config
 from .blocks import verify_locally_sparse
 from .errors import BudgetError, InfeasibleError, ParseError
 from .graph import generate_gnp
-from .model import Instance, PottsParams
+from .model import Instance, PottsParams, _check_seed
 from .saw import verify_contraction
 
 # float(scipy.stats.norm.ppf(0.975)), written out so that importing the
@@ -43,16 +43,7 @@ class GrowthProcessReport:
     slope: float | None = None
 
     def as_dict(self):
-        return {
-            "L": self.L,
-            "t_values": self.t_values,
-            "tail_estimates": self.tail_estimates,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "trials": self.trials,
-            "seed": self.seed,
-            "slope": self.slope,
-        }
+        return asdict(self)
 
 
 def expected_contraction(n, degree, q, beta=0):
@@ -97,8 +88,7 @@ def simulate_block_growth(L, n, d, q, t_max, trials, seed):
         raise ParseError("the censored walk needs q >= 6")
     if not 0 <= d <= n:
         raise ParseError(f"d must satisfy 0 <= d <= n, got {d}")
-    if not isinstance(seed, int) or not 0 <= seed < 2**128:
-        raise ParseError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     y = np.full(trials, L, dtype=np.int64)
     p = d / n

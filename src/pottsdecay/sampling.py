@@ -40,7 +40,7 @@ from .decay import (
 )
 from .errors import InfeasibleError, ParseError
 from .exact import exact_gibbs_table
-from .model import Configuration, Instance, weight
+from .model import Configuration, Instance, _check_seed, weight
 
 
 @dataclass
@@ -155,12 +155,6 @@ def _sample_one(cache, rng):
     return cfg, logp, evaluated, terminations
 
 
-def sample_config(instance, L, seed, limits=None):
-    """Draw one configuration; identical to the first element of sample_batch."""
-    batch = sample_batch(instance, L, 1, seed, limits=limits)
-    return batch.configurations[0]
-
-
 def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
     """Draw n_samples configurations with per-sample Philox streams.
 
@@ -172,8 +166,7 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
         raise ParseError("the estimator needs q >= 3")
     if n_samples < 1:
         raise ParseError("n_samples must be >= 1")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ParseError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _check_seed(seed, bits=64)
     depth = _depth(L)
     cache = _ReachCache(instance, depth, limits or RecursionLimits())
 

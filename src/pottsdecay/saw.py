@@ -133,44 +133,6 @@ def e_delta_profile(graph, v, l_max, delta, extension_budget=None):
     return sums
 
 
-class SawTreeNode:
-    """Node of the self-avoiding-walk tree rooted at a vertex."""
-
-    __slots__ = ("vertex", "children")
-
-    def __init__(self, vertex, children=()):
-        self.vertex = vertex
-        self.children = tuple(children)
-
-    def size(self):
-        return 1 + sum(c.size() for c in self.children)
-
-    def __repr__(self):
-        return f"SawTreeNode(vertex={self.vertex}, children={len(self.children)})"
-
-
-def build_saw_tree(graph, v, depth, node_budget=10**6):
-    """Materialize the SAW tree to the given depth (BudgetError past node_budget)."""
-    adj = graph.adjacency
-    on_path = bytearray(graph.n)
-    count = [0]
-
-    def rec(u, remaining):
-        count[0] += 1
-        if count[0] > node_budget:
-            raise BudgetError(f"SAW tree node budget {node_budget} exceeded")
-        children = []
-        if remaining > 0:
-            on_path[u] = 1
-            for w in adj[u]:
-                if not on_path[w]:
-                    children.append(rec(w, remaining - 1))
-            on_path[u] = 0
-        return SawTreeNode(u, children)
-
-    return rec(v, depth)
-
-
 def _fit_decay_rate(lengths, maxima):
     """Geometric decay rate from a log-linear fit over the upper half of lengths."""
     if not lengths:
@@ -193,7 +155,8 @@ def verify_contraction(graph, delta, l_max, extension_budget=DEFAULT_EXTENSION_B
     Returns a report dict with per-length maxima, the fitted geometric rate
     gamma, and a contracting verdict (gamma < 1). A graph whose walk counts
     blow past `extension_budget` gets a truncated scan, a warning, and
-    budget_exhausted=true in the report.
+    budget_exhausted=true in the report; a truncated scan certifies nothing,
+    so its verdict is contracting=false whatever its gamma.
     """
     if l_max < 1:
         raise ParseError(f"l_max must be >= 1, got {l_max}")
@@ -227,7 +190,7 @@ def verify_contraction(graph, delta, l_max, extension_budget=DEFAULT_EXTENSION_B
         "l": lengths,
         "max_e_delta": maxima[1:],
         "gamma": gamma,
-        "contracting": bool(gamma < 1.0 - 1e-9),
+        "contracting": not exhausted and gamma < 1.0 - 1e-9,
         "l_fit_lo": fit_lo,
         "l_fit_hi": fit_hi,
         "vertices_scanned": scanned,

@@ -24,11 +24,11 @@ from fractions import Fraction
 
 from pottsdecay import (
     BudgetError,
-    DepthBudget,
     Graph,
     Instance,
     PottsParams,
     RecursionLimits,
+    default_depth,
     empirical_tv,
     estimate_partition,
     exact_block_marginal,
@@ -316,7 +316,7 @@ def test_criterion_9_large_sparse_runtime():
     g = generate("gnp", n=2000, d=4, seed=1)
     inst = Instance(g, PottsParams(17, "0"), {})
     v = 0
-    target = DepthBudget.for_graph(g.n).remaining
+    target = default_depth(g.n)
     max_degree = max(g.degree(u) for u in range(g.n))
     budget = 60.0
     deadline = time.monotonic() + budget

@@ -10,7 +10,6 @@ from pottsdecay import (
     Instance,
     ParseError,
     PottsParams,
-    feasible_block_configs,
     feasible_tuples,
     first_feasible_tuple,
     generate_complete,
@@ -38,8 +37,6 @@ def test_block_fields():
     b = Block([3, 1], [(1, 0), (3, 4)])
     assert b.vertices == (1, 3)
     assert b.m == 2
-    assert b.boundary_vertices() == (1, 3)
-    assert b.interior() == ()
 
 
 def test_star_center_block_stays_singleton():
@@ -56,7 +53,6 @@ def test_star_leaf_block_absorbs_center():
     b = minimal_permissive_block(inst, [1])
     assert b.vertices == (0, 1)
     assert b.boundary_edges == ((0, 2), (0, 3), (0, 4), (0, 5))
-    assert b.interior() == (1,)
 
 
 def test_path_blocks_never_inflate():
@@ -72,7 +68,6 @@ def test_complete8_block_swallows_graph():
     b = minimal_permissive_block(inst, [0])
     assert b.vertices == tuple(range(8))
     assert b.m == 0
-    assert b.interior() == tuple(range(8))
 
 
 def test_pinned_boundary_not_absorbed():
@@ -135,9 +130,6 @@ def test_feasible_tuples_star_block():
     assert len(F) == 42  # ordered proper pairs on an edge with q=7
     assert F == sorted(F)
     assert all(t[0] != t[1] for t in F)
-    cfgs = feasible_block_configs(inst, b)
-    assert len(cfgs) == 42
-    assert cfgs[0][0] == F[0][0]
 
 
 def test_feasible_tuples_forced_color():
@@ -230,6 +222,9 @@ def test_verify_locally_sparse_sampled_reproducible():
     for bad in (-1, 2**128):
         with pytest.raises(ParseError, match="seed"):
             verify_locally_sparse(g, PottsParams(17, 0), 4, mode="sampled", seed=bad)
+    for bad in (0, -3):
+        with pytest.raises(ParseError, match="trials"):
+            verify_locally_sparse(g, PottsParams(17, 0), 4, mode="sampled", trials=bad)
 
 
 def test_verify_locally_sparse_walk_budget():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via run()."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from pottsdecay import Graph, Instance, PottsParams, generate, sample_batch, serialize_graph
-from pottsdecay.cli import run
+from pottsdecay.cli import build_parser, run
 
 
 def _schema(name):
@@ -37,12 +38,21 @@ def pinned_path3_file(tmp_path):
     return str(p)
 
 
-@pytest.fixture
-def k4_file(tmp_path):
-    p = tmp_path / "k4.txt"
-    lines = ["graph 4"] + [f"edge {u} {v}" for u in range(4) for v in range(u + 1, 4)]
+def _complete_file(tmp_path, n):
+    p = tmp_path / f"k{n}.txt"
+    lines = [f"graph {n}"] + [f"edge {u} {v}" for u in range(n) for v in range(u + 1, n)]
     p.write_text("\n".join(lines) + "\n")
     return str(p)
+
+
+@pytest.fixture
+def k4_file(tmp_path):
+    return _complete_file(tmp_path, 4)
+
+
+@pytest.fixture
+def k8_file(tmp_path):
+    return _complete_file(tmp_path, 8)
 
 
 # ------------------------------------------------------------- worked examples
@@ -286,6 +296,18 @@ def test_verify_contraction_report(capsys, tmp_path):
     assert doc["gamma"] < 1
 
 
+def test_verify_contraction_partial_scan_is_not_contracting(k8_file, capsys):
+    # One extension stops the scan inside vertex 0; the full scan has gamma 5.
+    code = run(
+        ["verify-contraction", "--q", "3", "--instance", k8_file, "--lmax", "3", "--budget", "1"]
+    )
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    _check("verify_contraction", doc)
+    assert doc["budget_exhausted"] is True and doc["vertices_scanned"] == 0
+    assert doc["contracting"] is False
+
+
 def test_verify_sparse_report(capsys, tmp_path):
     run(["gen", "--family", "path", "--n", "12"])
     f = tmp_path / "p12.txt"
@@ -388,6 +410,41 @@ def test_verify_gnp_bad_lmax_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "l_max must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_sparse_bad_trials_exits_2(trials, edge_file, capsys):
+    argv = ["verify-sparse", "--q", "7", "--lmax", "1", "--mode", "sampled"]
+    code = run(argv + ["--trials", trials, "--instance", edge_file])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "trials must be >= 1" in err and "Traceback" not in err
+
+
+def test_verify_gnp_bad_trials_exits_2(capsys):
+    code = run(["verify-gnp", "--n", "20", "--d", "2", "--q", "7", "--trials", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "trials must be >= 1" in err and "Traceback" not in err
+
+
+def test_model_flags_agree_across_subcommands():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {}
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest in ("q", "beta"):
+                flags.setdefault(action.dest, {})[name] = (
+                    action.type,
+                    action.default,
+                    action.required,
+                    action.help,
+                )
+    assert len(flags["q"]) == len(flags["beta"]) == 8
+    for by_command in flags.values():
+        assert len(set(by_command.values())) == 1, by_command
 
 
 def test_gen_gnp_out_of_range_seed_exits_2(capsys):

@@ -5,12 +5,12 @@ import math
 import pytest
 
 from pottsdecay import (
-    DepthBudget,
     InfeasibleError,
     Instance,
     ParseError,
     PottsParams,
     RecursionLimits,
+    default_depth,
     estimate_partition,
     exact_partition,
     find_feasible_config,
@@ -172,7 +172,7 @@ def test_partition_telescoping_identity():
 def test_partition_default_depth():
     g = generate("cycle", n=8)
     est = estimate_partition(g, PottsParams(5, "0"))
-    assert est.depth_used == DepthBudget.for_graph(8).remaining
+    assert est.depth_used == default_depth(8)
 
 
 def test_partition_infeasible_graph():

@@ -8,7 +8,6 @@ import pytest
 from pottsdecay import (
     Block,
     BudgetError,
-    DepthBudget,
     Graph,
     InfeasibleError,
     Instance,
@@ -16,11 +15,13 @@ from pottsdecay import (
     PottsParams,
     RecursionLimits,
     decay,
+    default_depth,
     error_bound,
     escape_paths,
     exact_marginal,
     exact_marginal_vector,
     e_delta_profile,
+    feasible_tuples,
     generate,
     marg,
     marg_block,
@@ -44,7 +45,7 @@ def test_escape_paths_star_leaf_block():
     inst = _inst(g, 7)
     block = minimal_permissive_block(inst, (1,))
     assert block.vertices == (0, 1)
-    paths = escape_paths(inst, block, 1)
+    paths = escape_paths(g, block, 1)
     assert paths == [(1, 0, 2), (1, 0, 3), (1, 0, 4), (1, 0, 5)]
     # one path per boundary edge, each ending with the outside endpoint
     for p, (u, w) in zip(paths, block.boundary_edges):
@@ -150,20 +151,19 @@ def test_build_subinstance_keeps_existing_pins(made):
 
 
 def test_depth_budget_for_graph():
-    assert DepthBudget.for_graph(2).remaining == math.ceil(3.0 * math.log(2))
-    assert DepthBudget.for_graph(100).remaining == math.ceil(3.0 * math.log(100))
-    assert DepthBudget.for_graph(1).remaining >= 1
-    assert DepthBudget.for_graph(2, coeff=0.01).remaining == 1
-    assert DepthBudget.for_graph(50, coeff=5.0).remaining == math.ceil(5 * math.log(50))
+    assert default_depth(2) == math.ceil(3.0 * math.log(2))
+    assert default_depth(100) == math.ceil(3.0 * math.log(100))
+    assert default_depth(1) >= 1
+    assert default_depth(2, coeff=0.01) == 1
+    assert default_depth(50, coeff=5.0) == math.ceil(5 * math.log(50))
 
 
 def test_depth_argument_forms():
     g = generate("path", n=3)
     inst = _inst(g, 7)
-    direct, _ = marg_coloring(inst, 0, 1, 6)
-    budgeted, _ = marg_coloring(inst, 0, 1, DepthBudget(6))
-    assert direct == budgeted
-    for bad in (True, 2.5, "6", None):
+    value, _ = marg_coloring(inst, 0, 1, 6)
+    assert 0.0 < value <= 1.0
+    for bad in (True, 2.5, 6.0, "6", None):
         with pytest.raises(ParseError):
             marg_coloring(inst, 0, 1, bad)
 
@@ -532,14 +532,12 @@ def test_marg_block_default_anchor_is_lowest_vertex():
 
 
 def test_marg_block_probabilities_sum_to_one():
-    from pottsdecay import feasible_block_configs
-
     g = generate("star", k=3)
     inst = _inst(g, 5)
     block = minimal_permissive_block(inst, (1,))
     total = 0.0
-    for cfg in feasible_block_configs(inst, block):
-        total += marg_block(inst, block, cfg, 8, anchor=1)
+    for t in feasible_tuples(inst, block.vertices):
+        total += marg_block(inst, block, dict(zip(block.vertices, t)), 8, anchor=1)
     assert math.isclose(total, 1.0, rel_tol=1e-9)
 
 

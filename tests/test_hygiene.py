@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, no
 package module raises a bare ValueError (a PottsError subclass carries the
-CLI's exit code), and the CLI schemas list every MargDiagnostics counter.
+CLI's exit code), the CLI schemas list every MargDiagnostics counter, and
+`pottsdecay.__all__` is exactly, and only, what `__init__.py` imports.
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import pottsdecay
 from pottsdecay import MargDiagnostics
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pottsdecay"
@@ -89,3 +91,26 @@ def test_schema_lists_every_diagnostics_key(schema):
     doc = json.loads((PACKAGE / "schemas" / f"{schema}.json").read_text())
     keys = doc["properties"]["diagnostics"]["properties"]
     assert set(keys) == set(MargDiagnostics().as_dict())
+
+
+def test_all_is_sorted_and_unique():
+    names = pottsdecay.__all__
+    assert names == sorted(set(names))
+
+
+def test_all_matches_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    assert len(imported) == len(set(imported))
+    assert set(imported) == set(pottsdecay.__all__)
+
+
+def test_all_names_importable():
+    namespace = {}
+    exec("from pottsdecay import *", namespace)
+    assert all(name in namespace for name in pottsdecay.__all__)

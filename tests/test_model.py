@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,10 +8,14 @@ from pottsdecay import (
     Instance,
     ParseError,
     PottsParams,
+    estimate_partition,
+    generate_gnp,
     generate_path,
-    log_weight,
     monochromatic_edges,
     parse_activity,
+    sample_batch,
+    simulate_block_growth,
+    verify_locally_sparse,
     weight,
 )
 
@@ -73,10 +76,7 @@ def test_marginal_bounds():
     p = PottsParams(4, 0)
     assert p.marginal_upper_bound(2) == 0.5
     assert p.marginal_upper_bound(10) == 1.0  # clamped at 1
-    assert p.marginal_lower_bound(0) == 0.25
-    assert p.marginal_lower_bound(3) == 0.0
     p2 = PottsParams(3, "0.5")
-    assert abs(p2.marginal_lower_bound(2) - 0.25 / 3) < 1e-15
     assert p2.marginal_upper_bound(4) == 1.0
 
 
@@ -92,7 +92,6 @@ def test_float_views_of_beta():
 
 def test_configuration_api():
     c = Configuration({2: 1, 0: 3})
-    assert c.support() == (0, 2)
     assert c[0] == 3
     assert 2 in c and 1 not in c
     assert list(c) == [0, 2]
@@ -107,7 +106,6 @@ def test_instance_pins_validated():
     g = generate_path(3)
     params = PottsParams(3, 0)
     inst = Instance(g, params, {0: 2})
-    assert inst.is_pinned(0)
     assert inst.unpinned() == [1, 2]
     with pytest.raises(ParseError):
         Instance(g, params, {5: 1})
@@ -127,7 +125,6 @@ def test_weight_counts_monochromatic_edges():
     assert weight(inst, {0: 1, 1: 2, 2: 3}) == 1.0
     assert weight(inst, {0: 1, 1: 1, 2: 2}) == 0.5
     assert weight(inst, {0: 1, 1: 1, 2: 1}) == 0.125
-    assert math.isclose(log_weight(inst, {0: 1, 1: 1, 2: 2}), math.log(0.5))
 
 
 def test_weight_zero_cases():
@@ -135,6 +132,33 @@ def test_weight_zero_cases():
     inst = Instance(g, PottsParams(3, 0), {0: 1})
     assert weight(inst, {0: 2, 1: 3}) == 0.0  # violates the pin
     assert weight(inst, {0: 1, 1: 1}) == 0.0  # monochromatic at beta=0
-    assert log_weight(inst, {0: 1, 1: 1}) == -math.inf
     with pytest.raises(ParseError):
         weight(inst, {0: 1})  # partial configuration
+
+
+_PATH3 = generate_path(3)
+_Q3 = PottsParams(3, 0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda seed: generate_gnp(10, 2, seed), "gnp seed"),
+        (lambda seed: estimate_partition(_PATH3, _Q3, 2, order_seed=seed), "order_seed"),
+        (lambda seed: verify_locally_sparse(_PATH3, _Q3, 1, mode="sampled", seed=seed), "seed"),
+        (lambda seed: simulate_block_growth(1, 100, 2, 7, 3, 10, seed), "seed"),
+        (lambda seed: sample_batch(Instance(_PATH3, _Q3), 2, 1, seed), "seed"),
+    ],
+    ids=[
+        "generate_gnp",
+        "estimate_partition",
+        "verify_locally_sparse",
+        "simulate_block_growth",
+        "sample_batch",
+    ],
+)
+def test_bool_seed_rejected(call, name):
+    # True == 1 as an int, but a flag passed for a seed is a caller's mistake.
+    with pytest.raises(ParseError, match=f"^{name} must be an integer"):
+        call(True)
+    call(1)

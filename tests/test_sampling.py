@@ -16,7 +16,6 @@ from pottsdecay import (
     marginal_distribution,
     monochromatic_edges,
     sample_batch,
-    sample_config,
     sampling,
     weight,
 )
@@ -71,13 +70,6 @@ def test_thread_count_does_not_change_results():
         _as_tuple(c, 3) for c in threaded.configurations
     ]
     assert serial.log_proposals == threaded.log_proposals
-
-
-def test_sample_config_is_first_of_batch():
-    inst = _triangle()
-    one = sample_config(inst, 6, seed=3)
-    batch = sample_batch(inst, 6, 5, seed=3)
-    assert _as_tuple(one, 3) == _as_tuple(batch.configurations[0], 3)
 
 
 # ----------------------------------------------------------- reach cache

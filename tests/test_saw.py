@@ -7,7 +7,6 @@ from pottsdecay import (
     BudgetError,
     Graph,
     PottsParams,
-    build_saw_tree,
     e_delta,
     e_delta_profile,
     enumerate_saws,
@@ -88,16 +87,6 @@ def test_e_delta_budget():
         e_delta(g, 0, 8, 1.0, extension_budget=100)
 
 
-def test_saw_tree_shape():
-    g = generate_cycle(4)
-    t = build_saw_tree(g, 0, 2)
-    assert t.vertex == 0
-    assert [c.vertex for c in t.children] == [1, 3]
-    assert t.size() == 1 + 2 + 2
-    with pytest.raises(BudgetError):
-        build_saw_tree(generate_complete(8), 0, 7, node_budget=50)
-
-
 def test_verify_contraction_cycle():
     # cycle: every delta = 1/2, two walks per length, so max E = 2 * 2^-l
     g = generate_cycle(20)
@@ -132,6 +121,23 @@ def test_verify_contraction_budget_partial(caplog):
     assert rep["budget_exhausted"]
     assert rep["vertices_scanned"] < g.n
     assert any("partial" in r.message for r in caplog.records)
+
+
+def test_verify_contraction_partial_scan_is_not_contracting():
+    # The budget runs out inside the first vertex's walks: the maxima seen so
+    # far fit gamma 0, but only the full scan shows K8 at q=3 blows up.
+    g = generate_complete(8)
+    params = PottsParams(3, 0)
+    partial = verify_contraction(g, params, 3, extension_budget=1)
+    assert partial["budget_exhausted"] and partial["vertices_scanned"] == 0
+    assert partial["gamma"] == 0.0
+    assert partial["contracting"] is False
+    full = verify_contraction(g, params, 3)
+    assert not full["budget_exhausted"] and full["vertices_scanned"] == 8
+    assert math.isclose(full["gamma"], 5.0) and full["contracting"] is False
+    # A contracting graph's partial scan is no certificate either.
+    rep = verify_contraction(generate_path(50), PottsParams(7, 0), 10, extension_budget=5)
+    assert rep["budget_exhausted"] and rep["contracting"] is False
 
 
 def test_verify_contraction_fit_window():
