@@ -29,7 +29,6 @@ from .decay import (
 )
 from .errors import BudgetError, InfeasibleError, ParseError, PottsError
 from .exact import (
-    GibbsTable,
     exact_block_marginal,
     exact_gibbs_table,
     exact_marginal,
@@ -79,7 +78,6 @@ __all__ = [
     "Block",
     "BudgetError",
     "Configuration",
-    "GibbsTable",
     "Graph",
     "GrowthProcessReport",
     "InfeasibleError",

@@ -6,6 +6,9 @@ B(S) containing a seed set S is obtained by repeatedly absorbing unpinned
 high-degree boundary vertices; the result is independent of absorption order,
 and we process the lowest-numbered candidate first so intermediate states are
 reproducible too.
+
+The exhaustive sparsity scan takes its walks from saw._saws, which keeps its
+own stack, so l_max is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from .errors import BudgetError, ParseError
 from .model import Instance, _check_seed
+from .saw import _saws
 
 DEFAULT_BLOCK_BUDGET = 64
 DEFAULT_CONFIG_BUDGET = 10**6
@@ -232,30 +236,13 @@ def verify_locally_sparse(
             worst_block = len(block.vertices)
 
     if mode == "exhaustive":
-        adj = graph.adjacency
-        on_path = bytearray(graph.n)
-
-        def rec(path):
-            consider(path)
-            if checked > walk_budget:
-                raise BudgetError(
-                    f"walk budget {walk_budget} exceeded; use sampled mode"
-                )
-            if len(path) - 1 >= l_max:
-                return
-            for w in adj[path[-1]]:
-                if on_path[w]:
-                    continue
-                on_path[w] = 1
-                path.append(w)
-                rec(path)
-                path.pop()
-                on_path[w] = 0
-
         for v in range(graph.n):
-            on_path[v] = 1
-            rec([v])
-            on_path[v] = 0
+            for walk in _saws(graph.adjacency, v, l_max):
+                consider(walk)
+                if checked > walk_budget:
+                    raise BudgetError(
+                        f"walk budget {walk_budget} exceeded; use sampled mode"
+                    )
     else:
         rng = np.random.Generator(np.random.Philox(key=seed))
         for _ in range(trials):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import first_feasible_tuple, minimal_permissive_block
+from .blocks import DEFAULT_BLOCK_BUDGET, first_feasible_tuple, minimal_permissive_block
 from .decay import (
     MargDiagnostics,
     RecursionLimits,
@@ -60,7 +60,7 @@ class PartitionEstimate:
         return self.diagnostics.termination_events == 0
 
 
-def find_feasible_config(instance, block_budget=64):
+def find_feasible_config(instance, block_budget=DEFAULT_BLOCK_BUDGET):
     """A positive-weight total configuration extending the pinning.
 
     beta > 0: color every unpinned vertex 1. beta = 0: repeatedly take the
@@ -113,7 +113,7 @@ def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limi
         L = default_depth(graph.n)
     depth = _depth(L)
     limits = limits or RecursionLimits()
-    anchor = find_feasible_config(instance)
+    anchor = find_feasible_config(instance, limits.block_budget)
     full = {v: anchor[v] for v in range(graph.n)}
     mono = monochromatic_edges(graph, full)
     if params.beta == 0:

@@ -52,9 +52,10 @@ _block_terms answers such a child through _leaf directly, without deriving
 its graph, pin dict or Instance; whether the child v_i is pinned is read off
 the parent, because sub-instances pin only block vertices and v_i lies
 outside the block. The child still passes through the colour memo, and
-_leaf counts it as _marg_vector does (recursive_calls and evaluations, then
-the limit check, then the termination), so no float and no counter moves,
-and a max_calls abort lands on the same call.
+_leaf counts it as it counts every call, the root's included
+(recursive_calls and evaluations, then the limit check, then the
+termination), so no float and no counter moves, and a max_calls abort
+lands on the same call.
 """
 
 from __future__ import annotations
@@ -140,48 +141,33 @@ def _depth(ell):
 
 
 def escape_paths(graph, block, v):
-    """Shortest escape path per boundary edge, anchored at v.
+    """Escape-path length per boundary edge, anchored at v.
 
-    Each path runs from v through block vertices to the boundary edge's
-    inside endpoint and finishes with the hop outside; ties are broken toward
-    the lexicographically smallest vertex sequence.
+    The escape path of boundary edge (u, w) runs from v through block
+    vertices to u and finishes with the hop to w, so its length is the hop
+    distance from v to u inside the block, plus one.
     """
     inside = set(block.vertices)
     if v not in inside:
         raise ParseError(f"escape path anchor {v} is not in the block")
-    dist_cache = {}
-    paths = []
-    for u, w in block.boundary_edges:
-        d = dist_cache.get(u)
-        if d is None:
-            d = {u: 0}
-            frontier = [u]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for b in graph.adjacency[a]:
-                        if b in inside and b not in d:
-                            d[b] = d[a] + 1
-                            nxt.append(b)
-                frontier = nxt
-            dist_cache[u] = d
-        if v not in d:
+    dist = {v: 0}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in graph.adjacency[a]:
+                if b in inside and b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    lengths = []
+    for u, _ in block.boundary_edges:
+        if u not in dist:
             raise ParseError(
                 f"boundary vertex {u} is unreachable from anchor {v} inside the block"
             )
-        seq = [v]
-        cur = v
-        k = d[v]
-        while cur != u:
-            for b in graph.adjacency[cur]:
-                if b in inside and d.get(b, -1) == k - 1:
-                    seq.append(b)
-                    cur = b
-                    k -= 1
-                    break
-        seq.append(w)
-        paths.append(tuple(seq))
-    return paths
+        lengths.append(dist[u] + 1)
+    return lengths
 
 
 def _check_limits(diag, limits):
@@ -219,8 +205,11 @@ def _root_call(diag, depth):
 def _root_vector(instance, v, ell, limits):
     diag = MargDiagnostics()
     depth = _depth(ell)
+    limits = limits or RecursionLimits()
     with _root_call(diag, depth):
-        vec = _marg_vector(instance, v, depth, diag, limits or RecursionLimits())
+        vec = _leaf(instance.params, instance.pinned.get(v), depth, diag, limits)
+        if vec is None:
+            vec = _block_vector(instance, v, depth, diag, limits)
     return vec, diag
 
 
@@ -291,7 +280,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     internal = graph.induced_edges(verts)
     ipos = [(pos[a], pos[b]) for a, b in internal]
     upos = [pos[u] for u, _ in bedges]
-    paths = escape_paths(graph, block, anchor)
+    lengths = escape_paths(graph, block, anchor)
     ln_beta = math.log(beta_f) if params.beta_positive else None
 
     child = []
@@ -299,7 +288,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         _, v_i = bedges[i]
         pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
         g_i = None
-        sub_ell = ell - (len(paths[i]) - 1)
+        sub_ell = ell - lengths[i]
         vectors = {}
         memo = {}  # canonical pattern -> (vector, calls, terminations, infeasible)
         prefix_pos = upos[:i]
@@ -383,16 +372,8 @@ def _leaf(params, pin, ell, diag, limits):
     return None
 
 
-def _marg_vector(instance, v, ell, diag, limits):
-    """Full per-color estimate vector at v; the scalar API reads one entry."""
-    out = _leaf(instance.params, instance.pinned.get(v), ell, diag, limits)
-    if out is None:
-        out = _block_vector(instance, v, ell, diag, limits)
-    return out
-
-
 def _block_vector(instance, v, ell, diag, limits):
-    """_marg_vector's body for a call that _leaf counted and found no leaf."""
+    """Full per-color estimate vector at v, for a call _leaf counted as no leaf."""
     params = instance.params
     q = params.q
     beta_positive = params.beta_positive
@@ -442,9 +423,10 @@ def read_region(instance, v, ell):
     evaluations and cache_hits may change: its `held` colours are all the
     instance's pin colours, and the memo moves no float.)
 
-    Proof, by induction on the depth of the call. A call _marg_vector at u
-    with depth e, in a derived instance whose graph is a subgraph of the
-    root's and whose pinned set contains the root's, reads:
+    Proof, by induction on the depth of the call. A call of the recursion
+    (_leaf, then _block_vector) at u with depth e, in a derived instance
+    whose graph is a subgraph of the root's and whose pinned set contains
+    the root's, reads:
 
     - u's pin. A pinned u is a leaf and reads nothing else; so is an
       unpinned u at beta > 0 with e < 0.

@@ -1,4 +1,4 @@
-"""Brute-force oracles: exact partition functions, marginals, and Gibbs tables.
+"""Brute-force oracles: exact partition functions, marginals, and the Gibbs law.
 
 Everything here enumerates configurations, so it only runs on small problems;
 the point is to be an independent ground truth for the estimator. There is
@@ -256,41 +256,13 @@ def is_feasible(instance, budget=DEFAULT_BUDGET):
     return z > 0.0
 
 
-class GibbsTable:
-    """Full weight table of an instance: (Configuration, weight) per extension."""
-
-    __slots__ = ("entries", "total", "n")
-
-    def __init__(self, entries, n):
-        self.entries = list(entries)
-        self.n = n
-        self.total = math.fsum(w for _, w in self.entries)
-
-    @property
-    def feasible(self):
-        return self.total > 0.0
-
-    def as_probability_dict(self):
-        """Map canonical color tuples (vertex order 0..n-1) to probabilities.
-
-        Zero-weight configurations are omitted, so the keys are exactly the
-        Gibbs support.
-        """
-        if not self.feasible:
-            raise InfeasibleError("Gibbs table has zero total weight")
-        out = {}
-        for cfg, w in self.entries:
-            if w > 0.0:
-                key = tuple(cfg[v] for v in range(self.n))
-                out[key] = w / self.total
-        return out
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def exact_gibbs_table(instance, budget=10**6):
-    """Enumerate every total configuration extending the pinning, with weights."""
+    """The Gibbs law as {color tuple over vertices 0..n-1: probability}.
+
+    Sweeps every total configuration extending the pinning; zero-weight ones
+    are omitted, so the keys are exactly the Gibbs support. Raises
+    InfeasibleError when the total weight is 0.
+    """
     graph = instance.graph
     params = instance.params
     unp = instance.unpinned()
@@ -300,12 +272,18 @@ def exact_gibbs_table(instance, budget=10**6):
             f"Gibbs table budget {budget} exceeded: q^unpinned = {params.q}^{len(unp)}"
         )
     beta = params.beta_float
-    entries = []
-    base = dict(instance.pinned)
+    colors = [instance.pinned.get(v) for v in range(graph.n)]
+    law = {}
     for combo in itertools.product(range(1, params.q + 1), repeat=len(unp)):
-        colors = dict(base)
-        colors.update(zip(unp, combo))
+        for v, c in zip(unp, combo):
+            colors[v] = c
         mono = monochromatic_edges(graph, colors)
         w = 1.0 if mono == 0 else beta**mono
-        entries.append((Configuration(colors), w))
-    return GibbsTable(entries, graph.n)
+        if w > 0.0:
+            law[tuple(colors)] = w
+    if not law:
+        raise InfeasibleError("Gibbs table has zero total weight")
+    z = math.fsum(law.values())
+    for key, w in law.items():
+        law[key] = w / z
+    return law

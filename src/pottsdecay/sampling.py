@@ -190,8 +190,7 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
 
 def empirical_tv(batch, instance, budget=10**6):
     """Total-variation distance between the batch and the exact Gibbs law."""
-    table = exact_gibbs_table(instance, budget)
-    probs = table.as_probability_dict()
+    probs = exact_gibbs_table(instance, budget)
     n = instance.graph.n
     counts = {}
     for cfg in batch.configurations:

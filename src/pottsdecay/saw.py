@@ -6,6 +6,10 @@ coefficients delta(deg(u)) over the walk's vertices, excluding the start.
 Exponential decay of max_v E(v, l) in l is the contraction property the
 estimator's error analysis rests on; with constant delta = 1/D the sums
 reduce to SAW counts over D^l, the connective-constant normalization.
+
+Walk scans keep explicit stacks, not Python recursion, so walk length has no
+recursion limit: _walk_sums sums products per length in one pass, and _saws
+yields the walks for enumerate_saws and blocks.verify_locally_sparse.
 """
 
 from __future__ import annotations
@@ -24,11 +28,9 @@ DEFAULT_EXTENSION_BUDGET = 10**8
 
 
 def _delta_by_vertex(graph, delta):
-    """Normalize a delta argument (PottsParams, callable on degree, or constant)."""
+    """Normalize a delta argument (PottsParams or constant) to per-vertex values."""
     if isinstance(delta, PottsParams):
         return [delta.delta(graph.degree(v)) for v in range(graph.n)]
-    if callable(delta):
-        return [float(delta(graph.degree(v))) for v in range(graph.n)]
     c = float(delta)
     return [c] * graph.n
 
@@ -56,10 +58,10 @@ def _walk_sums(adj, values, v, l_max, budget=None):
         for w in iters[-1]:
             if on_path[w]:
                 continue
-            extensions += 1
-            if budget is not None and extensions > budget:
+            if budget is not None and extensions >= budget:
                 exhausted = True
                 break
+            extensions += 1
             p = prods[-1] * values[w]
             depth = len(path)
             sums[depth] += p
@@ -79,31 +81,44 @@ def _walk_sums(adj, values, v, l_max, budget=None):
     return sums, extensions, exhausted
 
 
+def _saws(adj, v, l_max):
+    """Yield every self-avoiding walk of 0..l_max edges from v, depth first.
+
+    Each walk comes before its extensions, and walks come out in
+    lexicographic order of their vertex sequences. The scan keeps its own
+    stack, so walk length is not limited by Python's recursion limit. The
+    yielded list is the walk in progress: copy it to keep it.
+    """
+    on_path = bytearray(len(adj))
+    on_path[v] = 1
+    path = [v]
+    yield path
+    iters = [iter(adj[v])] if l_max > 0 else []
+    while iters:
+        for w in iters[-1]:
+            if on_path[w]:
+                continue
+            path.append(w)
+            yield path
+            if len(path) <= l_max:
+                on_path[w] = 1
+                iters.append(iter(adj[w]))
+                break
+            path.pop()
+        else:
+            iters.pop()
+            on_path[path.pop()] = 0
+
+
 def enumerate_saws(graph, v, length):
     """Yield every self-avoiding walk of exactly `length` edges from v.
 
     Walks come out in lexicographic order of their vertex sequences; length 0
     yields the single walk (v,).
     """
-    adj = graph.adjacency
-    on_path = bytearray(graph.n)
-    on_path[v] = 1
-    path = [v]
-
-    def rec():
-        if len(path) - 1 == length:
+    for path in _saws(graph.adjacency, v, length):
+        if len(path) == length + 1:
             yield tuple(path)
-            return
-        for w in adj[path[-1]]:
-            if on_path[w]:
-                continue
-            on_path[w] = 1
-            path.append(w)
-            yield from rec()
-            path.pop()
-            on_path[w] = 0
-
-    yield from rec()
 
 
 def saw_count(graph, v, length):

@@ -1,5 +1,6 @@
 """Shared fixtures: the seeded random-instance corpus used by the
-recursion-identity, exactness, and bound acceptance checks.
+recursion-identity, exactness, and bound acceptance checks, and a pinned
+caterpillar whose one block outgrows the default block budget.
 
 Instances are drawn deterministically. A capped probe evaluation filters out
 draws whose full-depth recursion would be too expensive to finish inside the
@@ -19,6 +20,7 @@ from pottsdecay import (
     Instance,
     PottsParams,
     RecursionLimits,
+    generate_caterpillar,
     is_feasible,
     marginal_vector,
 )
@@ -86,3 +88,21 @@ def draw_corpus(count=200, seed=CORPUS_SEED):
 @pytest.fixture(scope="session")
 def corpus200():
     return draw_corpus(200)
+
+
+@pytest.fixture
+def forced_caterpillar():
+    """(graph, pins): caterpillar(70, 2), q = 3, beta = 0, one proper coloring.
+
+    The two bristles of spine vertex i are pinned to the two colors other
+    than 1 + (i mod 2), which forces the spine's colors. At q = 3, beta = 0
+    no degree is low, so the unpinned spine is one permissive block of 70
+    vertices: past the default block budget of 64.
+    """
+    n = 70
+    pins = {}
+    for i in range(n):
+        others = [c for c in (1, 2, 3) if c != 1 + i % 2]
+        pins[n + 2 * i] = others[0]
+        pins[n + 2 * i + 1] = others[1]
+    return generate_caterpillar(n, 2), pins

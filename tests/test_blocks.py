@@ -18,6 +18,7 @@ from pottsdecay import (
     generate_star,
     minimal_permissive_block,
     monochromatic_edges,
+    saw_count_profile,
     verify_locally_sparse,
 )
 
@@ -231,3 +232,19 @@ def test_verify_locally_sparse_walk_budget():
     g = generate_complete(9)
     with pytest.raises(BudgetError):
         verify_locally_sparse(g, PottsParams(3, "0.5"), 6, walk_budget=50)
+
+
+def test_verify_locally_sparse_checks_every_walk_once():
+    # saw_count_profile counts walks with a walker of its own
+    cases = [(generate_gnp(30, 3, seed=2), 4), (generate_complete(5), 4), (generate_star(6), 2)]
+    for g, l_max in cases:
+        rep = verify_locally_sparse(g, PottsParams(7, 0), l_max)
+        counts = [sum(saw_count_profile(g, v, l_max)) for v in range(g.n)]
+        assert rep["paths_checked"] == sum(counts)
+
+
+def test_verify_locally_sparse_long_walks():
+    # 1100-edge walks are scanned without Python recursion; the budget stops them
+    g = generate_path(1200)
+    with pytest.raises(BudgetError, match="walk budget 1105"):
+        verify_locally_sparse(g, PottsParams(7, 0), 1100, walk_budget=1105)

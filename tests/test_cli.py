@@ -168,6 +168,19 @@ def test_partition_truncated_is_not_exact(tmp_path, capsys):
     assert doc["exact"] is False and doc["diagnostics"]["termination_events"] > 0
 
 
+def test_partition_block_budget_flag(forced_caterpillar, tmp_path, capsys):
+    g, pins = forced_caterpillar
+    f = tmp_path / "caterpillar.txt"
+    f.write_text(serialize_graph(g, pins))
+    argv = ["partition", "--q", "3", "--instance", str(f), "--depth", "2"]
+    code = run(argv + ["--block-budget", "100"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    _check("partition", doc)
+    assert doc["z"] == 1 and doc["diagnostics"]["max_block_size"] == 70
+    assert run(argv) == 4
+
+
 def test_partition_eps_flag(pinned_path3_file, capsys):
     code = run(["partition", "--q", "3", "--instance", pinned_path3_file, "--eps", "0.01"])
     doc = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from pottsdecay import (
+    BudgetError,
     InfeasibleError,
     Instance,
     ParseError,
@@ -186,3 +187,15 @@ def test_partition_z_property():
     est = estimate_partition(g, PottsParams(3, "0"), L=8)
     assert est.z == math.exp(est.log_z)
     assert math.isclose(est.z, 24.0, rel_tol=1e-10)
+
+
+def test_partition_anchor_search_honours_block_budget(forced_caterpillar):
+    # limits.block_budget bounds the anchor search's blocks too
+    g, pins = forced_caterpillar
+    params = PottsParams(3, 0)
+    limits = RecursionLimits(block_budget=100)
+    est = estimate_partition(g, params, 2, pinned=pins, limits=limits)
+    assert est.log_z == 0.0 and est.exact
+    assert est.diagnostics.max_block_size == 70
+    with pytest.raises(BudgetError, match="block budget 64"):
+        estimate_partition(g, params, 2, pinned=pins)

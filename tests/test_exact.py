@@ -201,9 +201,7 @@ def test_block_marginal_requires_coverage():
 
 def test_gibbs_table_triangle():
     inst = Instance(generate_complete(3), PottsParams(3, 0))
-    table = exact_gibbs_table(inst)
-    assert table.feasible
-    probs = table.as_probability_dict()
+    probs = exact_gibbs_table(inst)
     assert len(probs) == 6
     for p in probs.values():
         assert p == pytest.approx(1 / 6, rel=1e-12)
@@ -212,14 +210,12 @@ def test_gibbs_table_triangle():
 
 def test_gibbs_table_weights_beta():
     inst = Instance(generate_path(2), PottsParams(2, "0.5"))
-    probs = exact_gibbs_table(inst).as_probability_dict()
+    probs = exact_gibbs_table(inst)
     assert probs[(1, 2)] == pytest.approx(1 / 3, rel=1e-12)
     assert probs[(1, 1)] == pytest.approx(1 / 6, rel=1e-12)
 
 
 def test_gibbs_table_infeasible():
     inst = Instance(generate_complete(4), PottsParams(3, 0))
-    table = exact_gibbs_table(inst)
-    assert not table.feasible
     with pytest.raises(InfeasibleError):
-        table.as_probability_dict()
+        exact_gibbs_table(inst)

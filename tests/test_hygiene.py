@@ -1,7 +1,9 @@
 """Source hygiene: every name a package module imports is used in it, no
 package module raises a bare ValueError (a PottsError subclass carries the
-CLI's exit code), the CLI schemas list every MargDiagnostics counter, and
-`pottsdecay.__all__` is exactly, and only, what `__init__.py` imports.
+CLI's exit code), no package function calls itself by name (a walk that
+recurses once per step fails on long walks with a bare RecursionError), the
+CLI schemas list every MargDiagnostics counter, and `pottsdecay.__all__` is
+exactly, and only, what `__init__.py` imports.
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -84,6 +86,42 @@ def test_checker_flags_bare_value_error_only():
 def test_no_bare_value_error(path):
     lines = _bare_value_errors(path.read_text())
     assert not lines, f"{path.name}: bare ValueError raised at lines {lines}; raise ParseError"
+
+
+def _self_calls(source):
+    """Names of the functions whose bodies call them by name."""
+    return sorted(
+        f.name
+        for f in ast.walk(ast.parse(source))
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == f.name
+            for c in ast.walk(f)
+        )
+    )
+
+
+def test_checker_flags_self_calls_only():
+    source = (
+        "def walk(path):\n"
+        "    def rec(p):\n"
+        "        return [rec(p[1:])] if p else []\n"
+        "    return rec(path)\n"
+        "def f(x):\n"
+        "    return g(x) + x.f()\n"
+    )
+    assert _self_calls(source) == ["rec"]
+
+
+# _fmt walks a report whose nesting is fixed by the CLI's own schemas.
+SELF_CALLS_ALLOWED = {"cli._fmt"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_self_calls(path):
+    names = {f"{path.stem}.{name}" for name in _self_calls(path.read_text())}
+    extra = sorted(names - SELF_CALLS_ALLOWED)
+    assert not extra, f"{path.name}: functions calling themselves: {extra}; keep a stack"
 
 
 @pytest.mark.parametrize("schema", ["marginal", "partition"])

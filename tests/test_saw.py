@@ -30,6 +30,11 @@ def test_enumerate_saws_path():
     assert list(enumerate_saws(g, 0, 4)) == []
 
 
+def test_enumerate_saws_long_path():
+    # deeper than Python's default recursion limit
+    assert list(enumerate_saws(generate_path(1200), 0, 1100)) == [tuple(range(1101))]
+
+
 def test_enumerate_saws_lexicographic():
     g = generate_complete(4)
     walks = list(enumerate_saws(g, 2, 2))
@@ -130,6 +135,7 @@ def test_verify_contraction_partial_scan_is_not_contracting():
     params = PottsParams(3, 0)
     partial = verify_contraction(g, params, 3, extension_budget=1)
     assert partial["budget_exhausted"] and partial["vertices_scanned"] == 0
+    assert partial["extensions"] == 1
     assert partial["gamma"] == 0.0
     assert partial["contracting"] is False
     full = verify_contraction(g, params, 3)
@@ -138,6 +144,7 @@ def test_verify_contraction_partial_scan_is_not_contracting():
     # A contracting graph's partial scan is no certificate either.
     rep = verify_contraction(generate_path(50), PottsParams(7, 0), 10, extension_budget=5)
     assert rep["budget_exhausted"] and rep["contracting"] is False
+    assert rep["extensions"] == 5
 
 
 def test_verify_contraction_fit_window():
