@@ -113,7 +113,15 @@ def _backtrack_proper(instance, verts, config_budget, first_only=False):
 
     Colors are constrained away from pinned neighbors (anywhere in the graph)
     and from already-assigned earlier vertices inside verts. Output tuples are
-    aligned with `verts` and produced in lexicographic order.
+    aligned with `verts` and produced in lexicographic order; no vertices
+    give the one empty coloring.
+
+    Each position's palette minus its pinned neighbours' colours is listed
+    once; entering a position filters that list by the colours of its
+    earlier neighbours into the position's candidates, ascending. The last
+    position emits all its candidates in one pass, so a singleton block
+    costs one pass over the palette. More than config_budget colorings
+    raise BudgetError.
     """
     graph = instance.graph
     q = instance.params.q
@@ -121,7 +129,7 @@ def _backtrack_proper(instance, verts, config_budget, first_only=False):
     k = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
     earlier = []
-    banned = []
+    allowed = []
     for i, v in enumerate(verts):
         eh = []
         bn = set()
@@ -132,33 +140,40 @@ def _backtrack_proper(instance, verts, config_budget, first_only=False):
             elif w in pinned:
                 bn.add(pinned[w])
         earlier.append(eh)
-        banned.append(bn)
-    out = []
-    colors = [0] * k
-    idx = 0
-    while idx >= 0:
-        c = colors[idx] + 1
-        placed = False
-        while c <= q:
-            if c not in banned[idx] and all(colors[j] != c for j in earlier[idx]):
-                placed = True
-                break
-            c += 1
-        if not placed:
-            colors[idx] = 0
+        allowed.append([c for c in range(1, q + 1) if c not in bn])
+    if not k:
+        out = [()]
+    else:
+        out = []
+        last = k - 1
+        colors = [0] * last
+        cands = [None] * k
+        nxt = [0] * k
+        cands[0] = allowed[0]
+        idx = 0
+        while idx >= 0:
+            if idx < last:
+                j = nxt[idx]
+                if j == len(cands[idx]):
+                    idx -= 1
+                    continue
+                colors[idx] = cands[idx][j]
+                nxt[idx] = j + 1
+                idx += 1
+                used = {colors[e] for e in earlier[idx]}
+                cands[idx] = [c for c in allowed[idx] if c not in used]
+                nxt[idx] = 0
+                continue
+            if cands[idx]:
+                prefix = tuple(colors)
+                if first_only:
+                    return [(*prefix, cands[idx][0])]
+                out.extend([(*prefix, c) for c in cands[idx]])
+                if len(out) > config_budget:
+                    break
             idx -= 1
-            continue
-        colors[idx] = c
-        if idx == k - 1:
-            out.append(tuple(colors))
-            if first_only:
-                return out
-            if len(out) > config_budget:
-                raise BudgetError(
-                    f"feasible-configuration budget {config_budget} exceeded"
-                )
-        else:
-            idx += 1
+    if out and len(out) > config_budget:
+        raise BudgetError(f"feasible-configuration budget {config_budget} exceeded")
     return out
 
 

@@ -56,6 +56,22 @@ _leaf counts it as it counts every call, the root's included
 (recursive_calls and evaluations, then the limit check, then the
 termination), so no float and no counter moves, and a max_calls abort
 lands on the same call.
+
+Prefix trie. The factor 1 - (1-beta) p_i(rho) depends on rho only through
+its spins at the first i boundary positions, so there is one factor per
+distinct prefix of length i, not one per configuration. _block_terms walks
+F as a prefix trie, one level per boundary index i: it evaluates one child
+per level-i node, in order of first appearance in F, which is the order
+in which the per-configuration schedule meets each new prefix; it then
+takes one math.log per level-(i+1) node, keyed (parent node, spin), and
+adds that log to the running term of every configuration below the node.
+No float moves: each log is that of the same factor, and each term adds the
+same logs in boundary-index order from the same log-weight. A factor <= 0
+is logged as -inf, which every later addition keeps, so the term is -inf
+as before. No counter moves either: children are evaluated, memo hits
+included, in the same order, annihilated configurations' children
+included, so every count, max_calls abort and first raised error is the
+same.
 """
 
 from __future__ import annotations
@@ -265,37 +281,41 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
 
     Each term is log w(rho) plus the log of the product of boundary factors
     1 - (1-beta) p_i(rho); annihilated terms (a factor exactly 0, only
-    possible at beta = 0) come back as -inf.
+    possible at beta = 0) come back as -inf. F is walked as a prefix trie,
+    one level per boundary index (see the module docstring).
     """
     graph = instance.graph
     params = instance.params
-    beta_f = params.beta_float
-    one_minus = 1.0 - beta_f
+    q1 = params.q + 1
+    one_minus = 1.0 - params.beta_float
     held = set(instance.pinned.values())
-    free = [c for c in range(1, params.q + 1) if c not in held]
+    free = [c for c in range(1, q1) if c not in held]
     verts = block.vertices
     pos = {u: i for i, u in enumerate(verts)}
     bedges = block.boundary_edges
-    m = len(bedges)
     internal = graph.induced_edges(verts)
-    ipos = [(pos[a], pos[b]) for a, b in internal]
     upos = [pos[u] for u, _ in bedges]
     lengths = escape_paths(graph, block, anchor)
-    ln_beta = math.log(beta_f) if params.beta_positive else None
 
-    child = []
-    for i in range(m):
-        _, v_i = bedges[i]
+    if params.beta_positive:
+        ln_beta = math.log(params.beta_float)
+        ipos = [(pos[a], pos[b]) for a, b in internal]
+        terms = []
+        for t in F:
+            mono = sum(1 for a, b in ipos if t[a] == t[b])
+            terms.append(mono * ln_beta if mono else 0.0)
+    else:
+        terms = [0.0] * len(F)
+    node = [0] * len(F)  # each configuration's trie node at the current level
+    pats = [()]  # each node's prefix pattern, in first-appearance order; F is not empty
+    for i, (_, v_i) in enumerate(bedges):
         pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
         g_i = None
         sub_ell = ell - lengths[i]
-        vectors = {}
-        memo = {}  # canonical pattern -> (vector, calls, terminations, infeasible)
         prefix_pos = upos[:i]
-        for t in F:
-            pat = tuple(t[p] for p in prefix_pos)
-            if pat in vectors:
-                continue
+        vectors = []
+        memo = {}  # canonical pattern -> (vector, calls, terminations, infeasible)
+        for pat in pats:
             canon, moves = _canonical(pat, held, free) if free else (pat, ())
             hit = memo.get(canon)
             if hit is None:
@@ -325,28 +345,27 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
                 diag.infeasible_events += infeasible
                 diag.cache_hits += 1
                 _check_limits(diag, limits)
-            vectors[pat] = _permute(vec, moves)
-        child.append(vectors)
+            vectors.append(_permute(vec, moves))
 
-    terms = []
-    for t in F:
-        if ln_beta is not None:
-            mono = sum(1 for a, b in ipos if t[a] == t[b])
-            lw = mono * ln_beta if mono else 0.0
-        else:
-            lw = 0.0
-        alive = True
-        prefix = ()
-        for i in range(m):
-            spin = t[upos[i]]
-            phat = child[i][prefix][spin - 1]
-            factor = 1.0 - one_minus * phat
-            if factor <= 0.0:
-                alive = False
-                break
-            lw += math.log(factor)
-            prefix = prefix + (spin,)
-        terms.append(lw if alive else -math.inf)
+        # Level i+1: one node, and one log factor, per (parent node, spin),
+        # numbered in first-appearance order.
+        p = upos[i]
+        children = {}
+        logs = []
+        next_pats = []
+        for k, t in enumerate(F):
+            parent = node[k]
+            spin = t[p]
+            key = parent * q1 + spin
+            j = children.get(key)
+            if j is None:
+                j = children[key] = len(logs)
+                next_pats.append(pats[parent] + (spin,))
+                factor = 1.0 - one_minus * vectors[parent][spin - 1]
+                logs.append(math.log(factor) if factor > 0.0 else -math.inf)
+            node[k] = j
+            terms[k] += logs[j]
+        pats = next_pats
     return terms
 
 

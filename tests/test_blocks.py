@@ -165,14 +165,14 @@ def test_feasible_tuples_config_budget():
 
 def test_feasible_matches_brute_force():
     rng = random.Random(7)
-    for _ in range(30):
+    for _ in range(60):
         n = rng.randint(2, 6)
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
         ]
         g = Graph(n, edges)
-        q = rng.choice([3, 4])
         beta = rng.choice(["0", "0.5"])
+        q = rng.randint(3, 6) if beta == "0" else rng.choice([3, 4])
         pins = {v: rng.randint(1, q) for v in range(n) if rng.random() < 0.3}
         inst = Instance(g, PottsParams(q, beta), pins)
         verts = tuple(v for v in range(n) if v not in pins)
@@ -193,6 +193,20 @@ def test_feasible_matches_brute_force():
             if inst.params.beta > 0 or mono == 0:
                 expect.append(t)
         assert F == expect
+        assert first_feasible_tuple(inst, verts) == (expect[0] if expect else None)
+        if expect:
+            with pytest.raises(BudgetError, match=f"budget {len(F) - 1} exceeded"):
+                feasible_tuples(inst, verts, len(F) - 1)
+            assert feasible_tuples(inst, verts, len(F)) == expect
+
+
+def test_feasible_tuples_empty_block():
+    # no vertices: the one empty configuration, in both regimes
+    g = generate_path(3)
+    for beta in ("0", "0.5"):
+        inst = Instance(g, PottsParams(3, beta), {0: 1})
+        assert feasible_tuples(inst, ()) == [()]
+        assert first_feasible_tuple(inst, ()) == ()
 
 
 def test_verify_locally_sparse_exhaustive():

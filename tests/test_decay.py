@@ -86,7 +86,7 @@ def test_escape_paths_unreachable_anchor():
         escape_paths(g, block, 2)
 
 
-# ------------------------------------------------------------- sub-instances
+# ------------------------------------------------- children per boundary index
 
 
 @pytest.fixture
@@ -105,7 +105,7 @@ def made(monkeypatch):
     return made
 
 
-def test_build_subinstance_star_leaf(made):
+def test_children_per_boundary_index_star_leaf(made):
     # Star centre 0 is high-degree at q = 7, so vertex 1's block is {0, 1}
     # with boundary edges (0, 2) .. (0, 5). Every prefix pattern of the
     # centre's colour is one colour class, so child i is built once: it
@@ -124,7 +124,7 @@ def test_build_subinstance_star_leaf(made):
     assert g.edges == tuple(sorted((0, k) for k in range(1, 6)))
 
 
-def test_build_subinstance_keeps_existing_pins(made):
+def test_children_per_boundary_index_keep_parent_pins(made):
     # Path 0-1-2-3 with pin {3: 6}: vertex 1's block is {1}, with boundary
     # edges (1, 0) and (1, 2); edge (2, 3) lies outside it and stays. The
     # child at (1, 2) keeps (0, 1) and pins vertex 1 once per colour class,
