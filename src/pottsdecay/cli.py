@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+import time
 import traceback
 
 from .blocks import verify_locally_sparse
@@ -80,12 +81,18 @@ def _depth_for(args, n):
 
 def _limits(args):
     limits = RecursionLimits()
-    if getattr(args, "block_budget", None) is not None:
-        limits.block_budget = args.block_budget
-    if getattr(args, "config_budget", None) is not None:
-        limits.config_budget = args.config_budget
-    if getattr(args, "max_calls", None) is not None:
-        limits.max_calls = args.max_calls
+    for name in ("block_budget", "config_budget", "max_calls"):
+        value = getattr(args, name, None)
+        if value is not None:
+            if value < 1:
+                flag = "--" + name.replace("_", "-")
+                raise ParseError(f"{flag} must be >= 1, got {value}")
+            setattr(limits, name, value)
+    seconds = getattr(args, "deadline", None)
+    if seconds is not None:
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise ParseError(f"--deadline must be a positive number of seconds, got {seconds}")
+        limits.deadline = time.monotonic() + seconds
     return limits
 
 
@@ -292,7 +299,14 @@ def _add_limit_flags(p):
         "--config-budget", type=int, help="max feasible configs per block (default 1e6)"
     )
     p.add_argument(
-        "--max-calls", type=int, help="abort after this many recursive evaluations"
+        "--max-calls",
+        type=int,
+        help="abort once recursive_calls exceeds this (a memo hit counts its whole subtree)",
+    )
+    p.add_argument(
+        "--deadline",
+        type=float,
+        help="wall-clock limit in seconds on the estimate (exit 4 when it runs out)",
     )
 
 

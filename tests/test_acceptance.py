@@ -11,10 +11,10 @@ under one 60 s deadline and asserts three things: blocks stay at 64
 vertices or fewer, calls stay within the instance's local branching bound,
 and the first depth that cannot finish ends in a deadline BudgetError
 rather than a hang. The deepest depth reached is reported, not asserted:
-L = 0 to 5 make 121, 6 327, 280 521, about 1.3e7, 6.6e8 and 3.3e10 calls
-(about 50x per level); the colour-class memo runs only 9, 60, 433, 3 623,
-37 175 and 421 827 of them (about 10x per level), so L = 5 completes within
-60 s and L = 23 is far out of reach.
+L = 0 to 6 make 121, 6 327, 280 521, about 1.3e7, 6.6e8, 3.3e10 and 1.6e12
+calls (about 50x per level); the colour memo runs only 9, 39, 153, 693,
+3 403, 17 598 and 132 638 of them (about 5-8x per level), so L = 6
+completes within 60 s and L = 23 is far out of reach.
 """
 
 import math
@@ -300,13 +300,14 @@ def test_criterion_9_large_sparse_runtime():
       L = 0 and L = 1 must complete first.
 
     Reaching L = 23 is reported, not asserted. The calls counted are those
-    of the schedule without the colour-class memo: L = 0 to 5 make 121,
-    6 327, 280 521, 12 883 455, 664 589 710 and 32 679 197 961 calls
-    (44x to 52x per level). The memo runs 9, 60, 433, 3 623, 37 175 and
-    421 827 of them (about 10x per level), and on a 2-CPU machine L = 3, 4
-    and 5 take about 0.4 s, 2.3 s and 31 s, so L = 5 is the deepest depth
-    reached and L = 6 stops at the deadline, with the calls it made
-    reported from the aborted call's diagnostics. Vertex 0 has
+    of the schedule without the colour memo: L = 0 to 6 make 121, 6 327,
+    280 521, 12 883 455, 664 589 710, 32 679 197 961 and 1 644 324 340 952
+    calls (44x to 52x per level). The memo, keyed on the pins each child
+    can read, runs 9, 39, 153, 693, 3 403, 17 598 and 132 638 of them
+    (about 5-8x per level), and on a 2-CPU machine L = 4, 5 and 6 take
+    about 0.5 s, 2.3 s and 16 s, so L = 6 is the deepest depth reached and
+    L = 7 stops at the deadline, with the calls it made reported from the
+    aborted call's diagnostics. Vertex 0 has
     eccentricity 8 in its 1 959-vertex component and about 3.85^k
     self-avoiding walks of length k, so at each of the top 15 levels the
     remaining depth reaches the whole component: sub-instances that differ

@@ -1,6 +1,8 @@
 """Property test: the prefix-trie walk of `decay._block_terms` returns exactly
 what the loop with one prefix tuple and one log per (configuration, boundary
-edge) returns, with the same counters and the same errors.
+edge) returns, with the same counters and the same errors. Both key the
+colour memo on the prefix positions the children can read (the region key);
+`test_region_key.py` checks that key against the whole-prefix one.
 
 Needs Hypothesis (in the `test` extras); the module skips without it.
 """
@@ -59,11 +61,21 @@ def _naive_block_terms(instance, block, F, anchor, ell, diag, limits):
         vectors = {}
         memo = {}
         prefix_pos = upos[:i]
+        if pin_i is not None or (params.beta_positive and sub_ell < 0):
+            kept = []
+        elif sub_ell < 0:
+            kept = list(range(i))
+        else:
+            g_i = graph.remove_edges([*internal, *bedges[i:]])
+            pinned = set(instance.pinned) | {verts[p] for p in prefix_pos}
+            region = decay._read_region(g_i, params, pinned, v_i, sub_ell)
+            kept = [j for j, p in enumerate(prefix_pos) if verts[p] in region]
         for t in F:
             pat = tuple(t[p] for p in prefix_pos)
             if pat in vectors:
                 continue
-            canon, moves = decay._canonical(pat, held, free) if free else (pat, ())
+            key = tuple(pat[j] for j in kept)
+            canon, moves = decay._canonical(key, held, free) if free else (key, ())
             hit = memo.get(canon)
             if hit is None:
                 calls = diag.recursive_calls
@@ -74,8 +86,8 @@ def _naive_block_terms(instance, block, F, anchor, ell, diag, limits):
                     if g_i is None:
                         g_i = graph.remove_edges([*internal, *bedges[i:]])
                     pins = dict(instance.pinned)
-                    for j, p in enumerate(prefix_pos):
-                        pins[verts[p]] = canon[j]
+                    for j, c in zip(kept, canon):
+                        pins[verts[prefix_pos[j]]] = c
                     vec = decay._block_vector(
                         Instance(g_i, params, pins), v_i, sub_ell, diag, limits
                     )

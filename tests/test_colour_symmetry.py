@@ -1,5 +1,6 @@
-"""Property tests: the recursion is colour-equivariant, and its colour-class
-memo returns exactly what the schedule without the memo returns.
+"""Property tests: the recursion is colour-equivariant, its colour-class
+memo returns exactly what the schedule without the memo returns, and at full
+depth the estimate does not depend on how the vertices are numbered.
 
 Needs Hypothesis (in the `test` extras); the module skips without it, so the
 other decay tests do not depend on it.
@@ -11,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pottsdecay import (  # noqa: E402
@@ -76,7 +77,36 @@ def test_colour_permutation_permutes_marginals(case, rnd):
 @settings(max_examples=150, deadline=None)
 @given(_instance_and_query())
 def test_memo_matches_schedule_without_it(case):
+    # With the identity for _canonical only equal kept patterns share a
+    # child. Children that keep no prefix position share one child either
+    # way; tests/test_region_key.py compares those with the schedule
+    # without the memo.
     inst, v, ell = case
     with mock.patch.object(decay, "_canonical", lambda pat, held, free: (pat, ())):
         naive = _run(inst, v, ell)
     assert _run(inst, v, ell) == naive
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instance_and_query(), st.randoms(use_true_random=False))
+def test_vertex_relabel_keeps_full_depth_marginals(case, rnd):
+    # Block closure, boundary-edge order and the enumeration of F all follow
+    # vertex ids, so a relabelling changes the schedule; an exact estimate
+    # (no termination event) must still move with its vertex.
+    inst, v, _ = case
+    n = inst.graph.n
+    tau = list(range(n))
+    rnd.shuffle(tau)
+    relabelled = Instance(
+        Graph(n, [(tau[a], tau[b]) for a, b in inst.graph.edges]),
+        inst.params,
+        {tau[u]: c for u, c in inst.pinned.items()},
+    )
+    limits = RecursionLimits(max_calls=20_000)
+    try:
+        vec, diag = marginal_vector(inst, v, n, limits)
+        moved, moved_diag = marginal_vector(relabelled, tau[v], n, limits)
+    except PottsError:
+        assume(False)
+    assert diag.termination_events == moved_diag.termination_events == 0
+    assert moved == pytest.approx(vec, rel=0, abs=1e-12)

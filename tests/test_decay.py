@@ -107,10 +107,9 @@ def made(monkeypatch):
 
 def test_children_per_boundary_index_star_leaf(made):
     # Star centre 0 is high-degree at q = 7, so vertex 1's block is {0, 1}
-    # with boundary edges (0, 2) .. (0, 5). Every prefix pattern of the
-    # centre's colour is one colour class, so child i is built once: it
-    # keeps the boundary edges [:i] and pins the centre to the canonical
-    # colour 1.
+    # with boundary edges (0, 2) .. (0, 5). Child i is built once: it keeps
+    # the boundary edges [:i], and its leaf lost its only edge, so its read
+    # region is the leaf alone and the centre's prefix pin is dropped.
     g = generate("star", k=5)
     inst = _inst(g, 7)
     block = minimal_permissive_block(inst, (1,))
@@ -118,7 +117,7 @@ def test_children_per_boundary_index_star_leaf(made):
     bedges = block.boundary_edges
     marginal_vector(inst, 1, 2)
     assert [graph.edges for graph, _, _ in made] == [tuple(bedges[:i]) for i in range(4)]
-    assert [pins for _, _, pins in made] == [{}, {0: 1}, {0: 1}, {0: 1}]
+    assert [pins for _, _, pins in made] == [{}, {}, {}, {}]
     # parent untouched
     assert inst.pinned == {}
     assert g.edges == tuple(sorted((0, k) for k in range(1, 6)))
@@ -127,17 +126,33 @@ def test_children_per_boundary_index_star_leaf(made):
 def test_children_per_boundary_index_keep_parent_pins(made):
     # Path 0-1-2-3 with pin {3: 6}: vertex 1's block is {1}, with boundary
     # edges (1, 0) and (1, 2); edge (2, 3) lies outside it and stays. The
-    # child at (1, 2) keeps (0, 1) and pins vertex 1 once per colour class,
-    # to the held colour 6 and the canonical free colour 1. Every child
+    # child at (1, 2) keeps (0, 1), so vertex 2 cannot reach vertex 1: one
+    # child serves every prefix colour, without vertex 1's pin. Every child
     # keeps the parent's pin.
     g = generate("path", n=4)
     inst = _inst(g, 7, pins={3: 6})
     marginal_vector(inst, 1, 2)
     kept = ((0, 1), (2, 3))
-    assert [graph.edges for graph, _, _ in made] == [((2, 3),), kept, kept]
-    assert [pins for _, _, pins in made] == [{3: 6}, {3: 6, 1: 1}, {3: 6, 1: 6}]
+    assert [graph.edges for graph, _, _ in made] == [((2, 3),), kept]
+    assert [pins for _, _, pins in made] == [{3: 6}, {3: 6}]
     assert inst.pinned == {3: 6}
     assert g.edges == ((0, 1), (1, 2), (2, 3))
+
+
+def test_children_per_boundary_index_keep_readable_prefix_pins(made):
+    # Triangle 0-1-2 with tail (2, 3) and pin {3: 6}, beta = 0: the child at
+    # (1, 2) reaches vertex 1 through 0 at the feasibility cut-off, so it
+    # pins vertex 1 once per colour class, to the canonical free colour 1
+    # and the held colour 6; each such child builds one grandchild at 0.
+    inst = _inst(Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), 7, pins={3: 6})
+    marginal_vector(inst, 1, 1)
+    child = ((0, 1), (0, 2), (2, 3))
+    assert [graph.edges for graph, _, _ in made] == [
+        ((0, 2), (2, 3)), ((2, 3),), child, ((0, 1),), child, ((0, 1),)
+    ]
+    assert [pins for _, _, pins in made] == [
+        {3: 6}, {3: 6}, {3: 6, 1: 1}, {3: 6, 1: 1}, {3: 6, 1: 6}, {3: 6, 1: 6}
+    ]
 
 
 # ------------------------------------------------------- depth and work guards
@@ -262,9 +277,10 @@ def test_max_calls_crossed_on_a_memo_hit():
 
 def test_leaf_children_build_no_instance(monkeypatch):
     # Cycle 0..15 with chords (0, 8) and (4, 12), q = 4, beta 0.5, three pins:
-    # pinned children and depth-exhausted ones are answered in place. The
-    # vector and every counter are those of the schedule that built an
-    # Instance for each of them (38 constructions).
+    # pinned children and depth-exhausted ones are answered in place, and a
+    # child that cannot read a prefix pin serves every prefix colour. The
+    # vector and the naive counters are those of the schedule that built an
+    # Instance for each child (38 constructions).
     g = Graph(16, [(i, (i + 1) % 16) for i in range(16)] + [(0, 8), (4, 12)])
     inst = _inst(g, 4, "0.5", {5: 1, 11: 1, 14: 2})
     made = []
@@ -278,13 +294,13 @@ def test_leaf_children_build_no_instance(monkeypatch):
 
     monkeypatch.setattr(decay, "Instance", Counted)
     vec, diag = marginal_vector(inst, 0, 2)
-    assert len(made) == 21
+    assert len(made) == 6
     assert vec == [
         0.24489795918367346, 0.26530612244897955, 0.24489795918367346, 0.24489795918367346
     ]
     assert (diag.recursive_calls, diag.termination_events, diag.infeasible_events) == (56, 21, 0)
     assert (diag.max_block_size, diag.max_f_size) == (1, 4)
-    assert (diag.evaluations, diag.cache_hits) == (39, 4)
+    assert (diag.evaluations, diag.cache_hits) == (11, 9)
 
 
 @pytest.mark.parametrize("pins, ell", [({1: 2}, 3), ({}, 0)])
