@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-import time
 import traceback
 
 from .blocks import verify_locally_sparse
@@ -88,11 +87,6 @@ def _limits(args):
                 flag = "--" + name.replace("_", "-")
                 raise ParseError(f"{flag} must be >= 1, got {value}")
             setattr(limits, name, value)
-    seconds = getattr(args, "deadline", None)
-    if seconds is not None:
-        if not (math.isfinite(seconds) and seconds > 0):
-            raise ParseError(f"--deadline must be a positive number of seconds, got {seconds}")
-        limits.deadline = time.monotonic() + seconds
     return limits
 
 
@@ -302,11 +296,6 @@ def _add_limit_flags(p):
         "--max-calls",
         type=int,
         help="abort once recursive_calls exceeds this (a memo hit counts its whole subtree)",
-    )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        help="wall-clock limit in seconds on the estimate (exit 4 when it runs out)",
     )
 
 

@@ -336,27 +336,28 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
         g_i = None
         sub_ell = ell - lengths[i]
-        prefix_pos = upos[:i]
-        # The prefix positions whose pin the children of index i can read
-        # (see "Region key" in the module docstring).
-        if not i or pin_i is not None or (params.beta_positive and sub_ell < 0):
-            kept = []  # no prefix, or leaf children (_leaf's rule)
-        elif sub_ell < 0:
-            kept = list(range(i))  # the beta = 0 cut-off keeps the whole prefix
-        else:
+        # The prefix positions whose pin the children of index i can read,
+        # and each node's pattern restricted to them (see "Region key" in
+        # the module docstring). Index 0 has no prefix, and the beta = 0
+        # cut-off keeps the whole prefix.
+        kept_pos = upos[:i]
+        subs = pats
+        if i and pin_i is None and sub_ell >= 0:
             # Every child of index i drops the block's internal edges and
             # the boundary edges at positions >= i.
             g_i = graph.remove_edges([*internal, *bedges[i:]])
             pinned = set(instance.pinned)
-            pinned.update(verts[p] for p in prefix_pos)
+            pinned.update(verts[p] for p in kept_pos)
             region = _read_region(g_i, params, pinned, v_i, sub_ell)
-            kept = [j for j, p in enumerate(prefix_pos) if verts[p] in region]
-        kept_verts = [verts[prefix_pos[j]] for j in kept]
-        if len(kept) == i:
-            subs = pats
-        elif kept:
-            subs = [tuple([pat[j] for j in kept]) for pat in pats]
-        else:
+            kept = [j for j, p in enumerate(kept_pos) if verts[p] in region]
+            if not kept:
+                kept_pos = []
+                subs = [()] * len(pats)
+            elif len(kept) < i:
+                kept_pos = [kept_pos[j] for j in kept]
+                subs = [tuple([pat[j] for j in kept]) for pat in pats]
+        elif i and (pin_i is not None or params.beta_positive):
+            kept_pos = []  # leaf children read only v_i's pin (_leaf's rule)
             subs = [()] * len(pats)
         vectors = []
         memo = {}  # canonical kept pattern -> (vector, calls, terminations, infeasible)
@@ -372,7 +373,8 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
                     if g_i is None:
                         g_i = graph.remove_edges([*internal, *bedges[i:]])
                     pins = dict(instance.pinned)
-                    pins.update(zip(kept_verts, canon))
+                    for j, p in enumerate(kept_pos):
+                        pins[verts[p]] = canon[j]
                     vec = _block_vector(Instance(g_i, params, pins), v_i, sub_ell, diag, limits)
                 memo[canon] = (
                     vec,

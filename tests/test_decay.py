@@ -155,6 +155,19 @@ def test_children_per_boundary_index_keep_readable_prefix_pins(made):
     ]
 
 
+def test_cut_off_children_keep_every_prefix_pin(made):
+    # The path of test_children_per_boundary_index_keep_parent_pins at depth
+    # 0, beta = 0: the child at (1, 2) is a feasibility cut-off. Vertex 2
+    # cannot reach vertex 1 there, yet the cut-off keys on the whole prefix,
+    # so vertex 1 is pinned once per colour class (canonical free colour 1
+    # and the held colour 6).
+    inst = _inst(generate("path", n=4), 7, pins={3: 6})
+    marginal_vector(inst, 1, 0)
+    kept = ((0, 1), (2, 3))
+    assert [graph.edges for graph, _, _ in made] == [((2, 3),), kept, kept]
+    assert [pins for _, _, pins in made] == [{3: 6}, {3: 6, 1: 1}, {3: 6, 1: 6}]
+
+
 # ------------------------------------------------------- depth and work guards
 
 

@@ -210,8 +210,10 @@ def test_region_key_matches_colour_class_key_on_hubs(case):
 
 @settings(max_examples=200, deadline=None)
 @given(_pinned_instance_and_query(min_q=6, betas=["0"], max_ell=2))
-def test_region_key_keeps_every_prefix_pin_at_the_cut_off(case):
+def test_region_key_matches_colour_class_key_near_the_cut_off(case):
     # At q >= 6 and beta = 0 a vertex of degree 2 is low-degree, so two
     # block vertices can share an outside neighbour; at shallow depth that
-    # child is a feasibility cut-off, which reads both their pins.
+    # child is a feasibility cut-off, which reads both their pins. That the
+    # cut-off keeps every prefix position is checked in test_decay.py
+    # (test_cut_off_children_keep_every_prefix_pin).
     _check(case)
