@@ -3,8 +3,8 @@
 Draws batches of growing size from the estimated conditionals and measures
 total variation against the exact Gibbs table (enumerated by brute force).
 The sampler keys one Philox stream per sample index, so the small batches
-are literal prefixes of the large ones and the thread count changes nothing;
-both facts are checked at the bottom instead of just claimed.
+are literal prefixes of the large ones; that is checked at the bottom
+instead of just claimed.
 """
 
 from pottsdecay import (
@@ -49,10 +49,8 @@ def main():
 
     big = sample_batch(tri, 4, 64, seed=42)
     small = sample_batch(tri, 4, 16, seed=42)
-    threaded = sample_batch(tri, 4, 64, seed=42, threads=4)
     assert big.configurations[:16] == small.configurations
-    assert threaded.configurations == big.configurations
-    print("prefix stability and thread independence: checked")
+    print("prefix stability: checked")
 
 
 if __name__ == "__main__":

@@ -224,7 +224,7 @@ def verify_locally_sparse(
     self-avoiding walk of length 0..l_max from every vertex (BudgetError past
     walk_budget walks; switch to sampled mode for large graphs). Sampled mode
     grows `trials` (at least 1) random self-avoiding walks from a Philox
-    stream keyed by the seed.
+    stream keyed by the seed, so it needs at least one vertex to start from.
     """
     if l_max < 0:
         raise ParseError(f"l_max must be >= 0, got {l_max}")
@@ -233,6 +233,8 @@ def verify_locally_sparse(
     if mode == "sampled":
         if trials < 1:
             raise ParseError(f"trials must be >= 1 in sampled mode, got {trials}")
+        if graph.n == 0:
+            raise ParseError("sampled mode needs a graph with at least one vertex")
         _check_seed(seed)
     bare = Instance(graph, params, {})
     budget = graph.n  # closures may legitimately swallow the whole graph

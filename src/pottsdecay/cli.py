@@ -13,7 +13,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 import traceback
 
@@ -78,14 +77,19 @@ def _depth_for(args, n):
     return default_depth(n, coeff)
 
 
+def _at_least_one(args, name):
+    value = getattr(args, name, None)
+    if value is not None and value < 1:
+        flag = "--" + name.replace("_", "-")
+        raise ParseError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _limits(args):
     limits = RecursionLimits()
     for name in ("block_budget", "config_budget", "max_calls"):
-        value = getattr(args, name, None)
+        value = _at_least_one(args, name)
         if value is not None:
-            if value < 1:
-                flag = "--" + name.replace("_", "-")
-                raise ParseError(f"{flag} must be >= 1, got {value}")
             setattr(limits, name, value)
     return limits
 
@@ -102,8 +106,9 @@ def cmd_gen(args):
 
 
 def cmd_exact(args):
+    budget = _at_least_one(args, "budget")
     instance = _load_instance(args)
-    z = exact_partition(instance, budget=args.budget)
+    z = exact_partition(instance, budget=budget)
     report = {
         "q": instance.params.q,
         "beta": float(instance.params.beta),
@@ -116,7 +121,7 @@ def cmd_exact(args):
     if args.marginals:
         marginals = []
         for v in instance.unpinned():
-            vec = exact_marginal_vector(instance, v, budget=args.budget)
+            vec = exact_marginal_vector(instance, v, budget=budget)
             marginals.append({"vertex": v, "p": vec})
         report["marginals"] = marginals
     if args.tsv:
@@ -178,7 +183,6 @@ def cmd_sample(args):
         depth,
         args.samples,
         args.seed,
-        threads=args.threads,
         limits=_limits(args),
     )
     n = instance.graph.n
@@ -200,9 +204,10 @@ def cmd_sample(args):
 
 
 def cmd_verify_contraction(args):
+    budget = _at_least_one(args, "budget")
     instance = _load_instance(args)
     report = verify_contraction(
-        instance.graph, instance.params, args.lmax, extension_budget=args.budget
+        instance.graph, instance.params, args.lmax, extension_budget=budget
     )
     _emit(report)
     return 0
@@ -304,12 +309,6 @@ def build_parser():
         prog="pottsdecay",
         description="Correlation-decay marginals, partition functions, and "
         "samplers for the anti-ferromagnetic Potts model on sparse graphs.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker cap for parallel batches (results are thread-count independent)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

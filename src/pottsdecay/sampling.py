@@ -24,8 +24,6 @@ order. The cache lives for one sample_batch call.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +48,7 @@ class SampleBatch:
     conditionals_evaluated counts the conditionals the batch computed (the
     cache's misses); termination_events sums the depth terminations of every
     drawn conditional, cache hits included, so it does not depend on the
-    cache, and 0 certifies that every conditional was exact. Neither depends
-    on the thread count: a miss is computed under the batch's lock, once.
+    cache, and 0 certifies that every conditional was exact.
     """
 
     configurations: list = field(default_factory=list)
@@ -69,58 +66,6 @@ def _rng_for(seed, index):
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
-class _ReachCache:
-    """The conditionals of one sample_batch call, keyed by reach.
-
-    steps lists (v, the pinned vertices of v's read region, ascending) in
-    sampling order. entries[v] maps a pattern of colours on those vertices
-    to (v's conditional vector, its termination events). Only canonical
-    patterns are computed, on an instance pinned on the region alone; any
-    other pattern is read back from its canonical one through the colour
-    permutation and stored under its own key, so a repeated pattern costs
-    one lookup. A computation holds the lock, so each canonical pattern is
-    computed once whatever the thread count.
-    """
-
-    def __init__(self, instance, depth, limits):
-        self.instance = instance
-        self.depth = depth
-        self.limits = limits
-        self.colours = range(1, instance.params.q + 1)
-        # bytes keys keep the batch's keys out of CPython's small-tuple free
-        # lists, which grow peak memory; a colour fits in a byte if q < 256.
-        self.key = bytes if instance.params.q < 256 else tuple
-        self.lock = threading.Lock()
-        self.steps = _region_steps(instance, instance.unpinned(), depth)
-        self.entries = {v: {} for v, _ in self.steps}
-
-    def conditional(self, v, region_pins, colors):
-        """v's conditional vector given the sampled colors, its termination
-        events, and whether this request computed it."""
-        pat = [colors[x] for x in region_pins]
-        entries = self.entries[v]
-        key = self.key(pat)
-        entry = entries.get(key)
-        if entry is not None:
-            return entry[0], entry[1], False
-        canon, moves = _canonical(pat, (), self.colours)
-        canon_key = self.key(canon)
-        entry = entries.get(canon_key)
-        missed = False
-        if entry is None:
-            with self.lock:
-                entry = entries.get(canon_key)
-                if entry is None:
-                    pins = dict(zip(region_pins, canon))
-                    step = Instance(self.instance.graph, self.instance.params, pins)
-                    vec, diag = marginal_distribution(step, v, self.depth, limits=self.limits)
-                    entry = entries[canon_key] = (vec, diag.termination_events)
-                    missed = True
-        if moves:
-            entry = entries[key] = (_permute(entry[0], moves), entry[1])
-        return entry[0], entry[1], missed
-
-
 def _draw(vec, rng):
     r = float(rng.random())
     acc = 0.0
@@ -136,56 +81,66 @@ def _draw(vec, rng):
     return last_positive + 1
 
 
-def _sample_one(cache, rng):
-    """One configuration, its log proposal, misses and termination events."""
-    instance = cache.instance
-    colors = dict(instance.pinned)
-    logp = 0.0
-    evaluated = terminations = 0
-    for v, region_pins in cache.steps:
-        vec, events, missed = cache.conditional(v, region_pins, colors)
-        c = _draw(vec, rng)
-        logp += math.log(vec[c - 1])
-        colors[v] = c
-        evaluated += missed
-        terminations += events
-    cfg = Configuration(colors)
-    if instance.params.beta == 0 and weight(instance, cfg) <= 0.0:
-        raise InfeasibleError("sampler produced an improper coloring")
-    return cfg, logp, evaluated, terminations
-
-
 def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
     """Draw n_samples configurations with per-sample Philox streams.
 
     Sample i uses the stream keyed by (seed, i), so results are independent
-    of batch splitting and of the thread count. seed must lie in
-    [0, 2**64): the stream key is seed * 2**64 + i, below Philox's 2**128.
+    of batch splitting. seed must lie in [0, 2**64): the stream key is
+    seed * 2**64 + i, below Philox's 2**128. Each conditional depends on
+    every earlier draw, so the sampler runs on one thread; `threads` accepts
+    only 1 and goes with ROADMAP item 1's "Pass no `threads=`" bullet.
     """
+    if threads != 1:
+        raise ParseError(f"sample_batch runs on one thread, got threads={threads!r}")
     if instance.params.q < 3:
         raise ParseError("the estimator needs q >= 3")
     if n_samples < 1:
         raise ParseError("n_samples must be >= 1")
     _check_seed(seed, bits=64)
     depth = _depth(L)
-    cache = _ReachCache(instance, depth, limits or RecursionLimits())
-
-    def one(i):
-        return _sample_one(cache, _rng_for(seed, i))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_samples)))
-    else:
-        results = [one(i) for i in range(n_samples)]
-    return SampleBatch(
-        configurations=[r[0] for r in results],
-        seed=seed,
-        depth=depth,
-        log_proposals=[r[1] for r in results],
-        conditionals_evaluated=sum(r[2] for r in results),
-        termination_events=sum(r[3] for r in results),
-    )
+    limits = limits or RecursionLimits()
+    colours = range(1, instance.params.q + 1)
+    # bytes keys keep the batch's keys out of CPython's small-tuple free
+    # lists, which grow peak memory; a colour fits in a byte if q < 256.
+    key = bytes if instance.params.q < 256 else tuple
+    # steps lists (v, the pinned vertices of v's read region, ascending) in
+    # sampling order; entries[v] maps a pattern of colours on those vertices
+    # to (v's conditional vector, its termination events).
+    steps = _region_steps(instance, instance.unpinned(), depth)
+    entries = {v: {} for v, _ in steps}
+    batch = SampleBatch(seed=seed, depth=depth)
+    for i in range(n_samples):
+        rng = _rng_for(seed, i)
+        colors = dict(instance.pinned)
+        logp = 0.0
+        for v, region_pins in steps:
+            pat = [colors[x] for x in region_pins]
+            known = entries[v]
+            pat_key = key(pat)
+            entry = known.get(pat_key)
+            if entry is None:
+                canon, moves = _canonical(pat, (), colours)
+                canon_key = key(canon)
+                entry = known.get(canon_key)
+                if entry is None:
+                    pins = dict(zip(region_pins, canon))
+                    step = Instance(instance.graph, instance.params, pins)
+                    vec, diag = marginal_distribution(step, v, depth, limits=limits)
+                    entry = known[canon_key] = (vec, diag.termination_events)
+                    batch.conditionals_evaluated += 1
+                if moves:
+                    entry = known[pat_key] = (_permute(entry[0], moves), entry[1])
+            vec, events = entry
+            c = _draw(vec, rng)
+            logp += math.log(vec[c - 1])
+            colors[v] = c
+            batch.termination_events += events
+        cfg = Configuration(colors)
+        if instance.params.beta == 0 and weight(instance, cfg) <= 0.0:
+            raise InfeasibleError("sampler produced an improper coloring")
+        batch.configurations.append(cfg)
+        batch.log_proposals.append(logp)
+    return batch
 
 
 def empirical_tv(batch, instance, budget=10**6):

@@ -284,11 +284,19 @@ def test_sample_deterministic(edge_file, capsys):
         "--depth",
         "4",
     ]
-    run(argv)
+    assert run(argv) == 0
     first = capsys.readouterr().out
-    run(["--threads", "3"] + argv)
+    assert run(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_threads_flag_is_gone(edge_file, capsys):
+    argv = ["sample", "--q", "3", "--instance", edge_file, "--samples", "2", "--seed", "1"]
+    code = run(["--threads", "3"] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage:" in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------------- verifiers
@@ -439,6 +447,32 @@ def test_verify_gnp_bad_trials_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "trials must be >= 1" in err and "Traceback" not in err
+
+
+def test_verify_sparse_sampled_empty_graph_exits_2(tmp_path, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text("graph 0\n")
+    argv = ["verify-sparse", "--q", "5", "--lmax", "2", "--mode", "sampled"]
+    code = run(argv + ["--instance", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "at least one vertex" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--q", "3"],
+        ["verify-contraction", "--q", "3", "--lmax", "2"],
+    ],
+    ids=["exact", "verify-contraction"],
+)
+def test_bad_budget_exits_2(argv, value, edge_file, capsys):
+    code = run(argv + ["--instance", edge_file, "--budget", value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"--budget must be >= 1, got {value}" in err and "Traceback" not in err
 
 
 def test_model_flags_agree_across_subcommands():

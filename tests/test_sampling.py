@@ -62,16 +62,6 @@ def test_per_sample_streams_prefix_stable():
     ]
 
 
-def test_thread_count_does_not_change_results():
-    inst = _triangle()
-    serial = sample_batch(inst, 6, 50, seed=7)
-    threaded = sample_batch(inst, 6, 50, seed=7, threads=4)
-    assert [_as_tuple(c, 3) for c in serial.configurations] == [
-        _as_tuple(c, 3) for c in threaded.configurations
-    ]
-    assert serial.log_proposals == threaded.log_proposals
-
-
 # ----------------------------------------------------------- reach cache
 
 
@@ -111,7 +101,9 @@ REACH_CASES = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 4])
+# threads=1 is the keyword's one accepted value, passed as the benchmark
+# workload passes it; the parameter goes when sample_batch drops the keyword.
+@pytest.mark.parametrize("threads", [1])
 @pytest.mark.parametrize("case", sorted(REACH_CASES))
 def test_reach_cache_matches_uncached_schedule(case, threads):
     g, params, pins, depth = REACH_CASES[case]
@@ -132,9 +124,6 @@ def test_conditionals_evaluated_on_cycle40():
     batch = sample_batch(inst, 4, 5, seed=1)
     assert batch.conditionals_evaluated == 43
     assert batch.termination_events == 885
-    threaded = sample_batch(inst, 4, 5, seed=1, threads=4)
-    assert threaded.conditionals_evaluated == 43
-    assert threaded.termination_events == 885
 
 
 # ------------------------------------------------------------------ validity
@@ -178,6 +167,11 @@ def test_sampler_validation():
     assert len(sample_batch(inst, 6, 2, seed=2**64 - 1)) == 2
     with pytest.raises(ParseError, match="q >= 3"):
         sample_batch(Instance(generate("path", n=2), PottsParams(2, "0.5"), {}), 4, 1, 1)
+
+
+def test_sampler_rejects_threads_other_than_one():
+    with pytest.raises(ParseError, match="runs on one thread"):
+        sample_batch(_triangle(), 6, 2, seed=1, threads=2)
 
 
 def test_sampler_infeasible_instance():
