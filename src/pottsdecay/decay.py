@@ -96,6 +96,16 @@ records. The memo counters, and the partial diagnostics of a max_calls
 abort, may differ from the whole-prefix key's: a hit adds its whole
 subtree before the limit check, and the region key hits more often. A cap
 still aborts exactly when the schedule without the memo would.
+
+Singleton blocks. When every vertex is low-degree, as in the paper's FPTAS
+regime q > 3(1-beta)Delta + 1, every block is its anchor alone. Such a
+block has no internal edge, every boundary edge starts at the anchor (block
+position 0), and every escape path is the one hop out (length 1), so
+_block_terms takes those values directly instead of running escape_paths,
+induced_edges and a position map; they are exactly what the general code
+computes, so nothing moves. The guard compares the block with (anchor,),
+so an anchor outside the block still reaches escape_paths' error. At
+beta > 0, feasible_tuples serves a one-vertex block from a per-q palette.
 """
 
 from __future__ import annotations
@@ -156,6 +166,8 @@ class MargDiagnostics:
 
 def default_depth(n, coeff=3.0):
     """Default root depth ceil(coeff * ln n), at least 1."""
+    if not math.isfinite(coeff):
+        raise ParseError(f"depth coefficient must be finite, got {coeff!r}")
     return max(1, math.ceil(coeff * math.log(max(n, 2))))
 
 
@@ -316,11 +328,17 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     held = set(instance.pinned.values())
     free = [c for c in range(1, q1) if c not in held]
     verts = block.vertices
-    pos = {u: i for i, u in enumerate(verts)}
     bedges = block.boundary_edges
-    internal = graph.induced_edges(verts)
-    upos = [pos[u] for u, _ in bedges]
-    lengths = escape_paths(graph, block, anchor)
+    if verts == (anchor,):
+        # What the general path computes for a singleton block.
+        internal = ()
+        upos = [0] * len(bedges)
+        lengths = [1] * len(bedges)
+    else:
+        pos = {u: i for i, u in enumerate(verts)}
+        internal = graph.induced_edges(verts)
+        upos = [pos[u] for u, _ in bedges]
+        lengths = escape_paths(graph, block, anchor)
 
     terms = [0.0] * len(F)
     if params.beta_positive and internal:
@@ -579,7 +597,13 @@ def _region_steps(instance, order, depth):
 def _common_checks(instance, v):
     if instance.params.q < 3:
         raise ParseError("the estimator needs q >= 3")
-    if not (0 <= v < instance.graph.n):
+    _check_vertex(instance.graph, v)
+
+
+def _check_vertex(graph, v):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError(f"vertex must be an integer, got {v!r}")
+    if not (0 <= v < graph.n):
         raise ParseError(f"vertex {v} out of range")
 
 
@@ -634,6 +658,7 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
     verts = block.vertices
     if anchor is None:
         anchor = verts[0]
+    _check_vertex(instance.graph, anchor)
     pi = Configuration(pi)
     missing = [u for u in verts if u not in pi]
     if missing:
@@ -669,6 +694,7 @@ def error_bound(graph, v, L, params, alpha, prefactor="conservative"):
     prefactor: q + n*ln(1/beta) by default (prefactor="degree" uses the
     vertex degree instead of n), or n*ln(q) when beta = 0.
     """
+    _check_vertex(graph, v)
     if L < 1:
         raise ParseError("depth L must be >= 1")
     if not 0.0 < alpha < 1.0:

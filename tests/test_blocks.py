@@ -157,6 +157,17 @@ def test_feasible_tuples_beta_positive_includes_monochromatic():
     assert (1, 1) in F
 
 
+def test_feasible_tuples_beta_positive_singleton_is_a_fresh_list():
+    inst = Instance(generate_path(3), PottsParams(4, "0.5"))
+    F = feasible_tuples(inst, (1,), 100)
+    assert F == [(1,), (2,), (3,), (4,)]
+    F.append((9,))
+    F[0] = (7,)
+    assert feasible_tuples(inst, (1,), 100) == [(1,), (2,), (3,), (4,)]
+    with pytest.raises(BudgetError):
+        feasible_tuples(inst, (1,), 3)
+
+
 def test_feasible_tuples_config_budget():
     inst = Instance(generate_complete(8), PottsParams(5, "0.5"))
     with pytest.raises(BudgetError):

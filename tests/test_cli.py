@@ -547,6 +547,22 @@ def test_bad_limit_flags_exit_2(command, flag, value, edge_file, capsys):
     assert flag in err and "Traceback" not in err
 
 
+# test_bad_limit_flags_exit_2 passes --depth, which excludes --depth-coeff;
+# argparse reads "-inf" as a flag, so default_depth's test covers it.
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["marginal", "partition", "sample"])
+def test_non_finite_depth_coeff_exits_2(command, value, edge_file, capsys):
+    argv = [command, "--q", "3", "--instance", edge_file, "--depth-coeff", value]
+    if command == "marginal":
+        argv += ["--vertex", "0"]
+    elif command == "sample":
+        argv += ["--samples", "1", "--seed", "1"]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "depth coefficient must be finite" in err and "Traceback" not in err
+
+
 def test_stack_overflow_exits_4(capsys, tmp_path):
     run(["gen", "--family", "path", "--n", "1200"])
     f = tmp_path / "p1200.txt"

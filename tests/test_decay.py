@@ -177,6 +177,9 @@ def test_depth_budget_for_graph():
     assert default_depth(1) >= 1
     assert default_depth(2, coeff=0.01) == 1
     assert default_depth(50, coeff=5.0) == math.ceil(5 * math.log(50))
+    for coeff in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParseError, match="depth coefficient must be finite"):
+            default_depth(50, coeff)
 
 
 def test_depth_argument_forms():
@@ -358,6 +361,18 @@ def test_scalar_validation():
             marg_coloring(inst, 0, color, 4)
     with pytest.raises(ParseError, match="color"):
         marg(_inst(g, 7, "0.5"), 0, 9, 4)
+
+
+@pytest.mark.parametrize("v", [1.5, True, "0", None])
+def test_vertex_must_be_an_int(v):
+    # True == 1 would silently answer for vertex 1; 1.5 reached a list index.
+    inst = _inst(generate("cycle", n=6), 4)
+    with pytest.raises(ParseError, match="vertex must be an integer"):
+        marginal_vector(inst, v, 2)
+    with pytest.raises(ParseError, match="vertex must be an integer"):
+        marg_coloring(inst, v, 1, 2)
+    with pytest.raises(ParseError, match="vertex must be an integer"):
+        decay.read_region(inst, v, 2)
 
 
 # ----------------------------------------------------------- recursion values
@@ -553,6 +568,34 @@ def test_marg_block_default_anchor_is_lowest_vertex():
     )
 
 
+def test_marg_block_singleton_anchor_must_be_inside():
+    inst = _inst(generate("cycle", n=6), 4, "0.5")
+    block = minimal_permissive_block(inst, (0,))
+    assert block.vertices == (0,)
+    with pytest.raises(ParseError, match="anchor 3 is not in the block"):
+        marg_block(inst, block, {0: 1}, 2, anchor=3)
+    for anchor in (0.0, True):
+        with pytest.raises(ParseError, match="vertex must be an integer"):
+            marg_block(inst, block, {0: 1}, 2, anchor=anchor)
+
+
+@pytest.mark.parametrize("beta", ["0", "0.5"])
+def test_singleton_blocks_skip_escape_walk(beta, monkeypatch):
+    # On a cycle at q = 6 every block is one vertex, so no node walks
+    # escape paths or scans internal edges, and the answer is unchanged.
+    inst = _inst(generate("cycle", n=9), 6, beta, {4: 2})
+    want = marginal_vector(inst, 0, 6)
+
+    def forbidden(*args):
+        raise AssertionError("called for a singleton block")
+
+    monkeypatch.setattr(decay, "escape_paths", forbidden)
+    monkeypatch.setattr(Graph, "induced_edges", forbidden)
+    vec, diag = marginal_vector(inst, 0, 6)
+    assert diag.max_block_size == 1
+    assert (vec, diag) == want
+
+
 def test_marg_block_probabilities_sum_to_one():
     g = generate("star", k=3)
     inst = _inst(g, 5)
@@ -576,6 +619,12 @@ def test_error_bound_validation():
             error_bound(g, 0, 2, params, alpha)
     with pytest.raises(ParseError, match="prefactor"):
         error_bound(g, 0, 2, params, 0.5, prefactor="optimistic")
+    for v in (5, 99, -1):
+        with pytest.raises(ParseError, match="out of range"):
+            error_bound(g, v, 2, params, 0.5)
+    for v in (1.5, True):
+        with pytest.raises(ParseError, match="vertex must be an integer"):
+            error_bound(g, v, 2, params, 0.5)
 
 
 def test_error_bound_matches_profile_tail():

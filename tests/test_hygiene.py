@@ -2,8 +2,9 @@
 package module raises a bare ValueError (a PottsError subclass carries the
 CLI's exit code), no package function calls itself by name (a walk that
 recurses once per step fails on long walks with a bare RecursionError), the
-CLI schemas list every MargDiagnostics counter, and `pottsdecay.__all__` is
-exactly, and only, what `__init__.py` imports.
+CLI schemas list every MargDiagnostics counter, `pottsdecay.__all__` is
+exactly, and only, what `__init__.py` imports, and every package attribute
+the benchmark's tracer (`perfbench/tracing.py`) patches exists.
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -16,9 +17,10 @@ from pathlib import Path
 import pytest
 
 import pottsdecay
-from pottsdecay import MargDiagnostics
+from pottsdecay import MargDiagnostics, counting, decay, graph, sampling
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pottsdecay"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pottsdecay"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -152,3 +154,45 @@ def test_all_names_importable():
     namespace = {}
     exec("from pottsdecay import *", namespace)
     assert all(name in namespace for name in pottsdecay.__all__)
+
+
+def _patch_points(source):
+    """(owner, attribute) of every self._patch(owner, "attr", ...) call."""
+    return [
+        (ast.unparse(node.args[0]), node.args[1].value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_patch"
+        and isinstance(node.args[1], ast.Constant)
+    ]
+
+
+def test_checker_finds_patch_points():
+    source = (
+        "def install(self):\n"
+        "    self._patch(graph.Graph, 'remove_edges', 'graph.remove_edges', copied)\n"
+        "    self._patch(decay, 'Instance', 'model.instance')\n"
+        "    self._wrap('x', f)\n"
+    )
+    assert _patch_points(source) == [("graph.Graph", "remove_edges"), ("decay", "Instance")]
+
+
+PATCH_OWNERS = {
+    "graph.Graph": graph.Graph,
+    "decay": decay,
+    "counting": counting,
+    "sampling": sampling,
+}
+
+
+def test_tracer_patch_points_exist():
+    # A refactor that drops a patched name breaks the traced benchmark run.
+    points = _patch_points((ROOT / "perfbench" / "tracing.py").read_text())
+    assert points
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attr in points
+        if owner not in PATCH_OWNERS or not hasattr(PATCH_OWNERS[owner], attr)
+    ]
+    assert not missing, f"tracer patches names the package lacks: {missing}"
