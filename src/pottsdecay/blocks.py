@@ -14,7 +14,6 @@ own stack, so l_max is not bounded by Python's recursion limit.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
@@ -178,17 +177,10 @@ def _backtrack_proper(instance, verts, config_budget, first_only=False):
     return out
 
 
-@lru_cache(maxsize=8)
-def _palette(q):
-    """The 1-tuples (1,), ..., (q,): a one-vertex block's configurations at beta > 0."""
-    return tuple((c,) for c in range(1, q + 1))
-
-
 def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
     """Feasible block configurations as color tuples aligned with sorted verts.
 
-    beta > 0: every configuration in [q]^B, lexicographic; a one-vertex
-    block's list is a fresh copy of a per-q cached palette. beta = 0: proper
+    beta > 0: every configuration in [q]^B, lexicographic. beta = 0: proper
     colorings of the induced subgraph that avoid all pinned neighbor colors.
     """
     verts = tuple(sorted(verts))
@@ -199,8 +191,6 @@ def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
                 f"feasible-configuration budget {config_budget} exceeded: "
                 f"q^|B| = {q}^{len(verts)}"
             )
-        if len(verts) == 1:
-            return list(_palette(q))
         return list(itertools.product(range(1, q + 1), repeat=len(verts)))
     return _backtrack_proper(instance, verts, config_budget)
 

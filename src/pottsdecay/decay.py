@@ -98,14 +98,37 @@ subtree before the limit check, and the region key hits more often. A cap
 still aborts exactly when the schedule without the memo would.
 
 Singleton blocks. When every vertex is low-degree, as in the paper's FPTAS
-regime q > 3(1-beta)Delta + 1, every block is its anchor alone. Such a
-block has no internal edge, every boundary edge starts at the anchor (block
-position 0), and every escape path is the one hop out (length 1), so
-_block_terms takes those values directly instead of running escape_paths,
-induced_edges and a position map; they are exactly what the general code
-computes, so nothing moves. The guard compares the block with (anchor,),
-so an anchor outside the block still reaches escape_paths' error. At
-beta > 0, feasible_tuples serves a one-vertex block from a per-q palette.
+regime q > 3(1-beta)Delta + 1, every block is its anchor alone: v's block
+is {v} exactly when every unpinned neighbour of v is low-degree. Such a
+block has no internal edge, its boundary edges run to v's neighbours w_0 <
+w_1 < ..., every escape path has length 1, and F is the palette (beta > 0)
+or the palette minus the colours of v's pinned neighbours (beta = 0). The
+prefix pattern of colour c at index i >= 1 is (c,)*i, and index i's
+children either cannot read v's pin, so one vector serves every c, or read
+it, so each held colour is its own class and every other colour maps to
+free[0]: that is _canonical((c,)*i), read back through the swap of c and
+free[0]. _singleton_vector, which _block_vector tries first, evaluates such
+a node from these facts alone, without minimal_permissive_block, the Block,
+feasible_tuples, the prefix trie, _canonical or the by_color combine. It
+makes the same children in the same order through the same memo
+bookkeeping (_memo_child), and takes the same logs, sums and caps, so no
+float and no counter moves; it raises the same errors, and leaves a node
+whose block or configuration budget is too small to the general path,
+which raises that BudgetError. The gate: it serves beta > 0, and beta = 0
+only at ell >= 1. A beta = 0 node at ell <= 0 is a feasibility cut-off or
+has cut-off children, which keep the whole-prefix key (see "Region key"),
+so it stays on the general path. Every node of perfbench's partition-cycle
+workload is served, and that workload runs about 1.5x faster; none of
+marginal-gnp2000's is (all its nodes are at ell <= 0). Without the gate
+(ell < 0 in its place) the cut-off children take the region key:
+marginal-gnp2000 ran about 2.1x faster but with 11% more peak RSS (one
+10 s run each), which is again run.py's per-op record, and criterion 9's
+L = 6 took 8.6 s against 13.8 s on a 2-vCPU VM. Dropping the gate waits
+for run.py's fix (ROADMAP item 1). Behind the gate, a beta = 0 singleton at ell <= 0 runs
+_block_terms, which takes the singleton's positions and escape lengths
+directly instead of running escape_paths, induced_edges and a position
+map; that guard compares the block with (anchor,), so an anchor outside
+the block (marg_block) still reaches escape_paths' error.
 """
 
 from __future__ import annotations
@@ -312,6 +335,36 @@ def _permute(vec, moves):
     return out
 
 
+def _memo_child(memo, key, evaluate, diag, limits):
+    """The child vector memoised under key; evaluate(key) computes it on a miss.
+
+    A miss stores the vector with the calls, terminations and infeasible
+    events its subtree counted. A hit adds those counts again, counts a
+    cache hit and checks the limits, so the counters and a max_calls abort
+    keep the values of the schedule without the memo.
+    """
+    hit = memo.get(key)
+    if hit is None:
+        calls = diag.recursive_calls
+        terminations = diag.termination_events
+        infeasible = diag.infeasible_events
+        vec = evaluate(key)
+        memo[key] = (
+            vec,
+            diag.recursive_calls - calls,
+            diag.termination_events - terminations,
+            diag.infeasible_events - infeasible,
+        )
+        return vec
+    vec, calls, terminations, infeasible = hit
+    diag.recursive_calls += calls
+    diag.termination_events += terminations
+    diag.infeasible_events += infeasible
+    diag.cache_hits += 1
+    _check_limits(diag, limits)
+    return vec
+
+
 def _block_terms(instance, block, F, anchor, ell, diag, limits):
     """Log-weight of every feasible block configuration, in F's order.
 
@@ -352,8 +405,12 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     pats = [()]  # each node's prefix pattern, in first-appearance order; F is not empty
     for i, (_, v_i) in enumerate(bedges):
         pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
-        g_i = None
         sub_ell = ell - lengths[i]
+        g_i = None
+        if pin_i is None and not (params.beta_positive and sub_ell < 0):  # not a leaf
+            # Every child of index i drops the block's internal edges and
+            # the boundary edges at positions >= i.
+            g_i = graph.remove_edges([*internal, *bedges[i:]])
         # The prefix positions whose pin the children of index i can read,
         # and each node's pattern restricted to them (see "Region key" in
         # the module docstring). Index 0 has no prefix, and the beta = 0
@@ -361,9 +418,6 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         kept_pos = upos[:i]
         subs = pats
         if i and pin_i is None and sub_ell >= 0:
-            # Every child of index i drops the block's internal edges and
-            # the boundary edges at positions >= i.
-            g_i = graph.remove_edges([*internal, *bedges[i:]])
             pinned = set(instance.pinned)
             pinned.update(verts[p] for p in kept_pos)
             region = _read_region(g_i, params, pinned, v_i, sub_ell)
@@ -377,37 +431,21 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         elif i and (pin_i is not None or params.beta_positive):
             kept_pos = []  # leaf children read only v_i's pin (_leaf's rule)
             subs = [()] * len(pats)
+
+        def evaluate(canon):
+            vec = _leaf(params, pin_i, sub_ell, diag, limits)
+            if vec is None:
+                pins = dict(instance.pinned)
+                for j, p in enumerate(kept_pos):
+                    pins[verts[p]] = canon[j]
+                vec = _block_vector(Instance(g_i, params, pins), v_i, sub_ell, diag, limits)
+            return vec
+
         vectors = []
-        memo = {}  # canonical kept pattern -> (vector, calls, terminations, infeasible)
+        memo = {}
         for sub in subs:
             canon, moves = _canonical(sub, held, free) if free and sub else (sub, ())
-            hit = memo.get(canon)
-            if hit is None:
-                calls = diag.recursive_calls
-                terminations = diag.termination_events
-                infeasible = diag.infeasible_events
-                vec = _leaf(params, pin_i, sub_ell, diag, limits)
-                if vec is None:
-                    if g_i is None:
-                        g_i = graph.remove_edges([*internal, *bedges[i:]])
-                    pins = dict(instance.pinned)
-                    for j, p in enumerate(kept_pos):
-                        pins[verts[p]] = canon[j]
-                    vec = _block_vector(Instance(g_i, params, pins), v_i, sub_ell, diag, limits)
-                memo[canon] = (
-                    vec,
-                    diag.recursive_calls - calls,
-                    diag.termination_events - terminations,
-                    diag.infeasible_events - infeasible,
-                )
-            else:
-                vec, calls, terminations, infeasible = hit
-                diag.recursive_calls += calls
-                diag.termination_events += terminations
-                diag.infeasible_events += infeasible
-                diag.cache_hits += 1
-                _check_limits(diag, limits)
-            vectors.append(_permute(vec, moves))
+            vectors.append(_permute(_memo_child(memo, canon, evaluate, diag, limits), moves))
 
         # Level i+1: one node, and one log factor, per (parent node, spin),
         # numbered in first-appearance order.
@@ -453,8 +491,103 @@ def _leaf(params, pin, ell, diag, limits):
     return None
 
 
+def _singleton_vector(instance, v, ell, diag, limits):
+    """_block_vector at a node whose block is v alone; None for any other node.
+
+    Serves beta > 0, or beta = 0 at ell >= 1, and returns None, before
+    counting anything, when an unpinned neighbour of v is high-degree or a
+    block or configuration budget would be exceeded. See "Singleton blocks"
+    in the module docstring.
+    """
+    params = instance.params
+    beta_positive = params.beta_positive
+    if not beta_positive and ell < 1:
+        return None
+    graph = instance.graph
+    pinned = instance.pinned
+    adj = graph.adjacency
+    nbrs = adj[v]
+    max_low = params.max_low_degree
+    banned = set()
+    for w in nbrs:
+        c = pinned.get(w)
+        if c is None:
+            if len(adj[w]) > max_low:
+                return None
+        elif not beta_positive:
+            banned.add(c)
+    q = params.q
+    F = [c for c in range(1, q + 1) if c not in banned]
+    if limits.block_budget < 1 or len(F) > limits.config_budget:
+        return None
+    if diag.max_block_size < 1:
+        diag.max_block_size = 1
+    if len(F) > diag.max_f_size:
+        diag.max_f_size = len(F)
+    if not F:
+        raise InfeasibleError(f"no feasible block configuration around vertex {v}")
+
+    held = set(pinned.values())
+    free0 = None
+    for c in range(1, q + 1):
+        if c not in held:
+            free0 = c
+            break
+    one_minus = 1.0 - params.beta_float
+    sub_ell = ell - 1
+    bedges = [(v, w) for w in nbrs]
+    pinned_v = None
+    terms = [0.0] * len(F)
+    for i, w in enumerate(nbrs):
+        pin_w = pinned.get(w)
+        g = None
+        keyed = False  # do the children of index i read v's pin?
+        if pin_w is None and not (beta_positive and sub_ell < 0):  # not a leaf
+            g = graph.remove_edges(bedges[i:])
+            if i:
+                if pinned_v is None:
+                    pinned_v = {*pinned, v}
+                keyed = v in _read_region(g, params, pinned_v, w, sub_ell)
+
+        def evaluate(c):
+            vec = _leaf(params, pin_w, sub_ell, diag, limits)
+            if vec is None:
+                pins = dict(pinned)
+                if c:
+                    pins[v] = c
+                vec = _block_vector(Instance(g, params, pins), w, sub_ell, diag, limits)
+            return vec
+
+        memo = {}
+        for k, c in enumerate(F):
+            x = c if not keyed or c in held else free0
+            if i or not k:  # index 0 has one prefix, (), so one child
+                vec = _memo_child(memo, x if keyed else 0, evaluate, diag, limits)
+            factor = 1.0 - one_minus * vec[x - 1]
+            terms[k] += math.log(factor) if factor > 0.0 else -math.inf
+
+    den = _logsumexp(terms)
+    if den == -math.inf:
+        raise InfeasibleError(
+            f"block recursion denominator vanished at vertex {v} "
+            "(every feasible configuration annihilated)"
+        )
+    cap = params.marginal_upper_bound(len(nbrs))
+    out = [0.0] * q
+    for c, t in zip(F, terms):
+        if t != -math.inf:
+            out[c - 1] = min(math.exp(t - den), cap)
+    return out
+
+
 def _block_vector(instance, v, ell, diag, limits):
-    """Full per-color estimate vector at v, for a call _leaf counted as no leaf."""
+    """Full per-color estimate vector at v, for a call _leaf counted as no leaf.
+
+    A node whose block is v alone goes to _singleton_vector first.
+    """
+    out = _singleton_vector(instance, v, ell, diag, limits)
+    if out is not None:
+        return out
     params = instance.params
     q = params.q
     beta_positive = params.beta_positive

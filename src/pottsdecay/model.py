@@ -127,9 +127,9 @@ class Configuration:
             assignment = assignment.assignment
         pairs = dict(assignment)
         for v, c in pairs.items():
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ParseError(f"bad vertex {v!r} in configuration")
-            if not isinstance(c, int) or c < 1:
+            if isinstance(c, bool) or not isinstance(c, int) or c < 1:
                 raise ParseError(f"bad color {c!r} for vertex {v}")
         self.assignment = pairs
 
@@ -180,6 +180,8 @@ class Instance:
     def __init__(self, graph, params, pinned=None):
         pins = _as_pin_dict(pinned)
         for v, c in pins.items():
+            if isinstance(v, bool) or isinstance(c, bool):
+                raise ParseError(f"pin {v!r}: {c!r} is a bool, not a vertex and a colour")
             if not (0 <= v < graph.n):
                 raise ParseError(f"pin vertex {v} out of range for n={graph.n}")
             if not (1 <= c <= params.q):

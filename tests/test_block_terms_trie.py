@@ -8,6 +8,7 @@ Needs Hypothesis (in the `test` extras); the module skips without it.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import fields
 from unittest import mock
 
@@ -198,10 +199,18 @@ def _fields(diag):
     return tuple(getattr(diag, f.name) for f in fields(MargDiagnostics))
 
 
+@contextmanager
+def _general_path_with(block_terms):
+    """Every node through block_terms, singleton blocks included."""
+    with mock.patch.object(decay, "_singleton_vector", lambda *args: None):
+        with mock.patch.object(decay, "_block_terms", block_terms):
+            yield
+
+
 @settings(max_examples=150, deadline=None)
 @given(_hub_instance_and_query())
 def test_trie_matches_per_edge_reference(case):
-    with mock.patch.object(decay, "_block_terms", _naive_block_terms):
+    with _general_path_with(_naive_block_terms):
         naive = _run(*case)
     assert _run(*case) == naive
 
@@ -209,6 +218,6 @@ def test_trie_matches_per_edge_reference(case):
 @settings(max_examples=150, deadline=None)
 @given(_forced_block_query())
 def test_trie_matches_per_edge_reference_with_annihilation(case):
-    with mock.patch.object(decay, "_block_terms", _naive_block_terms):
+    with _general_path_with(_naive_block_terms):
         naive = _run_block(*case)
     assert _run_block(*case) == naive

@@ -80,10 +80,12 @@ def test_memo_matches_schedule_without_it(case):
     # With the identity for _canonical only equal kept patterns share a
     # child. Children that keep no prefix position share one child either
     # way; tests/test_region_key.py compares those with the schedule
-    # without the memo.
+    # without the memo. The reference runs singleton blocks through
+    # _block_terms too, where _canonical is called.
     inst, v, ell = case
-    with mock.patch.object(decay, "_canonical", lambda pat, held, free: (pat, ())):
-        naive = _run(inst, v, ell)
+    with mock.patch.object(decay, "_singleton_vector", lambda *args: None):
+        with mock.patch.object(decay, "_canonical", lambda pat, held, free: (pat, ())):
+            naive = _run(inst, v, ell)
     assert _run(inst, v, ell) == naive
 
 

@@ -3,8 +3,9 @@ package module raises a bare ValueError (a PottsError subclass carries the
 CLI's exit code), no package function calls itself by name (a walk that
 recurses once per step fails on long walks with a bare RecursionError), the
 CLI schemas list every MargDiagnostics counter, `pottsdecay.__all__` is
-exactly, and only, what `__init__.py` imports, and every package attribute
-the benchmark's tracer (`perfbench/tracing.py`) patches exists.
+exactly, and only, what `__init__.py` imports, every package attribute
+the benchmark's tracer (`perfbench/tracing.py`) patches exists, and no
+package module uses `functools.lru_cache` or `functools.cache`.
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -124,6 +125,48 @@ def test_no_self_calls(path):
     names = {f"{path.stem}.{name}" for name in _self_calls(path.read_text())}
     extra = sorted(names - SELF_CALLS_ALLOWED)
     assert not extra, f"{path.name}: functions calling themselves: {extra}; keep a stack"
+
+
+CACHE_NAMES = {"lru_cache", "cache"}
+
+
+def _functools_caches(source):
+    """Lines that import or name functools.lru_cache or functools.cache."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in CACHE_NAMES for alias in node.names):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHE_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_functools_caches_only():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, partial\n"
+        "from functools import cache as c\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def f(q):\n"
+        "    return functools.reduce(max, [q], partial(int)())\n"
+        "memo = functools.cache(f)\n"
+        "cache = {}\n"
+    )
+    assert _functools_caches(source) == [2, 3, 4, 7]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_functools_caches(path):
+    # Every cache of the package is scoped to one call (see ROADMAP.md); a
+    # process-wide functools cache outlives it and hides from the benchmark.
+    lines = _functools_caches(path.read_text())
+    assert not lines, f"{path.name}: functools cache at lines {lines}; scope it to one call"
 
 
 @pytest.mark.parametrize("schema", ["marginal", "partition"])

@@ -9,6 +9,7 @@ from pottsdecay import (
     ParseError,
     PottsParams,
     estimate_partition,
+    generate_cycle,
     generate_gnp,
     generate_path,
     monochromatic_edges,
@@ -115,6 +116,22 @@ def test_instance_pins_validated():
     assert merged.pinned == {0: 2, 1: 1}
     with pytest.raises(ParseError):
         inst.with_pins({0: 3})
+
+
+@pytest.mark.parametrize(
+    "bad, good", [({True: 2}, {1: 2}), ({0: True}, {0: 1})], ids=["vertex", "colour"]
+)
+@pytest.mark.parametrize(
+    "build",
+    [Configuration, lambda pins: Instance(generate_cycle(6), PottsParams(4, "0.5"), pins)],
+    ids=["Configuration", "Instance"],
+)
+def test_bool_pins_rejected(build, bad, good):
+    # True == 1 as an int, so {True: 2} would pin vertex 1 and {0: True}
+    # would give vertex 0 colour 1.
+    with pytest.raises(ParseError, match="bool|bad"):
+        build(bad)
+    build(good)
 
 
 def test_weight_counts_monochromatic_edges():
