@@ -110,25 +110,34 @@ free[0]: that is _canonical((c,)*i), read back through the swap of c and
 free[0]. _singleton_vector, which _block_vector tries first, evaluates such
 a node from these facts alone, without minimal_permissive_block, the Block,
 feasible_tuples, the prefix trie, _canonical or the by_color combine. It
-makes the same children in the same order through the same memo
-bookkeeping (_memo_child), and takes the same logs, sums and caps, so no
-float and no counter moves; it raises the same errors, and leaves a node
-whose block or configuration budget is too small to the general path,
-which raises that BudgetError. The gate: it serves beta > 0, and beta = 0
-only at ell >= 1. A beta = 0 node at ell <= 0 is a feasibility cut-off or
-has cut-off children, which keep the whole-prefix key (see "Region key"),
-so it stays on the general path. Every node of perfbench's partition-cycle
-workload is served, and that workload runs about 1.5x faster; none of
-marginal-gnp2000's is (all its nodes are at ell <= 0). Without the gate
-(ell < 0 in its place) the cut-off children take the region key:
-marginal-gnp2000 ran about 2.1x faster but with 11% more peak RSS (one
-10 s run each), which is again run.py's per-op record, and criterion 9's
-L = 6 took 8.6 s against 13.8 s on a 2-vCPU VM. Dropping the gate waits
-for run.py's fix (ROADMAP item 1). Behind the gate, a beta = 0 singleton at ell <= 0 runs
-_block_terms, which takes the singleton's positions and escape lengths
-directly instead of running escape_paths, induced_edges and a position
-map; that guard compares the block with (anchor,), so an anchor outside
-the block (marg_block) still reaches escape_paths' error.
+makes the same children in the same order and takes the same logs, sums
+and caps. An index whose children cannot read v's pin (index 0, leaf
+children, or a region walk that misses v) evaluates its one child directly
+through _leaf and _block_vector, with no memo; at i >= 1 it then charges
+each further colour of F as a _memo_child hit does: the subtree's calls,
+terminations and infeasible events, one cache hit, and the limit check after
+each. A keyed index goes through _memo_child. So no float and no counter
+moves, and a max_calls abort lands where it did, with the same partial
+diagnostics; it raises the same errors, and leaves a node whose block or
+configuration budget is too small to the general path, which raises that
+BudgetError. The gate: it serves beta > 0, and beta = 0 only at ell >= 1.
+A beta = 0 node at ell <= 0 is a feasibility cut-off or has cut-off
+children, which keep the whole-prefix key (see "Region key"), so it stays
+on the general path. Every node of perfbench's partition-cycle workload is
+served, and that workload runs about 1.5x faster; evaluating unkeyed
+children without the memo, together with _read_region's one-hop step, took
+it about 1.19x further and sample-cycle about 1.10x (alternating 20 s runs
+on a 2-vCPU VM). None of marginal-gnp2000's nodes is served (all are at ell
+<= 0). Without the gate (ell < 0 in its place) the cut-off children take
+the region key: marginal-gnp2000 ran about 2.1x faster but with 11% more
+peak RSS (one 10 s run each), which is again run.py's per-op record, and
+criterion 9's L = 6 took 8.6 s against 13.8 s on a 2-vCPU VM. Dropping the
+gate waits for run.py's fix (ROADMAP item 1). Behind the gate, a beta = 0
+singleton at ell <= 0 runs _block_terms, which takes the singleton's
+positions and escape lengths directly instead of running escape_paths,
+induced_edges and a position map; that guard compares the block with
+(anchor,), so an anchor outside the block (marg_block) still reaches
+escape_paths' error.
 """
 
 from __future__ import annotations
@@ -527,12 +536,6 @@ def _singleton_vector(instance, v, ell, diag, limits):
     if not F:
         raise InfeasibleError(f"no feasible block configuration around vertex {v}")
 
-    held = set(pinned.values())
-    free0 = None
-    for c in range(1, q + 1):
-        if c not in held:
-            free0 = c
-            break
     one_minus = 1.0 - params.beta_float
     sub_ell = ell - 1
     bedges = [(v, w) for w in nbrs]
@@ -549,20 +552,46 @@ def _singleton_vector(instance, v, ell, diag, limits):
                     pinned_v = {*pinned, v}
                 keyed = v in _read_region(g, params, pinned_v, w, sub_ell)
 
+        if not keyed:
+            # One child serves every colour. Index 0 has one prefix, (), so
+            # one child; at i >= 1 each further colour is charged as a memo
+            # hit (see _memo_child).
+            calls = diag.recursive_calls
+            terminations = diag.termination_events
+            infeasible = diag.infeasible_events
+            vec = _leaf(params, pin_w, sub_ell, diag, limits)
+            if vec is None:
+                vec = _block_vector(Instance(g, params, pinned), w, sub_ell, diag, limits)
+            if i and len(F) > 1:
+                calls = diag.recursive_calls - calls
+                terminations = diag.termination_events - terminations
+                infeasible = diag.infeasible_events - infeasible
+                for _ in range(len(F) - 1):
+                    diag.recursive_calls += calls
+                    diag.termination_events += terminations
+                    diag.infeasible_events += infeasible
+                    diag.cache_hits += 1
+                    _check_limits(diag, limits)
+            for k, c in enumerate(F):
+                factor = 1.0 - one_minus * vec[c - 1]
+                terms[k] += math.log(factor) if factor > 0.0 else -math.inf
+            continue
+
+        held = set(pinned.values())
+        free0 = next((c for c in range(1, q + 1) if c not in held), None)
+
         def evaluate(c):
             vec = _leaf(params, pin_w, sub_ell, diag, limits)
             if vec is None:
                 pins = dict(pinned)
-                if c:
-                    pins[v] = c
+                pins[v] = c
                 vec = _block_vector(Instance(g, params, pins), w, sub_ell, diag, limits)
             return vec
 
         memo = {}
         for k, c in enumerate(F):
-            x = c if not keyed or c in held else free0
-            if i or not k:  # index 0 has one prefix, (), so one child
-                vec = _memo_child(memo, x if keyed else 0, evaluate, diag, limits)
+            x = c if c in held else free0
+            vec = _memo_child(memo, x, evaluate, diag, limits)
             factor = 1.0 - one_minus * vec[x - 1]
             terms[k] += math.log(factor) if factor > 0.0 else -math.inf
 
@@ -659,16 +688,24 @@ def read_region(instance, v, ell):
 
     So the reads of (u, e) lie in R(u, e): {u} for the leaves above, else
     B*(u) with its neighbours, together with R(x, e - d*(x)) for every x
-    of those other than u when e >= 0. R(u, e) only grows with e, so a state
-    (u, e) is pruned when u was already expanded at a depth >= e; states
-    are expanded deepest first, so each vertex is expanded once.
+    of those other than u when e >= 0. When every unpinned neighbour of u is
+    low-degree, B*(u) is {u}, its neighbours are u's, and d* is 1 on each:
+    the walk takes that one hop without a search. R(u, e) only grows with e,
+    so a state (u, e) is pruned when u was already expanded at a depth >= e;
+    states are expanded deepest first, so each vertex is expanded once.
     """
     _common_checks(instance, v)
     return _read_region(instance.graph, instance.params, instance.pinned, v, _depth(ell))
 
 
 def _read_region(graph, params, pinned, v, ell):
-    """read_region on a graph and any container of pinned vertices."""
+    """read_region on a graph and any container of pinned vertices.
+
+    A popped, expanded state u whose unpinned neighbours are all low-degree
+    has B*(u) = {u} and d* = 1 on u's row: the walk adds the row and pushes
+    each neighbour at e - 1, which is what the breadth-first search over
+    B*(u) would find, without building its distance dict.
+    """
     adj = graph.adjacency
     max_low = params.max_low_degree
     beta_positive = params.beta_positive
@@ -683,6 +720,20 @@ def _read_region(graph, params, pinned, v, ell):
         region.add(u)
         if u in pinned or (beta_positive and e < 0):
             continue
+        row = adj[u]
+        for w in row:
+            if w not in pinned and len(adj[w]) > max_low:
+                break
+        else:
+            # One hop: B*(u) = {u}, and d* = 1 on u's row.
+            region.update(row)
+            if e >= 0:
+                ex = e - 1
+                for x in row:
+                    if ex > best.get(x, ex - 1):
+                        best[x] = ex
+                        heapq.heappush(heap, (-ex, x))
+            continue
         # d* over B*(u) and its neighbours, breadth first from u; only B*
         # vertices (u, then unpinned high-degree ones) are expanded.
         dist = {u: 0}
@@ -694,7 +745,7 @@ def _read_region(graph, params, pinned, v, ell):
                 for w in adj[a]:
                     if w not in dist:
                         dist[w] = d
-                        if w not in pinned and graph.degree(w) > max_low:
+                        if w not in pinned and len(adj[w]) > max_low:
                             nxt.append(w)
             frontier = nxt
         region.update(dist)

@@ -172,6 +172,20 @@ def _as_pin_dict(pinned):
     return dict(pinned)
 
 
+def _check_pin_types(v, c):
+    """Raise ParseError unless pin vertex v and colour c are ints, not bools.
+
+    Int subclasses other than bool pass; numpy integers are not ints and
+    fail, as in Configuration.
+    """
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError(f"bad pin vertex {v!r}: must be an int, not {type(v).__name__}")
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise ParseError(
+            f"bad pin colour {c!r} for vertex {v}: must be an int, not {type(c).__name__}"
+        )
+
+
 class Instance:
     """A graph together with model parameters and a pinning of some vertices."""
 
@@ -179,13 +193,15 @@ class Instance:
 
     def __init__(self, graph, params, pinned=None):
         pins = _as_pin_dict(pinned)
+        n = graph.n
+        q = params.q
         for v, c in pins.items():
-            if isinstance(v, bool) or isinstance(c, bool):
-                raise ParseError(f"pin {v!r}: {c!r} is a bool, not a vertex and a colour")
-            if not (0 <= v < graph.n):
-                raise ParseError(f"pin vertex {v} out of range for n={graph.n}")
-            if not (1 <= c <= params.q):
-                raise ParseError(f"pin color {c} out of range for q={params.q}")
+            if type(v) is not int or type(c) is not int:
+                _check_pin_types(v, c)
+            if not (0 <= v < n):
+                raise ParseError(f"pin vertex {v} out of range for n={n}")
+            if not (1 <= c <= q):
+                raise ParseError(f"pin color {c} out of range for q={q}")
         self.graph = graph
         self.params = params
         self.pinned = pins

@@ -22,6 +22,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from pottsdecay import (
     BudgetError,
     Graph,
@@ -276,6 +278,7 @@ def test_criterion_8_boundary_insensitivity():
     assert not mismatches
 
 
+@pytest.mark.slow
 def test_criterion_9_large_sparse_runtime():
     """Depth ladder toward ceil(3 ln 2000) = 23 on gnp(2000, 4, seed 1) at
     q = 17, beta = 0, vertex 0, under one shared 60 s deadline.

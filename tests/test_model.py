@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pottsdecay import (
@@ -132,6 +133,31 @@ def test_bool_pins_rejected(build, bad, good):
     with pytest.raises(ParseError, match="bool|bad"):
         build(bad)
     build(good)
+
+
+class _Vertex(int):
+    """An int subclass, which a pin accepts."""
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{1: 2.0}, {0.5: 2}, {1.0: 2}, {"1": 2}, {1: np.int64(2)}, {np.int64(1): 2}],
+    ids=["float colour", "float vertex", "integral float vertex", "str vertex",
+         "numpy colour", "numpy vertex"],
+)
+def test_non_int_pins_rejected(bad):
+    # A float colour used to build and then fail as a bare TypeError inside
+    # the recursion; a float vertex was silently ignored.
+    inst_args = (generate_cycle(6), PottsParams(4, "0.5"))
+    with pytest.raises(ParseError, match="bad pin"):
+        Instance(*inst_args, bad)
+    with pytest.raises(ParseError, match="bad"):
+        Configuration(bad)
+
+
+def test_int_subclass_pins_accepted():
+    inst = Instance(generate_cycle(6), PottsParams(4, "0.5"), {_Vertex(1): _Vertex(2)})
+    assert inst.pinned == {1: 2}
 
 
 def test_weight_counts_monochromatic_edges():
