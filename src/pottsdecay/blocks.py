@@ -8,7 +8,8 @@ and we process the lowest-numbered candidate first so intermediate states are
 reproducible too.
 
 The exhaustive sparsity scan takes its walks from saw._saws, which keeps its
-own stack, so l_max is not bounded by Python's recursion limit.
+own stack, so l_max is not bounded by Python's recursion limit, and grows
+each walk's closure from its parent walk's instead of from scratch.
 """
 
 from __future__ import annotations
@@ -204,9 +205,36 @@ def first_feasible_tuple(instance, verts):
     return out[0] if out else None
 
 
-def _closure_ratio(instance, walk, block_budget):
-    block = minimal_permissive_block(instance, set(walk), block_budget)
-    return len(block.vertices) / len(walk), block
+def _closure_sizes(adj, high, v, l_max):
+    """Yield (walk, size of its block closure) for each walk of saw._saws.
+
+    The closure is taken with an empty pinning, high[u] telling whether u
+    is high-degree. It is grown one vertex at a time along the depth-first
+    scan and undone on backtrack (added[j] lists what walk[j] added), which
+    is exact because cl(cl(S) | {w}) = cl(S | {w}): the closure of S is the
+    least set holding S and every high-degree neighbour of its members. On
+    a sparse graph each step costs O(1) amortised, not O(walk length). The
+    yielded walk is saw._saws' walk in progress: copy it to keep it.
+    """
+    closure = set()
+    added = []
+    for walk in _saws(adj, v, l_max):
+        while len(added) >= len(walk):
+            closure.difference_update(added.pop())
+        new = []
+        w = walk[-1]
+        if w not in closure:
+            closure.add(w)
+            new.append(w)
+            stack = [w]
+            while stack:
+                for x in adj[stack.pop()]:
+                    if high[x] and x not in closure:
+                        closure.add(x)
+                        new.append(x)
+                        stack.append(x)
+        added.append(new)
+        yield walk, len(closure)
 
 
 def verify_locally_sparse(
@@ -236,31 +264,32 @@ def verify_locally_sparse(
         if graph.n == 0:
             raise ParseError("sampled mode needs a graph with at least one vertex")
         _check_seed(seed)
-    bare = Instance(graph, params, {})
-    budget = graph.n  # closures may legitimately swallow the whole graph
     worst_ratio = 0.0
     worst_path = ()
     worst_block = 0
     checked = 0
 
-    def consider(walk):
+    def consider(walk, size):
         nonlocal worst_ratio, worst_path, worst_block, checked
         checked += 1
-        ratio, block = _closure_ratio(bare, walk, budget)
+        ratio = size / len(walk)
         if ratio > worst_ratio:
             worst_ratio = ratio
             worst_path = tuple(walk)
-            worst_block = len(block.vertices)
+            worst_block = size
 
     if mode == "exhaustive":
+        adj = graph.adjacency
+        high = [not params.is_low_degree(len(row)) for row in adj]
         for v in range(graph.n):
-            for walk in _saws(graph.adjacency, v, l_max):
-                consider(walk)
+            for walk, size in _closure_sizes(adj, high, v, l_max):
+                consider(walk, size)
                 if checked > walk_budget:
                     raise BudgetError(
                         f"walk budget {walk_budget} exceeded; use sampled mode"
                     )
     else:
+        bare = Instance(graph, params, {})
         rng = np.random.Generator(np.random.Philox(key=seed))
         for _ in range(trials):
             v = int(rng.integers(graph.n))
@@ -273,7 +302,9 @@ def verify_locally_sparse(
                 w = options[int(rng.integers(len(options)))]
                 walk.append(w)
                 visited.add(w)
-            consider(walk)
+            # Closures may legitimately swallow the whole graph.
+            block = minimal_permissive_block(bare, set(walk), graph.n)
+            consider(walk, len(block.vertices))
 
     return {
         "mode": mode,

@@ -112,32 +112,56 @@ a node from these facts alone, without minimal_permissive_block, the Block,
 feasible_tuples, the prefix trie, _canonical or the by_color combine. It
 makes the same children in the same order and takes the same logs, sums
 and caps. An index whose children cannot read v's pin (index 0, leaf
-children, or a region walk that misses v) evaluates its one child directly
-through _leaf and _block_vector, with no memo; at i >= 1 it then charges
-each further colour of F as a _memo_child hit does: the subtree's calls,
-terminations and infeasible events, one cache hit, and the limit check after
-each. A keyed index goes through _memo_child. So no float and no counter
-moves, and a max_calls abort lands where it did, with the same partial
-diagnostics; it raises the same errors, and leaves a node whose block or
-configuration budget is too small to the general path, which raises that
-BudgetError. The gate: it serves beta > 0, and beta = 0 only at ell >= 1.
-A beta = 0 node at ell <= 0 is a feasibility cut-off or has cut-off
-children, which keep the whole-prefix key (see "Region key"), so it stays
-on the general path. Every node of perfbench's partition-cycle workload is
-served, and that workload runs about 1.5x faster; evaluating unkeyed
-children without the memo, together with _read_region's one-hop step, took
-it about 1.19x further and sample-cycle about 1.10x (alternating 20 s runs
-on a 2-vCPU VM). None of marginal-gnp2000's nodes is served (all are at ell
-<= 0). Without the gate (ell < 0 in its place) the cut-off children take
-the region key: marginal-gnp2000 ran about 2.1x faster but with 11% more
-peak RSS (one 10 s run each), which is again run.py's per-op record, and
-criterion 9's L = 6 took 8.6 s against 13.8 s on a 2-vCPU VM. Dropping the
-gate waits for run.py's fix (ROADMAP item 1). Behind the gate, a beta = 0
-singleton at ell <= 0 runs _block_terms, which takes the singleton's
-positions and escape lengths directly instead of running escape_paths,
-induced_edges and a position map; that guard compares the block with
-(anchor,), so an anchor outside the block (marg_block) still reaches
-escape_paths' error.
+children, or a region walk that misses v) evaluates its one child directly,
+with no memo; at i >= 1 it then charges each further colour of F as a
+_memo_child hit does: the subtree's calls, terminations and infeasible
+events, one cache hit, and the limit check after each. A keyed index goes
+through _memo_child. So no float and no counter moves, and a max_calls
+abort lands where it did, with the same partial diagnostics; it raises the
+same errors, and leaves a node whose block or configuration budget is too
+small to the general path, which raises that BudgetError. The gate: it
+serves beta > 0, and beta = 0 only at ell >= 1. A beta = 0 node at ell <= 0
+is a feasibility cut-off or has cut-off children, which keep the
+whole-prefix key (see "Region key"), so it stays on the general path, and
+_singleton_vector tests the gate before it reads the graph. None of
+perfbench's marginal-gnp2000 nodes is served (all are at ell <= 0). Without
+the gate (ell < 0 in its place) the cut-off children take the region key:
+marginal-gnp2000 ran about 2.1x faster but with 11% more peak RSS (one 10 s
+run each), which is again run.py's per-op record, and criterion 9's L = 6
+took 8.6 s against 13.8 s on a 2-vCPU VM. Dropping the gate waits for
+run.py's fix (ROADMAP item 1). Behind the gate, a beta = 0 singleton at ell
+<= 0 runs _block_terms, which takes the singleton's positions and escape
+lengths directly instead of running escape_paths, induced_edges and a
+position map; that guard compares the block with (anchor,), so an anchor
+outside the block (marg_block) still reaches escape_paths' error.
+
+Lean children. A singleton node's children stay in a lean form: the root
+graph, the frozenset of canonical edges removed from it, and a pin dict.
+_singleton_vector hands its instance's root graph, removed edges and pins
+to _lean_vector, the evaluator's body. A child at index i removes the
+node's removed edges and its boundary edges at positions >= i; an unkeyed
+child shares the node's pin dict, and a keyed one gets a copy with v pinned
+to a colour c of F. Rows are the root's rows filtered by the removed set
+(graph._kept_row), and the high-degree test reads the root degree first,
+since a derived degree is never larger. No pin is re-checked: the root's
+were checked when its Instance was built, a child only adds pins, and an
+added pin puts a vertex of the graph to a palette colour. Each non-leaf
+child goes through _leaf and then _node_vector, which runs _lean_vector on
+it and, when that declines the child (an unpinned high-degree neighbour in
+the child's graph, the beta = 0 gate, or a budget), builds the child's view
+(graph._view) and Instance and runs the general part of _block_vector on
+them. Besides that fallback, a view is built only for the region walk
+that tells whether an index i >= 1 is keyed. Through unkeyed indices the
+recursion alternates _lean_vector and _node_vector, two Python frames per
+level. Every node of perfbench's partition-cycle workload is served,
+and that workload ran about 1.5x faster with the evaluator; evaluating
+unkeyed children without the memo, together with _read_region's one-hop
+step, took it about 1.19x further and sample-cycle about 1.10x, and the
+lean children about 1.29x further again and sample-cycle about 1.04x
+(alternating 20 s runs on a 2-vCPU VM). On that workload no child falls
+back: over a traced run of 25 ops, Instance constructions and
+Graph.remove_edges calls fell from 18 228 each to 0, and the only views
+left are those of the region walks.
 """
 
 from __future__ import annotations
@@ -156,6 +180,7 @@ from .blocks import (
     minimal_permissive_block,
 )
 from .errors import BudgetError, InfeasibleError, ParseError
+from .graph import _kept_row, _view
 from .model import Configuration, Instance
 from .saw import e_delta_profile
 
@@ -307,7 +332,7 @@ def _logsumexp(values):
             hi = x
     if hi == -math.inf:
         return -math.inf
-    return hi + math.log(math.fsum(math.exp(x - hi) for x in values))
+    return hi + math.log(math.fsum([math.exp(x - hi) for x in values]))
 
 
 def _canonical(pat, held, free):
@@ -505,28 +530,48 @@ def _singleton_vector(instance, v, ell, diag, limits):
 
     Serves beta > 0, or beta = 0 at ell >= 1, and returns None, before
     counting anything, when an unpinned neighbour of v is high-degree or a
-    block or configuration budget would be exceeded. See "Singleton blocks"
-    in the module docstring.
+    block or configuration budget would be exceeded. The gate is tested
+    before the graph is read; the node is then evaluated by _lean_vector on
+    the instance's root graph, removed edges and pins. See "Singleton
+    blocks" and "Lean children" in the module docstring.
     """
     params = instance.params
+    if not params.beta_positive and ell < 1:
+        return None
+    graph = instance.graph
+    return _lean_vector(graph.root, graph.removed, params, instance.pinned, v, ell, diag, limits)
+
+
+def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
+    """_singleton_vector's body, on the graph root minus the edges `removed`.
+
+    Returns None, before counting anything, for a node the evaluator does
+    not serve (see _singleton_vector). Each non-leaf child is handed to
+    _node_vector as the same root, the removed set grown by the boundary
+    edges it drops, and the parent's pin dict, or a copy of it with v
+    pinned to a colour of F. This function builds a view only for the
+    region walk that tells whether an index is keyed. See "Lean children"
+    in the module docstring.
+    """
     beta_positive = params.beta_positive
     if not beta_positive and ell < 1:
         return None
-    graph = instance.graph
-    pinned = instance.pinned
-    adj = graph.adjacency
-    nbrs = adj[v]
+    rows = root.adjacency
+    nbrs = _kept_row(rows, removed, v)
     max_low = params.max_low_degree
-    banned = set()
     for w in nbrs:
-        c = pinned.get(w)
-        if c is None:
-            if len(adj[w]) > max_low:
-                return None
-        elif not beta_positive:
-            banned.add(c)
+        # A derived degree is never larger than the root degree.
+        if (
+            w not in pinned
+            and len(rows[w]) > max_low
+            and len(_kept_row(rows, removed, w)) > max_low
+        ):
+            return None
     q = params.q
-    F = [c for c in range(1, q + 1) if c not in banned]
+    F = range(1, q + 1)
+    if not beta_positive:
+        banned = {pinned[w] for w in nbrs if w in pinned}
+        F = [c for c in F if c not in banned]
     if limits.block_budget < 1 or len(F) > limits.config_budget:
         return None
     if diag.max_block_size < 1:
@@ -538,19 +583,20 @@ def _singleton_vector(instance, v, ell, diag, limits):
 
     one_minus = 1.0 - params.beta_float
     sub_ell = ell - 1
-    bedges = [(v, w) for w in nbrs]
+    bedges = [(v, w) if v < w else (w, v) for w in nbrs]
     pinned_v = None
     terms = [0.0] * len(F)
     for i, w in enumerate(nbrs):
         pin_w = pinned.get(w)
-        g = None
         keyed = False  # do the children of index i read v's pin?
         if pin_w is None and not (beta_positive and sub_ell < 0):  # not a leaf
-            g = graph.remove_edges(bedges[i:])
+            # The children of index i drop the boundary edges at positions >= i.
+            sub_removed = removed.union(bedges[i:])
             if i:
                 if pinned_v is None:
                     pinned_v = {*pinned, v}
-                keyed = v in _read_region(g, params, pinned_v, w, sub_ell)
+                region = _read_region(_view(root, sub_removed), params, pinned_v, w, sub_ell)
+                keyed = v in region
 
         if not keyed:
             # One child serves every colour. Index 0 has one prefix, (), so
@@ -561,7 +607,7 @@ def _singleton_vector(instance, v, ell, diag, limits):
             infeasible = diag.infeasible_events
             vec = _leaf(params, pin_w, sub_ell, diag, limits)
             if vec is None:
-                vec = _block_vector(Instance(g, params, pinned), w, sub_ell, diag, limits)
+                vec = _node_vector(root, sub_removed, params, pinned, w, sub_ell, diag, limits)
             if i and len(F) > 1:
                 calls = diag.recursive_calls - calls
                 terminations = diag.termination_events - terminations
@@ -579,15 +625,7 @@ def _singleton_vector(instance, v, ell, diag, limits):
 
         held = set(pinned.values())
         free0 = next((c for c in range(1, q + 1) if c not in held), None)
-
-        def evaluate(c):
-            vec = _leaf(params, pin_w, sub_ell, diag, limits)
-            if vec is None:
-                pins = dict(pinned)
-                pins[v] = c
-                vec = _block_vector(Instance(g, params, pins), w, sub_ell, diag, limits)
-            return vec
-
+        evaluate = _keyed_child(root, sub_removed, params, pinned, v, w, sub_ell, diag, limits)
         memo = {}
         for k, c in enumerate(F):
             x = c if c in held else free0
@@ -609,14 +647,48 @@ def _singleton_vector(instance, v, ell, diag, limits):
     return out
 
 
-def _block_vector(instance, v, ell, diag, limits):
+def _keyed_child(root, removed, params, pinned, v, w, ell, diag, limits):
+    """_memo_child's evaluate(c) at a keyed index: the child at w, v pinned to c.
+
+    A keyed child is unpinned at ell >= 0, so _leaf only counts it. c is a
+    palette colour and v a vertex of the graph, so the added pin needs no
+    check. (A closure here rather than in _lean_vector keeps that
+    function's locals plain.)
+    """
+
+    def evaluate(c):
+        _leaf(params, None, ell, diag, limits)
+        pins = dict(pinned)
+        pins[v] = c
+        return _node_vector(root, removed, params, pins, w, ell, diag, limits)
+
+    return evaluate
+
+
+def _node_vector(root, removed, params, pinned, v, ell, diag, limits):
+    """The vector of a singleton node's non-leaf child, which _leaf counted.
+
+    The child is the root graph minus `removed`, with the pins `pinned`.
+    _lean_vector evaluates it when it serves it; otherwise the child's view
+    and Instance are built here and the general path runs on them.
+    """
+    out = _lean_vector(root, removed, params, pinned, v, ell, diag, limits)
+    if out is None:
+        instance = Instance(_view(root, removed), params, pinned)
+        out = _block_vector(instance, v, ell, diag, limits, singleton=False)
+    return out
+
+
+def _block_vector(instance, v, ell, diag, limits, singleton=True):
     """Full per-color estimate vector at v, for a call _leaf counted as no leaf.
 
-    A node whose block is v alone goes to _singleton_vector first.
+    A node whose block is v alone goes to _singleton_vector first, unless
+    singleton is False: _node_vector has then tried the evaluator already.
     """
-    out = _singleton_vector(instance, v, ell, diag, limits)
-    if out is not None:
-        return out
+    if singleton:
+        out = _singleton_vector(instance, v, ell, diag, limits)
+        if out is not None:
+            return out
     params = instance.params
     q = params.q
     beta_positive = params.beta_positive

@@ -12,7 +12,10 @@ frozenset of canonical edges removed from it. A view of a view is again a
 view of the root, so deriving a graph costs O(removed edges), not O(m). A
 view filters a vertex's adjacency row from the root's the first time it is
 read and builds its edge tuple only when asked for; its values and orders
-are those of a root graph built from the remaining edges.
+are those of a root graph built from the remaining edges. Every view is
+built by _view and every filtered row by _kept_row. Code that walks derived
+graphs without building views (the estimator's singleton nodes) holds a
+graph as its root and removed set and uses the same two helpers.
 """
 
 from __future__ import annotations
@@ -58,6 +61,16 @@ class Graph:
         self._edges = tuple(canon)
 
     @property
+    def root(self):
+        """The root graph this graph derives from: itself for a root graph."""
+        return self if self._root is None else self._root
+
+    @property
+    def removed(self):
+        """The canonical edges removed from the root graph (empty for a root)."""
+        return self._removed
+
+    @property
     def edges(self):
         """Canonical edges, sorted; a view builds the tuple on first access."""
         if self._edges is None:
@@ -85,15 +98,7 @@ class Graph:
                 u, v = v, u
             if 0 <= u < n and v in rows[u]:
                 gone.append((u, v))
-        removed = self._removed.union(gone)
-        view = Graph.__new__(Graph)
-        view.n = n
-        view.m = root.m - len(removed)
-        view._root = root
-        view._removed = removed
-        view._edges = None
-        view.adjacency = _ViewAdjacency(rows, removed)
-        return view
+        return _view(root, self._removed.union(gone))
 
     def induced_edges(self, vertices):
         """Edges with both endpoints in the given vertex set, canonical order.
@@ -142,8 +147,7 @@ class _ViewAdjacency(dict):
     def __missing__(self, v):
         if not 0 <= v < len(self._rows):
             raise IndexError(f"vertex id {v!r} out of range for n={len(self._rows)}")
-        removed = self._removed
-        row = tuple(w for w in self._rows[v] if ((v, w) if v < w else (w, v)) not in removed)
+        row = _kept_row(self._rows, self._removed, v)
         self[v] = row
         return row
 
@@ -152,6 +156,27 @@ class _ViewAdjacency(dict):
 
     def __iter__(self):
         return (self[v] for v in range(len(self._rows)))
+
+
+def _view(root, removed):
+    """The view of root graph `root` without the canonical edges in `removed`.
+
+    `removed` is a frozenset of canonical edges of `root`; it is held as
+    given, neither copied nor checked.
+    """
+    view = Graph.__new__(Graph)
+    view.n = root.n
+    view.m = root.m - len(removed)
+    view._root = root
+    view._removed = removed
+    view._edges = None
+    view.adjacency = _ViewAdjacency(root.adjacency, removed)
+    return view
+
+
+def _kept_row(rows, removed, v):
+    """Row v of a root graph's rows, without the canonical edges in `removed`."""
+    return tuple(w for w in rows[v] if ((v, w) if v < w else (w, v)) not in removed)
 
 
 def generate_path(n):

@@ -21,6 +21,8 @@ from pottsdecay import (
     saw_count_profile,
     verify_locally_sparse,
 )
+from pottsdecay.blocks import _closure_sizes
+from pottsdecay.saw import _saws
 
 
 def _is_permissive(instance, vertices):
@@ -273,3 +275,44 @@ def test_verify_locally_sparse_long_walks():
     g = generate_path(1200)
     with pytest.raises(BudgetError, match="walk budget 1105"):
         verify_locally_sparse(g, PottsParams(7, 0), 1100, walk_budget=1105)
+
+
+def _from_scratch_scan(graph, params, l_max):
+    """The exhaustive scan with each walk's closure computed from scratch."""
+    bare = Instance(graph, params, {})
+    worst_ratio, worst_path, worst_block, checked = 0.0, (), 0, 0
+    for v in range(graph.n):
+        for walk in _saws(graph.adjacency, v, l_max):
+            checked += 1
+            size = len(minimal_permissive_block(bare, set(walk), graph.n).vertices)
+            if size / len(walk) > worst_ratio:
+                worst_ratio, worst_path, worst_block = size / len(walk), tuple(walk), size
+    return {
+        "mode": "exhaustive",
+        "l_max": l_max,
+        "paths_checked": checked,
+        "worst_ratio": worst_ratio,
+        "worst_path": list(worst_path),
+        "worst_block_size": worst_block,
+    }
+
+
+def test_verify_locally_sparse_incremental_closure_matches_from_scratch():
+    # The exhaustive scan grows each closure along the walk and undoes it on
+    # backtrack; every walk's closure size, and the report, must be the
+    # from-scratch scan's.
+    rng = random.Random(20261019)
+    for _ in range(60):
+        n = rng.randint(1, 11)
+        g = generate_gnp(n, min(n, rng.choice([1, 2, 3, 4])), seed=rng.randrange(2**16))
+        params = PottsParams(rng.randint(3, 7), rng.choice(["0", "0.25", "0.5"]))
+        l_max = rng.randint(0, 5)
+        bare = Instance(g, params, {})
+        high = [not params.is_low_degree(g.degree(u)) for u in range(n)]
+        for v in range(n):
+            sizes = [(tuple(w), k) for w, k in _closure_sizes(g.adjacency, high, v, l_max)]
+            assert sizes == [
+                (tuple(w), len(minimal_permissive_block(bare, set(w), n).vertices))
+                for w in _saws(g.adjacency, v, l_max)
+            ]
+        assert verify_locally_sparse(g, params, l_max) == _from_scratch_scan(g, params, l_max)

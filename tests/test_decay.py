@@ -105,6 +105,25 @@ def made(monkeypatch):
     return made
 
 
+@pytest.fixture
+def children(monkeypatch):
+    """Record the (kept edges, pins) of every child a singleton node makes.
+
+    A singleton node hands each non-leaf child to decay._node_vector as the
+    root graph, the removed edges and the pins, with no graph view or
+    Instance; a child is recorded there.
+    """
+    children = []
+    real = decay._node_vector
+
+    def recorded(root, removed, params, pinned, v, ell, diag, limits):
+        children.append((tuple(e for e in root.edges if e not in removed), dict(pinned)))
+        return real(root, removed, params, pinned, v, ell, diag, limits)
+
+    monkeypatch.setattr(decay, "_node_vector", recorded)
+    return children
+
+
 def test_children_per_boundary_index_star_leaf(made):
     # Star centre 0 is high-degree at q = 7, so vertex 1's block is {0, 1}
     # with boundary edges (0, 2) .. (0, 5). Child i is built once: it keeps
@@ -123,18 +142,20 @@ def test_children_per_boundary_index_star_leaf(made):
     assert g.edges == tuple(sorted((0, k) for k in range(1, 6)))
 
 
-def test_children_per_boundary_index_keep_parent_pins(made):
+def test_children_per_boundary_index_keep_parent_pins(made, children):
     # Path 0-1-2-3 with pin {3: 6}: vertex 1's block is {1}, with boundary
     # edges (1, 0) and (1, 2); edge (2, 3) lies outside it and stays. The
     # child at (1, 2) keeps (0, 1), so vertex 2 cannot reach vertex 1: one
     # child serves every prefix colour, without vertex 1's pin. Every child
-    # keeps the parent's pin.
+    # keeps the parent's pin. Both children are singleton nodes too, so no
+    # Instance is built.
     g = generate("path", n=4)
     inst = _inst(g, 7, pins={3: 6})
     marginal_vector(inst, 1, 2)
     kept = ((0, 1), (2, 3))
-    assert [graph.edges for graph, _, _ in made] == [((2, 3),), kept]
-    assert [pins for _, _, pins in made] == [{3: 6}, {3: 6}]
+    assert [edges for edges, _ in children] == [((2, 3),), kept]
+    assert [pins for _, pins in children] == [{3: 6}, {3: 6}]
+    assert made == []
     assert inst.pinned == {3: 6}
     assert g.edges == ((0, 1), (1, 2), (2, 3))
 
@@ -291,26 +312,27 @@ def test_max_calls_crossed_on_a_memo_hit():
     assert diag.recursive_calls == 14
 
 
-def test_leaf_children_build_no_instance(monkeypatch):
+def test_leaf_children_build_no_instance(made, children):
     # Cycle 0..15 with chords (0, 8) and (4, 12), q = 4, beta 0.5, three pins:
     # pinned children and depth-exhausted ones are answered in place, and a
     # child that cannot read a prefix pin serves every prefix colour. The
     # vector and the naive counters are those of the schedule that built an
-    # Instance for each child (38 constructions).
+    # Instance for each child (38 constructions). Six children recurse; each
+    # is a singleton node, so none of them builds an Instance either.
     g = Graph(16, [(i, (i + 1) % 16) for i in range(16)] + [(0, 8), (4, 12)])
-    inst = _inst(g, 4, "0.5", {5: 1, 11: 1, 14: 2})
-    made = []
-
-    class Counted(Instance):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(decay, "Instance", Counted)
+    pins = {5: 1, 11: 1, 14: 2}
+    inst = _inst(g, 4, "0.5", pins)
     vec, diag = marginal_vector(inst, 0, 2)
-    assert len(made) == 6
+    assert [sorted(set(g.edges) - set(edges)) for edges, _ in children] == [
+        [(0, 1), (0, 8), (0, 15)],
+        [(0, 1), (0, 8), (0, 15), (1, 2)],
+        [(0, 8), (0, 15)],
+        [(0, 8), (0, 15), (7, 8), (8, 9)],
+        [(0, 8), (0, 15), (8, 9)],
+        [(0, 15)],
+    ]
+    assert [child_pins for _, child_pins in children] == [pins] * 6
+    assert made == []
     assert vec == [
         0.24489795918367346, 0.26530612244897955, 0.24489795918367346, 0.24489795918367346
     ]

@@ -61,6 +61,8 @@ def test_view_of_view_flattens_onto_root():
     assert h._removed == {(0, 1), (2, 3)}
     assert h.m == 4
     assert h == g.remove_edges([(2, 3), (0, 1)])
+    assert (h.root, h.removed) == (g, frozenset({(0, 1), (2, 3)})) and h.root is g
+    assert g.root is g and g.removed == frozenset()
 
 
 def test_view_rejects_ids_outside_vertex_range():

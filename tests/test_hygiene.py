@@ -4,8 +4,10 @@ CLI's exit code), no package function calls itself by name (a walk that
 recurses once per step fails on long walks with a bare RecursionError), the
 CLI schemas list every MargDiagnostics counter, `pottsdecay.__all__` is
 exactly, and only, what `__init__.py` imports, every package attribute
-the benchmark's tracer (`perfbench/tracing.py`) patches exists, and no
-package module uses `functools.lru_cache` or `functools.cache`.
+the benchmark's tracer (`perfbench/tracing.py`) patches exists, no
+package module uses `functools.lru_cache` or `functools.cache`, and no
+package module but `graph.py` calls `Graph.__new__` (every graph view is
+built by `graph._view`).
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -167,6 +169,38 @@ def test_no_functools_caches(path):
     # process-wide functools cache outlives it and hides from the benchmark.
     lines = _functools_caches(path.read_text())
     assert not lines, f"{path.name}: functools cache at lines {lines}; scope it to one call"
+
+
+def _graph_new_lines(source):
+    """Lines that name Graph.__new__."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Graph"
+    )
+
+
+def test_checker_flags_graph_new_only():
+    source = (
+        "view = Graph.__new__(Graph)\n"
+        "make = Graph.__new__\n"
+        "other = Block.__new__(Block)\n"
+        "g = Graph(3, [])\n"
+        "h = g.remove_edges([])\n"
+    )
+    assert _graph_new_lines(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_graph_views_are_built_in_graph_only(path):
+    lines = _graph_new_lines(path.read_text())
+    if path.name == "graph.py":
+        assert lines, "graph.py no longer builds views with Graph.__new__; update this check"
+    else:
+        assert not lines, f"{path.name}: Graph.__new__ at lines {lines}; use graph._view"
 
 
 @pytest.mark.parametrize("schema", ["marginal", "partition"])

@@ -1,0 +1,187 @@
+"""Singleton nodes whose children fall back to the general path.
+
+A singleton node hands each non-leaf child to `decay._node_vector` as the
+root graph, the removed edges and the pins. `_lean_vector` evaluates the
+child there when its block is one vertex; otherwise `_node_vector` builds
+the child's view and Instance and runs the general path on them.
+
+These tests draw instances on which both kinds of child occur: hub/connector
+graphs at beta > 0, and at beta = 0 with ell >= 1. A hub whose connectors are
+all low-degree is a singleton node, and a connector child whose other hub is
+still high-degree falls back. The draws also cover pinned neighbours, keyed
+indices (children that read the node's pin) and max_calls caps that abort
+inside a lean child's subtree. Each run is compared with the general path
+(the evaluator patched to return None) with `==` on the vector and every
+`MargDiagnostics` field, or on the error's type, message and partial
+diagnostics. Every view that decay builds from a root and a removed set must
+equal `Graph.remove_edges` of that set, edges and rows alike.
+
+The property test needs Hypothesis (in the `test` extras) and skips without
+it; the fixed case runs without it.
+"""
+
+from dataclasses import asdict
+from unittest import mock
+
+from pottsdecay import (
+    BudgetError,
+    Graph,
+    Instance,
+    PottsError,
+    PottsParams,
+    RecursionLimits,
+    decay,
+    marginal_vector,
+)
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - the property test skips
+    given = None
+
+
+def _outcome(inst, v, ell, limits):
+    """marginal_vector's vector and diagnostics, or the error's type name,
+    message and partial diagnostics."""
+    try:
+        vec, diag = marginal_vector(inst, v, ell, limits)
+    except PottsError as err:
+        partial = getattr(err, "diagnostics", None)
+        return type(err).__name__, str(err), partial and asdict(partial)
+    return vec, asdict(diag)
+
+
+class _Seen:
+    """What one run's singleton nodes did: fallbacks, keyed indices, the
+    views decay built, and errors that left a lean child's subtree."""
+
+    def __init__(self):
+        self.fallbacks = 0
+        self.keyed = 0
+        self.views = []
+        self.aborted_in_child = False
+
+
+def _observed(inst, v, ell, limits):
+    """_outcome of the evaluator's run, with what its singleton nodes did."""
+    seen = _Seen()
+    view, keyed_child = decay._view, decay._keyed_child
+    node_vector, block_vector = decay._node_vector, decay._block_vector
+
+    def recorded_view(root, removed):
+        out = view(root, removed)
+        seen.views.append((root, removed, out))
+        return out
+
+    def counted_keyed(*args):
+        seen.keyed += 1
+        return keyed_child(*args)
+
+    def watched_node(*args):
+        try:
+            return node_vector(*args)
+        except BudgetError:
+            seen.aborted_in_child = True
+            raise
+
+    def counted_block(*args, **kwargs):
+        # _node_vector's fallback is the one caller that skips the evaluator.
+        seen.fallbacks += kwargs.get("singleton") is False
+        return block_vector(*args, **kwargs)
+
+    with mock.patch.multiple(
+        decay,
+        _view=recorded_view,
+        _keyed_child=counted_keyed,
+        _node_vector=watched_node,
+        _block_vector=counted_block,
+    ):
+        out = _outcome(inst, v, ell, limits)
+    return out, seen
+
+
+def _check(inst, v, ell, limits):
+    """Assert the evaluator's run equals the general path's; return what it did."""
+    out, seen = _observed(inst, v, ell, limits)
+    with mock.patch.object(decay, "_singleton_vector", lambda *args: None):
+        general = _outcome(inst, v, ell, limits)
+    assert out == general
+    for root, removed, view in seen.views:
+        ref = root.remove_edges(removed)
+        assert (view.n, view.m, view.edges) == (ref.n, ref.m, ref.edges)
+        assert list(view.adjacency) == list(ref.adjacency)
+    return out, seen
+
+
+def _hubs(hubs, pairs):
+    """Hubs 0..hubs-1; connector hubs + c joins the two hubs of pairs[c]."""
+    edges = []
+    for c, (a, b) in enumerate(pairs):
+        edges += [(a, hubs + c), (b, hubs + c)]
+    return Graph(hubs + len(pairs), edges)
+
+
+# Three hubs of degree 4 at q = 4, beta 0.5 (hubs are high-degree from
+# degree 4 on, connectors have degree 2): a hub is a singleton node, and each
+# connector child falls back, its block holding the connector and its other
+# hub. Connector 8 (joining hubs 1 and 2) is pinned.
+FIXED = (
+    _hubs(3, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2)]),
+    PottsParams(4, "0.5"),
+    {8: 3},
+)
+
+
+def test_fixed_mixed_case_covers_fallbacks_keyed_indices_and_caps():
+    graph, params, pins = FIXED
+    inst = Instance(graph, params, pins)
+    out, seen = _check(inst, 0, 3, RecursionLimits())
+    assert isinstance(out[0], list)
+    assert (seen.fallbacks, seen.keyed, len(seen.views)) == (6, 2, 9)
+    calls = out[1]["recursive_calls"]
+    assert calls == 607
+    inside = 0
+    for cap in range(1, calls, 20):
+        out, seen = _check(inst, 0, 3, RecursionLimits(max_calls=cap))
+        assert out[0] == BudgetError.__name__
+        inside += seen.aborted_in_child
+    assert inside > 0
+    out, _ = _check(inst, 0, 3, RecursionLimits(max_calls=calls))
+    assert out[1]["recursive_calls"] == calls
+
+
+if given is not None:
+
+    # (q, beta) at which a connector (degree 2) is low-degree and a hub is
+    # high-degree from degree 3 (q = 6, beta = 0), 4 (q = 7, beta = 0; q = 5,
+    # beta 0.25; q = 4, beta 0.5) or 5 (q = 6, beta 0.25) on.
+    _PARAMS = [(6, "0"), (7, "0"), (5, "0.25"), (6, "0.25"), (4, "0.5")]
+
+    @st.composite
+    def _mixed(draw):
+        hubs = draw(st.integers(2, 4))
+        pair = st.tuples(st.integers(0, hubs - 1), st.integers(0, hubs - 1))
+        pairs = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), min_size=4, max_size=12))
+        graph = _hubs(hubs, pairs)
+        n = graph.n
+        q, beta = draw(st.sampled_from(_PARAMS))
+        pins = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, q), max_size=n // 4))
+        inst = Instance(graph, PottsParams(q, beta), pins)
+        v = draw(st.sampled_from([u for u in range(n) if u not in pins]))
+        # beta = 0 is served only at ell >= 1.
+        ell = draw(st.integers(0 if beta != "0" else 1, 5))
+        cap = None
+        if draw(st.booleans()):
+            # A cap below the run's call count aborts somewhere inside it.
+            try:
+                calls = marginal_vector(inst, v, ell)[1].recursive_calls
+            except PottsError:
+                calls = 1
+            cap = draw(st.integers(1, calls))
+        return inst, v, ell, RecursionLimits(max_calls=cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed())
+    def test_mixed_regime_matches_general_path(case):
+        _check(*case)

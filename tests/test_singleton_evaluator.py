@@ -68,16 +68,21 @@ def _both(run, *args):
 
 
 def _served(inst, v, ell, limits=None):
-    """marginal_vector's result and how many nodes the evaluator served."""
+    """marginal_vector's result, and for each node the evaluator's body saw,
+    in order of return, whether it served the node.
+
+    The body, `decay._lean_vector`, sees the root through `_singleton_vector`
+    and each non-leaf child of a served node through `_node_vector`.
+    """
     served = []
-    real = decay._singleton_vector
+    real = decay._lean_vector
 
     def counted(*args):
         out = real(*args)
         served.append(out is not None)
         return out
 
-    with mock.patch.object(decay, "_singleton_vector", counted):
+    with mock.patch.object(decay, "_lean_vector", counted):
         vec, diag = marginal_vector(inst, v, ell, limits)
     return vec, diag, served
 
@@ -188,10 +193,11 @@ if given is not None:
 
 def test_every_node_on_a_cycle_is_served():
     # cycle(12), q = 4, beta 0.5 (partition-cycle's regime): every block is
-    # one vertex, so the evaluator serves every node the recursion reaches.
+    # one vertex, so the evaluator serves every node the recursion reaches:
+    # 11 of the 13 evaluated calls, the other two being leaves.
     inst = Instance(generate("cycle", n=12), PottsParams(4, "0.5"), {5: 2})
     vec, diag, served = _served(inst, 0, 6)
-    assert served and all(served)
+    assert served == [True] * 11 and diag.evaluations == 13
     assert (vec, diag) == marginal_vector(inst, 0, 6)
 
 
@@ -204,7 +210,7 @@ def test_beta_zero_node_at_depth_0_takes_the_general_path(ell):
     assert decay._singleton_vector(inst, 0, ell, diag, RecursionLimits()) is None
     assert diag == MargDiagnostics()
     _, _, served = _served(inst, 0, 1)
-    assert served[-1] and not any(served[:-1])  # the root returns last
+    assert served == [False, False, True]  # the root returns last
 
 
 def test_unpinned_high_degree_neighbour_takes_the_general_path():
