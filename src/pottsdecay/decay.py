@@ -107,61 +107,63 @@ prefix pattern of colour c at index i >= 1 is (c,)*i, and index i's
 children either cannot read v's pin, so one vector serves every c, or read
 it, so each held colour is its own class and every other colour maps to
 free[0]: that is _canonical((c,)*i), read back through the swap of c and
-free[0]. _singleton_vector, which _block_vector tries first, evaluates such
-a node from these facts alone, without minimal_permissive_block, the Block,
-feasible_tuples, the prefix trie, _canonical or the by_color combine. It
-makes the same children in the same order and takes the same logs, sums
-and caps. An index whose children cannot read v's pin (index 0, leaf
-children, or a region walk that misses v) evaluates its one child directly,
-with no memo; at i >= 1 it then charges each further colour of F as a
-_memo_child hit does: the subtree's calls, terminations and infeasible
-events, one cache hit, and the limit check after each. A keyed index goes
-through _memo_child. So no float and no counter moves, and a max_calls
-abort lands where it did, with the same partial diagnostics; it raises the
-same errors, and leaves a node whose block or configuration budget is too
-small to the general path, which raises that BudgetError. The gate: it
-serves beta > 0, and beta = 0 only at ell >= 1. A beta = 0 node at ell <= 0
-is a feasibility cut-off or has cut-off children, which keep the
-whole-prefix key (see "Region key"), so it stays on the general path, and
-_singleton_vector tests the gate before it reads the graph. None of
-perfbench's marginal-gnp2000 nodes is served (all are at ell <= 0). Without
-the gate (ell < 0 in its place) the cut-off children take the region key:
-marginal-gnp2000 ran about 2.1x faster but with 11% more peak RSS (one 10 s
-run each), which is again run.py's per-op record, and criterion 9's L = 6
-took 8.6 s against 13.8 s on a 2-vCPU VM. Dropping the gate waits for
-run.py's fix (ROADMAP item 1). Behind the gate, a beta = 0 singleton at ell
-<= 0 runs _block_terms, which takes the singleton's positions and escape
-lengths directly instead of running escape_paths, induced_edges and a
-position map; that guard compares the block with (anchor,), so an anchor
-outside the block (marg_block) still reaches escape_paths' error.
+free[0]. _lean_vector, which every non-leaf call tries before the general
+path, evaluates such a node from these facts alone, without
+minimal_permissive_block, the Block, feasible_tuples, the prefix trie,
+_canonical or the by_color combine. It makes the same children in the same
+order and takes the same logs, sums and caps. An index whose children
+cannot read v's pin (index 0, leaf children, or a region walk that misses
+v) evaluates its one child directly, with no memo; at i >= 1 it then
+charges each further colour of F as a _memo_child hit does: the subtree's
+calls, terminations and infeasible events, one cache hit, and the limit
+check after each. A keyed index goes through _memo_child. So no float and
+no counter moves, and a max_calls abort lands where it did, with the same
+partial diagnostics; it raises the same errors, and leaves a node whose
+block or configuration budget is too small to the general path, which
+raises that BudgetError. The gate: it serves beta > 0, and beta = 0 only at
+ell >= 1. A beta = 0 node at ell <= 0 is a feasibility cut-off or has
+cut-off children, which keep the whole-prefix key (see "Region key"), so it
+stays on the general path, and _lean_vector tests the gate before it reads
+the graph. None of perfbench's marginal-gnp2000 nodes is served (all are at
+ell <= 0). Without the gate (ell < 0 in its place) the cut-off children
+would take the region key, which is exact and faster, but, as with the
+region key at the cut-off, that speed-up reads as a peak-RSS regression
+until run.py stops keeping a record per op (ROADMAP item 1). Behind the
+gate, a beta = 0 singleton at ell <= 0 runs _block_terms, which takes the
+singleton's positions and escape lengths directly instead of running
+escape_paths, induced_edges and a position map; that guard compares the
+block with (anchor,), so an anchor outside the block (marg_block) still
+reaches escape_paths' error.
 
-Lean children. A singleton node's children stay in a lean form: the root
-graph, the frozenset of canonical edges removed from it, and a pin dict.
-_singleton_vector hands its instance's root graph, removed edges and pins
-to _lean_vector, the evaluator's body. A child at index i removes the
-node's removed edges and its boundary edges at positions >= i; an unkeyed
-child shares the node's pin dict, and a keyed one gets a copy with v pinned
-to a colour c of F. Rows are the root's rows filtered by the removed set
-(graph._kept_row), and the high-degree test reads the root degree first,
-since a derived degree is never larger. No pin is re-checked: the root's
-were checked when its Instance was built, a child only adds pins, and an
-added pin puts a vertex of the graph to a palette colour. Each non-leaf
-child goes through _leaf and then _node_vector, which runs _lean_vector on
-it and, when that declines the child (an unpinned high-degree neighbour in
-the child's graph, the beta = 0 gate, or a budget), builds the child's view
-(graph._view) and Instance and runs the general part of _block_vector on
-them. Besides that fallback, a view is built only for the region walk
-that tells whether an index i >= 1 is keyed. Through unkeyed indices the
-recursion alternates _lean_vector and _node_vector, two Python frames per
-level. Every node of perfbench's partition-cycle workload is served,
-and that workload ran about 1.5x faster with the evaluator; evaluating
-unkeyed children without the memo, together with _read_region's one-hop
-step, took it about 1.19x further and sample-cycle about 1.10x, and the
-lean children about 1.29x further again and sample-cycle about 1.04x
-(alternating 20 s runs on a 2-vCPU VM). On that workload no child falls
-back: over a traced run of 25 ops, Instance constructions and
-Graph.remove_edges calls fell from 18 228 each to 0, and the only views
-left are those of the region walks.
+Children. Every child has one form: the root graph, the frozenset of
+canonical edges removed from it, and a pin dict. _block_terms' children
+of index i remove the node's removed edges, the block's internal edges and
+its boundary edges at positions >= i, and get a copy of the node's pins
+with the kept prefix positions pinned. _lean_vector's children of index i
+remove the node's removed edges and its boundary edges at positions >= i;
+an unkeyed child shares the node's pin dict, and a keyed one gets a copy
+with v pinned to a colour c of F. Rows are the root's rows filtered by the
+removed set (graph._kept_row), and the high-degree test reads the root
+degree first, since a derived degree is never larger. No pin is
+re-checked: the root's were checked when its Instance was built, a child
+only adds pins, and an added pin puts a vertex of the graph to a palette
+colour. No removed edge is checked either (graph._view holds the set as
+given): each is an edge of its node's graph, which is why marg_block
+checks a caller's block first. A memoised child (every child of
+_block_terms, and a keyed child of _lean_vector) is evaluated by _child,
+which copies the node's pins and adds the prefix pins. Each non-leaf child
+goes through _leaf and then _node_vector, the one place that builds a
+child's view and Instance: it runs _lean_vector on the child and, when that
+declines it (an unpinned high-degree neighbour in the child's graph, the
+beta = 0 gate, or a budget), builds the child's view (graph._view) and
+Instance and runs _block_vector, the general path, on them. The root tries _lean_vector on its instance's root graph, removed
+edges and pins, then _block_vector on the instance itself. Besides the
+fallback, a view is built only for the region walk that tells whether an
+index i >= 1 is keyed. Through unkeyed singleton indices the recursion
+alternates _lean_vector and _node_vector, two Python frames per level. On
+perfbench's partition-cycle workload every block is one vertex, so no
+child falls back: no Instance is built below the root, and the only views
+are those of the region walks.
 """
 
 from __future__ import annotations
@@ -176,6 +178,7 @@ from dataclasses import asdict, dataclass
 from .blocks import (
     DEFAULT_BLOCK_BUDGET,
     DEFAULT_CONFIG_BUDGET,
+    _boundary_edges,
     feasible_tuples,
     minimal_permissive_block,
 )
@@ -316,9 +319,13 @@ def _root_vector(instance, v, ell, limits):
     depth = _depth(ell)
     limits = limits or RecursionLimits()
     with _root_call(diag, depth):
-        vec = _leaf(instance.params, instance.pinned.get(v), depth, diag, limits)
+        params, pinned = instance.params, instance.pinned
+        vec = _leaf(params, pinned.get(v), depth, diag, limits)
         if vec is None:
-            vec = _block_vector(instance, v, depth, diag, limits)
+            g = instance.graph
+            vec = _lean_vector(g.root, g.removed, params, pinned, v, depth, diag, limits)
+            if vec is None:
+                vec = _block_vector(instance, v, depth, diag, limits)
     return vec, diag
 
 
@@ -333,6 +340,18 @@ def _logsumexp(values):
     if hi == -math.inf:
         return -math.inf
     return hi + math.log(math.fsum([math.exp(x - hi) for x in values]))
+
+
+def _denominator(terms, v=None):
+    """_logsumexp of a node's terms, or InfeasibleError when every term is
+    annihilated; v names the node's vertex in the message."""
+    den = _logsumexp(terms)
+    if den == -math.inf:
+        at = "" if v is None else f" at vertex {v}"
+        raise InfeasibleError(
+            f"block recursion denominator vanished{at} (every feasible configuration annihilated)"
+        )
+    return den
 
 
 def _canonical(pat, held, free):
@@ -427,6 +446,8 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         upos = [pos[u] for u, _ in bedges]
         lengths = escape_paths(graph, block, anchor)
 
+    cut = [(u, w) if u < w else (w, u) for u, w in bedges]  # canonical boundary edges
+
     terms = [0.0] * len(F)
     if params.beta_positive and internal:
         ln_beta = math.log(params.beta_float)
@@ -440,11 +461,11 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     for i, (_, v_i) in enumerate(bedges):
         pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
         sub_ell = ell - lengths[i]
-        g_i = None
+        removed_i = None
         if pin_i is None and not (params.beta_positive and sub_ell < 0):  # not a leaf
             # Every child of index i drops the block's internal edges and
             # the boundary edges at positions >= i.
-            g_i = graph.remove_edges([*internal, *bedges[i:]])
+            removed_i = graph.removed.union(internal, cut[i:])
         # The prefix positions whose pin the children of index i can read,
         # and each node's pattern restricted to them (see "Region key" in
         # the module docstring). Index 0 has no prefix, and the beta = 0
@@ -454,7 +475,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         if i and pin_i is None and sub_ell >= 0:
             pinned = set(instance.pinned)
             pinned.update(verts[p] for p in kept_pos)
-            region = _read_region(g_i, params, pinned, v_i, sub_ell)
+            region = _read_region(_view(graph.root, removed_i), params, pinned, v_i, sub_ell)
             kept = [j for j, p in enumerate(kept_pos) if verts[p] in region]
             if not kept:
                 kept_pos = []
@@ -465,16 +486,10 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         elif i and (pin_i is not None or params.beta_positive):
             kept_pos = []  # leaf children read only v_i's pin (_leaf's rule)
             subs = [()] * len(pats)
-
-        def evaluate(canon):
-            vec = _leaf(params, pin_i, sub_ell, diag, limits)
-            if vec is None:
-                pins = dict(instance.pinned)
-                for j, p in enumerate(kept_pos):
-                    pins[verts[p]] = canon[j]
-                vec = _block_vector(Instance(g_i, params, pins), v_i, sub_ell, diag, limits)
-            return vec
-
+        at = [verts[p] for p in kept_pos]
+        evaluate = _child(
+            graph.root, removed_i, params, instance.pinned, at, v_i, pin_i, sub_ell, diag, limits
+        )
         vectors = []
         memo = {}
         for sub in subs:
@@ -509,7 +524,7 @@ def _leaf(params, pin, ell, diag, limits):
     A leaf is a pinned vertex (its one-hot vector) or an unpinned one at
     beta > 0 with ell < 0 (uniform, one termination). It reads nothing but
     its pin, so it needs no instance. Any other call returns None, for
-    _block_vector to evaluate.
+    _lean_vector or _block_vector to evaluate.
     """
     diag.recursive_calls += 1
     diag.evaluations += 1
@@ -525,33 +540,19 @@ def _leaf(params, pin, ell, diag, limits):
     return None
 
 
-def _singleton_vector(instance, v, ell, diag, limits):
-    """_block_vector at a node whose block is v alone; None for any other node.
+def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
+    """The vector at a node whose block is v alone, on the graph root minus
+    the edges `removed`; None for any other node.
 
     Serves beta > 0, or beta = 0 at ell >= 1, and returns None, before
     counting anything, when an unpinned neighbour of v is high-degree or a
-    block or configuration budget would be exceeded. The gate is tested
-    before the graph is read; the node is then evaluated by _lean_vector on
-    the instance's root graph, removed edges and pins. See "Singleton
-    blocks" and "Lean children" in the module docstring.
-    """
-    params = instance.params
-    if not params.beta_positive and ell < 1:
-        return None
-    graph = instance.graph
-    return _lean_vector(graph.root, graph.removed, params, instance.pinned, v, ell, diag, limits)
-
-
-def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
-    """_singleton_vector's body, on the graph root minus the edges `removed`.
-
-    Returns None, before counting anything, for a node the evaluator does
-    not serve (see _singleton_vector). Each non-leaf child is handed to
-    _node_vector as the same root, the removed set grown by the boundary
-    edges it drops, and the parent's pin dict, or a copy of it with v
-    pinned to a colour of F. This function builds a view only for the
-    region walk that tells whether an index is keyed. See "Lean children"
-    in the module docstring.
+    block or configuration budget would be exceeded; the gate is tested
+    before the graph is read. Each non-leaf child is handed to _node_vector
+    as the same root, the removed set grown by the boundary edges it drops,
+    and the parent's pin dict, or a copy of it with v pinned to a colour of
+    F. This function builds a view only for the region walk that tells
+    whether an index is keyed. See "Singleton blocks" and "Children" in the
+    module docstring.
     """
     beta_positive = params.beta_positive
     if not beta_positive and ell < 1:
@@ -625,20 +626,15 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
 
         held = set(pinned.values())
         free0 = next((c for c in range(1, q + 1) if c not in held), None)
-        evaluate = _keyed_child(root, sub_removed, params, pinned, v, w, sub_ell, diag, limits)
+        evaluate = _child(root, sub_removed, params, pinned, (v,), w, None, sub_ell, diag, limits)
         memo = {}
         for k, c in enumerate(F):
             x = c if c in held else free0
-            vec = _memo_child(memo, x, evaluate, diag, limits)
+            vec = _memo_child(memo, (x,), evaluate, diag, limits)
             factor = 1.0 - one_minus * vec[x - 1]
             terms[k] += math.log(factor) if factor > 0.0 else -math.inf
 
-    den = _logsumexp(terms)
-    if den == -math.inf:
-        raise InfeasibleError(
-            f"block recursion denominator vanished at vertex {v} "
-            "(every feasible configuration annihilated)"
-        )
+    den = _denominator(terms, v)
     cap = params.marginal_upper_bound(len(nbrs))
     out = [0.0] * q
     for c, t in zip(F, terms):
@@ -647,51 +643,48 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
     return out
 
 
-def _keyed_child(root, removed, params, pinned, v, w, ell, diag, limits):
-    """_memo_child's evaluate(c) at a keyed index: the child at w, v pinned to c.
+def _child(root, removed, params, pinned, at, v, pin, ell, diag, limits):
+    """_memo_child's evaluate(colours): the child at v, whose pin is `pin`.
 
-    A keyed child is unpinned at ell >= 0, so _leaf only counts it. c is a
-    palette colour and v a vertex of the graph, so the added pin needs no
-    check. (A closure here rather than in _lean_vector keeps that
-    function's locals plain.)
+    The child is counted by _leaf; unless it is a leaf, its pins are
+    `pinned` with the vertices `at` pinned to `colours` as well, and it is
+    evaluated by _node_vector on the root graph minus `removed`. The added
+    pins put vertices of the graph to palette colours, so they need no
+    check. (A closure here rather than in its callers keeps their locals
+    plain.)
     """
 
-    def evaluate(c):
-        _leaf(params, None, ell, diag, limits)
-        pins = dict(pinned)
-        pins[v] = c
-        return _node_vector(root, removed, params, pins, w, ell, diag, limits)
+    def evaluate(colours):
+        vec = _leaf(params, pin, ell, diag, limits)
+        if vec is None:
+            pins = dict(pinned)
+            pins.update(zip(at, colours))
+            vec = _node_vector(root, removed, params, pins, v, ell, diag, limits)
+        return vec
 
     return evaluate
 
 
 def _node_vector(root, removed, params, pinned, v, ell, diag, limits):
-    """The vector of a singleton node's non-leaf child, which _leaf counted.
+    """The vector of a non-leaf child, which _leaf counted.
 
     The child is the root graph minus `removed`, with the pins `pinned`.
     _lean_vector evaluates it when it serves it; otherwise the child's view
-    and Instance are built here and the general path runs on them.
+    and Instance are built here, the one place that builds a child, and the
+    general path runs on them.
     """
     out = _lean_vector(root, removed, params, pinned, v, ell, diag, limits)
     if out is None:
         instance = Instance(_view(root, removed), params, pinned)
-        out = _block_vector(instance, v, ell, diag, limits, singleton=False)
+        out = _block_vector(instance, v, ell, diag, limits)
     return out
 
 
-def _block_vector(instance, v, ell, diag, limits, singleton=True):
-    """Full per-color estimate vector at v, for a call _leaf counted as no leaf.
-
-    A node whose block is v alone goes to _singleton_vector first, unless
-    singleton is False: _node_vector has then tried the evaluator already.
-    """
-    if singleton:
-        out = _singleton_vector(instance, v, ell, diag, limits)
-        if out is not None:
-            return out
+def _block_vector(instance, v, ell, diag, limits):
+    """Full per-color estimate vector at v by the general block path, for a
+    call _leaf counted as no leaf and _lean_vector declined."""
     params = instance.params
     q = params.q
-    beta_positive = params.beta_positive
     block = minimal_permissive_block(instance, (v,), limits.block_budget)
     if len(block.vertices) > diag.max_block_size:
         diag.max_block_size = len(block.vertices)
@@ -699,7 +692,7 @@ def _block_vector(instance, v, ell, diag, limits, singleton=True):
     if len(F) > diag.max_f_size:
         diag.max_f_size = len(F)
     vpos = block.vertices.index(v)
-    if not beta_positive and ell < 0:
+    if not params.beta_positive and ell < 0:
         diag.termination_events += 1
         if not F:
             diag.infeasible_events += 1
@@ -709,12 +702,7 @@ def _block_vector(instance, v, ell, diag, limits, singleton=True):
     if not F:
         raise InfeasibleError(f"no feasible block configuration around vertex {v}")
     terms = _block_terms(instance, block, F, v, ell, diag, limits)
-    den = _logsumexp(terms)
-    if den == -math.inf:
-        raise InfeasibleError(
-            f"block recursion denominator vanished at vertex {v} "
-            "(every feasible configuration annihilated)"
-        )
+    den = _denominator(terms, v)
     by_color = [[] for _ in range(q)]
     for t, lw in zip(F, terms):
         if lw != -math.inf:
@@ -739,9 +727,9 @@ def read_region(instance, v, ell):
     instance's pin colours, and the memo moves no float.)
 
     Proof, by induction on the depth of the call. A call of the recursion
-    (_leaf, then _block_vector) at u with depth e, in a derived instance
-    whose graph is a subgraph of the root's and whose pinned set contains
-    the root's, reads:
+    (_leaf, then _lean_vector or _block_vector) at u with depth e, in a
+    derived instance whose graph is a subgraph of the root's and whose
+    pinned set contains the root's, reads:
 
     - u's pin. A pinned u is a leaf and reads nothing else; so is an
       unpinned u at beta > 0 with e < 0.
@@ -908,13 +896,30 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
 
     anchor fixes the vertex the escape paths start from; it defaults to the
     lowest block vertex and must match the query vertex when reproducing a
-    step of the full recursion.
+    step of the full recursion. The block must hold unpinned vertices of
+    the graph, and its boundary_edges must list each edge leaving it once,
+    as (block vertex, outside vertex), in any order.
     """
     limits = limits or RecursionLimits()
+    graph = instance.graph
     verts = block.vertices
+    if not verts:
+        raise ParseError("a block needs at least one vertex")
+    for u in verts:
+        _check_vertex(graph, u)
+        if u in instance.pinned:
+            raise ParseError(f"block vertex {u} is pinned")
+    # The children's removed sets hold the block's edges unchecked
+    # (graph._view), so each must be an edge of the graph.
+    try:
+        exact = sorted(map(tuple, block.boundary_edges)) == _boundary_edges(graph, set(verts))
+    except TypeError:  # an entry that is not a pair of vertex ids
+        exact = False
+    if not exact:
+        raise ParseError("boundary_edges must list each edge leaving the block once")
     if anchor is None:
         anchor = verts[0]
-    _check_vertex(instance.graph, anchor)
+    _check_vertex(graph, anchor)
     pi = Configuration(pi)
     missing = [u for u in verts if u not in pi]
     if missing:
@@ -931,12 +936,7 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
     depth = _depth(ell)
     with _root_call(diag, depth):
         terms = _block_terms(instance, block, F, anchor, depth, diag, limits)
-    den = _logsumexp(terms)
-    if den == -math.inf:
-        raise InfeasibleError(
-            "block recursion denominator vanished "
-            "(every feasible configuration annihilated)"
-        )
+    den = _denominator(terms)
     num = terms[idx]
     return 0.0 if num == -math.inf else math.exp(num - den)
 
@@ -951,7 +951,7 @@ def error_bound(graph, v, L, params, alpha, prefactor="conservative"):
     vertex degree instead of n), or n*ln(q) when beta = 0.
     """
     _check_vertex(graph, v)
-    if L < 1:
+    if _depth(L) < 1:
         raise ParseError("depth L must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ParseError(f"alpha must be in (0, 1); got {alpha} (no contraction certified)")

@@ -14,8 +14,9 @@ view filters a vertex's adjacency row from the root's the first time it is
 read and builds its edge tuple only when asked for; its values and orders
 are those of a root graph built from the remaining edges. Every view is
 built by _view and every filtered row by _kept_row. Code that walks derived
-graphs without building views (the estimator's singleton nodes) holds a
-graph as its root and removed set and uses the same two helpers.
+graphs without building views (the estimator's recursion, which never calls
+remove_edges) holds a graph as its root and removed set and uses the same
+two helpers.
 """
 
 from __future__ import annotations

@@ -94,8 +94,8 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
         raise ParseError(f"sample_batch runs on one thread, got threads={threads!r}")
     if instance.params.q < 3:
         raise ParseError("the estimator needs q >= 3")
-    if n_samples < 1:
-        raise ParseError("n_samples must be >= 1")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
+        raise ParseError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     _check_seed(seed, bits=64)
     depth = _depth(L)
     limits = limits or RecursionLimits()

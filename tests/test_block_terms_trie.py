@@ -202,7 +202,7 @@ def _fields(diag):
 @contextmanager
 def _general_path_with(block_terms):
     """Every node through block_terms, singleton blocks included."""
-    with mock.patch.object(decay, "_singleton_vector", lambda *args: None):
+    with mock.patch.object(decay, "_lean_vector", lambda *args: None):
         with mock.patch.object(decay, "_block_terms", block_terms):
             yield
 

@@ -83,7 +83,7 @@ def test_memo_matches_schedule_without_it(case):
     # without the memo. The reference runs singleton blocks through
     # _block_terms too, where _canonical is called.
     inst, v, ell = case
-    with mock.patch.object(decay, "_singleton_vector", lambda *args: None):
+    with mock.patch.object(decay, "_lean_vector", lambda *args: None):
         with mock.patch.object(decay, "_canonical", lambda pat, held, free: (pat, ())):
             naive = _run(inst, v, ell)
     assert _run(inst, v, ell) == naive

@@ -601,6 +601,28 @@ def test_marg_block_singleton_anchor_must_be_inside():
             marg_block(inst, block, {0: 1}, 2, anchor=anchor)
 
 
+def test_marg_block_rejects_a_block_the_instance_does_not_have():
+    # cycle(6): vertex 0's edges leave to 1 and 5. Each of these blocks
+    # answered 0.25 or 0.2499... before it was checked; a pinned block
+    # vertex's true answer is 0.
+    inst = _inst(generate("cycle", n=6), 4, "0.5")
+    with pytest.raises(ParseError, match="block vertex 0 is pinned"):
+        marg_block(_inst(inst.graph, 4, "0.5", {0: 2}), Block((0,), ((0, 1), (0, 5))), {0: 1}, 3)
+    wrong = [(0, 1), (0, 3)], [(0, 1)], [(0, 1), (0, 1), (0, 5)], [(1, 0), (0, 5)], [(0, 1), 5]
+    for boundary in wrong:
+        with pytest.raises(ParseError, match="boundary_edges must list each edge leaving"):
+            marg_block(inst, Block((0,), boundary), {0: 1}, 3)
+    for verts in ((6,), (-1,), (0.5,)):
+        with pytest.raises(ParseError, match="vertex"):
+            marg_block(inst, Block(verts, ()), {verts[0]: 1}, 3)
+    with pytest.raises(ParseError, match="at least one vertex"):
+        marg_block(inst, Block((), ()), {}, 3)
+    good = Block((0,), [[0, 5], (0, 1)])  # any order, pairs as lists or tuples
+    assert marg_block(inst, good, {0: 1}, 3) == marg_block(
+        inst, minimal_permissive_block(inst, (0,)), {0: 1}, 3
+    ) == 0.25
+
+
 @pytest.mark.parametrize("beta", ["0", "0.5"])
 def test_singleton_blocks_skip_escape_walk(beta, monkeypatch):
     # On a cycle at q = 6 every block is one vertex, so no node walks
@@ -647,6 +669,9 @@ def test_error_bound_validation():
     for v in (1.5, True):
         with pytest.raises(ParseError, match="vertex must be an integer"):
             error_bound(g, v, 2, params, 0.5)
+    for L in (1.5, True, "2"):
+        with pytest.raises(ParseError, match="depth must be an integer"):
+            error_bound(g, 0, L, params, 0.5)
 
 
 def test_error_bound_matches_profile_tail():

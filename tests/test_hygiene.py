@@ -5,9 +5,11 @@ recurses once per step fails on long walks with a bare RecursionError), the
 CLI schemas list every MargDiagnostics counter, `pottsdecay.__all__` is
 exactly, and only, what `__init__.py` imports, every package attribute
 the benchmark's tracer (`perfbench/tracing.py`) patches exists, no
-package module uses `functools.lru_cache` or `functools.cache`, and no
+package module uses `functools.lru_cache` or `functools.cache`, no
 package module but `graph.py` calls `Graph.__new__` (every graph view is
-built by `graph._view`).
+built by `graph._view`), and `decay.py` builds an `Instance` in
+`_node_vector` only and never calls `remove_edges` (a child of the
+recursion is built in one place).
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -201,6 +203,52 @@ def test_graph_views_are_built_in_graph_only(path):
         assert lines, "graph.py no longer builds views with Graph.__new__; update this check"
     else:
         assert not lines, f"{path.name}: Graph.__new__ at lines {lines}; use graph._view"
+
+
+def _child_builds(source):
+    """(line, name, function) of every call named Instance or remove_edges,
+    plain or as an attribute; function is the innermost enclosing def's
+    name, or None at module level."""
+    found = []
+    stack = [(ast.parse(source), None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("Instance", "remove_edges"):
+                found.append((node.lineno, name, func))
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_checker_finds_child_builds():
+    source = (
+        "def _node_vector(root):\n"
+        "    return Instance(_view(root), p)\n"
+        "def _block_terms(g):\n"
+        "    h = g.remove_edges([])\n"
+        "    def evaluate(c):\n"
+        "        return Instance(h, p, c)\n"
+        "    return model.Instance(h, p), InstanceError(h)\n"
+        "x = Instance(g, p)\n"
+    )
+    assert _child_builds(source) == [
+        (2, "Instance", "_node_vector"),
+        (4, "remove_edges", "_block_terms"),
+        (6, "Instance", "evaluate"),
+        (7, "Instance", "_block_terms"),
+        (8, "Instance", None),
+    ]
+
+
+def test_decay_builds_children_in_node_vector_only():
+    builds = _child_builds((PACKAGE / "decay.py").read_text())
+    assert builds, "decay.py builds no Instance; update this check"
+    wrong = [b for b in builds if b[1:] != ("Instance", "_node_vector")]
+    assert not wrong, f"decay.py builds children outside _node_vector: {wrong}"
 
 
 @pytest.mark.parametrize("schema", ["marginal", "partition"])

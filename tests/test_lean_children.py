@@ -1,9 +1,10 @@
-"""Singleton nodes whose children fall back to the general path.
+"""Children that fall back to the general path, and children that do not.
 
-A singleton node hands each non-leaf child to `decay._node_vector` as the
-root graph, the removed edges and the pins. `_lean_vector` evaluates the
-child there when its block is one vertex; otherwise `_node_vector` builds
-the child's view and Instance and runs the general path on them.
+Every node hands each non-leaf child to `decay._node_vector` as the root
+graph, the removed edges and the pins. `_lean_vector` evaluates the child
+there when its block is one vertex; otherwise `_node_vector` builds the
+child's view and Instance, the only Instance `decay` builds, and runs the
+general path on them.
 
 These tests draw instances on which both kinds of child occur: hub/connector
 graphs at beta > 0, and at beta = 0 with ell >= 1. A hub whose connectors are
@@ -32,6 +33,7 @@ from pottsdecay import (
     RecursionLimits,
     decay,
     marginal_vector,
+    minimal_permissive_block,
 )
 
 try:
@@ -53,8 +55,9 @@ def _outcome(inst, v, ell, limits):
 
 
 class _Seen:
-    """What one run's singleton nodes did: fallbacks, keyed indices, the
-    views decay built, and errors that left a lean child's subtree."""
+    """What one run did: fallbacks (the Instances decay built), keyed
+    indices (those whose children get prefix pins), the views decay built,
+    and errors that left a child's subtree."""
 
     def __init__(self):
         self.fallbacks = 0
@@ -64,19 +67,25 @@ class _Seen:
 
 
 def _observed(inst, v, ell, limits):
-    """_outcome of the evaluator's run, with what its singleton nodes did."""
+    """_outcome of the evaluator's run, with what it did."""
     seen = _Seen()
-    view, keyed_child = decay._view, decay._keyed_child
-    node_vector, block_vector = decay._node_vector, decay._block_vector
+    view, child, node_vector = decay._view, decay._child, decay._node_vector
+
+    class Counted(Instance):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            seen.fallbacks += 1
+            super().__init__(*args)
 
     def recorded_view(root, removed):
         out = view(root, removed)
         seen.views.append((root, removed, out))
         return out
 
-    def counted_keyed(*args):
-        seen.keyed += 1
-        return keyed_child(*args)
+    def counted_child(root, removed, params, pinned, at, *rest):
+        seen.keyed += bool(at)
+        return child(root, removed, params, pinned, at, *rest)
 
     def watched_node(*args):
         try:
@@ -85,17 +94,12 @@ def _observed(inst, v, ell, limits):
             seen.aborted_in_child = True
             raise
 
-    def counted_block(*args, **kwargs):
-        # _node_vector's fallback is the one caller that skips the evaluator.
-        seen.fallbacks += kwargs.get("singleton") is False
-        return block_vector(*args, **kwargs)
-
     with mock.patch.multiple(
         decay,
+        Instance=Counted,
         _view=recorded_view,
-        _keyed_child=counted_keyed,
+        _child=counted_child,
         _node_vector=watched_node,
-        _block_vector=counted_block,
     ):
         out = _outcome(inst, v, ell, limits)
     return out, seen
@@ -104,7 +108,7 @@ def _observed(inst, v, ell, limits):
 def _check(inst, v, ell, limits):
     """Assert the evaluator's run equals the general path's; return what it did."""
     out, seen = _observed(inst, v, ell, limits)
-    with mock.patch.object(decay, "_singleton_vector", lambda *args: None):
+    with mock.patch.object(decay, "_lean_vector", lambda *args: None):
         general = _outcome(inst, v, ell, limits)
     assert out == general
     for root, removed, view in seen.views:
@@ -138,7 +142,7 @@ def test_fixed_mixed_case_covers_fallbacks_keyed_indices_and_caps():
     inst = Instance(graph, params, pins)
     out, seen = _check(inst, 0, 3, RecursionLimits())
     assert isinstance(out[0], list)
-    assert (seen.fallbacks, seen.keyed, len(seen.views)) == (6, 2, 9)
+    assert (seen.fallbacks, seen.keyed, len(seen.views)) == (12, 2, 21)
     calls = out[1]["recursive_calls"]
     assert calls == 607
     inside = 0
@@ -149,6 +153,36 @@ def test_fixed_mixed_case_covers_fallbacks_keyed_indices_and_caps():
     assert inside > 0
     out, _ = _check(inst, 0, 3, RecursionLimits(max_calls=calls))
     assert out[1]["recursive_calls"] == calls
+
+
+def test_singleton_children_of_general_nodes_build_no_instance():
+    # The root hub is a singleton node and its connector children fall
+    # back: each connector's block holds the connector and its other hub.
+    # Six children of those blocks are one-vertex blocks, which _lean_vector
+    # serves, so every Instance decay builds goes to a node whose block has
+    # more than one vertex.
+    graph, params, pins = FIXED
+    inst = Instance(graph, params, pins)
+    built, blocks = [], {}
+    block_vector = decay._block_vector
+
+    class Recorded(Instance):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def recorded_block(instance, v, *rest):
+        blocks[id(instance)] = minimal_permissive_block(instance, (v,)).vertices
+        return block_vector(instance, v, *rest)
+
+    with mock.patch.multiple(decay, Instance=Recorded, _block_vector=recorded_block):
+        out = marginal_vector(inst, 0, 3)
+    assert out == marginal_vector(inst, 0, 3)
+    assert len(built) == 12
+    assert all(len(blocks[id(child)]) > 1 for child in built)
+    assert all(len(block) > 1 for block in blocks.values())
 
 
 if given is not None:

@@ -180,7 +180,7 @@ def _naive(diag):
 def _check(case):
     # The references run every node through _block_terms, singleton blocks
     # included (tests/test_singleton_evaluator.py compares the two paths).
-    general = mock.patch.object(decay, "_singleton_vector", lambda *args: None)
+    general = mock.patch.object(decay, "_lean_vector", lambda *args: None)
     with general, mock.patch.object(decay, "_block_terms", _colour_class_block_terms):
         ref = _run(*case)
         # With the identity for _canonical the reference memo shares a child

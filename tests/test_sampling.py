@@ -157,6 +157,9 @@ def test_sampler_validation():
     inst = _triangle()
     with pytest.raises(ParseError, match="n_samples"):
         sample_batch(inst, 6, 0, seed=1)
+    for n_samples in (2.5, True, "3"):
+        with pytest.raises(ParseError, match="n_samples must be an integer >= 1"):
+            sample_batch(inst, 6, n_samples, seed=1)
     with pytest.raises(ParseError, match="seed"):
         sample_batch(inst, 6, 1, seed=-4)
     with pytest.raises(ParseError, match="seed"):

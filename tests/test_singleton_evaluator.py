@@ -1,6 +1,6 @@
-"""Differential and edge-case tests of `decay._singleton_vector`, the
-evaluator `_block_vector` tries first at a node whose block is its vertex
-alone (see "Singleton blocks" in `decay`'s docstring).
+"""Differential and edge-case tests of `decay._lean_vector`, the evaluator
+every non-leaf call tries before the general path, at a node whose block is
+its vertex alone (see "Singleton blocks" in `decay`'s docstring).
 
 The general path is forced by patching the evaluator to return None. Both
 paths must return the same vector and every `MargDiagnostics` field with
@@ -41,7 +41,13 @@ except ImportError:  # pragma: no cover - the property tests skip
 
 def _general():
     """Context in which every node takes the general path."""
-    return mock.patch.object(decay, "_singleton_vector", lambda *args: None)
+    return mock.patch.object(decay, "_lean_vector", lambda *args: None)
+
+
+def _lean(inst, v, ell, diag, limits):
+    """`decay._lean_vector` on an instance's root graph, removed edges and pins."""
+    g = inst.graph
+    return decay._lean_vector(g.root, g.removed, inst.params, inst.pinned, v, ell, diag, limits)
 
 
 def _outcome(call):
@@ -71,8 +77,8 @@ def _served(inst, v, ell, limits=None):
     """marginal_vector's result, and for each node the evaluator's body saw,
     in order of return, whether it served the node.
 
-    The body, `decay._lean_vector`, sees the root through `_singleton_vector`
-    and each non-leaf child of a served node through `_node_vector`.
+    `decay._lean_vector` sees the root through `_root_vector` and each
+    non-leaf child through `_node_vector`.
     """
     served = []
     real = decay._lean_vector
@@ -207,10 +213,12 @@ def test_beta_zero_node_at_depth_0_takes_the_general_path(ell):
     # children, which keep the whole-prefix key on the general path.
     inst = Instance(generate("cycle", n=6), PottsParams(6, "0"))
     diag = MargDiagnostics()
-    assert decay._singleton_vector(inst, 0, ell, diag, RecursionLimits()) is None
+    assert _lean(inst, 0, ell, diag, RecursionLimits()) is None
     assert diag == MargDiagnostics()
     _, _, served = _served(inst, 0, 1)
-    assert served == [False, False, True]  # the root returns last
+    # The root at ell = 1 is served. Its children 1 and 5 (ell = 0) and
+    # their cut-off children 2 and 4 (ell = -1) are declined at the gate.
+    assert served == [False, False, False, False, True]  # the root returns last
 
 
 def test_unpinned_high_degree_neighbour_takes_the_general_path():
@@ -219,10 +227,10 @@ def test_unpinned_high_degree_neighbour_takes_the_general_path():
     star = generate("star", k=5)
     diag = MargDiagnostics()
     limits = RecursionLimits()
-    assert decay._singleton_vector(Instance(star, PottsParams(7, "0")), 1, 3, diag, limits) is None
+    assert _lean(Instance(star, PottsParams(7, "0")), 1, 3, diag, limits) is None
     assert diag == MargDiagnostics()
     pinned = Instance(star, PottsParams(7, "0"), {0: 2})
-    vec = decay._singleton_vector(pinned, 1, 3, diag, limits)
+    vec = _lean(pinned, 1, 3, diag, limits)
     assert vec is not None and vec[1] == 0.0
     assert (diag.max_block_size, diag.max_f_size) == (1, 6)
 
@@ -261,9 +269,9 @@ def test_config_budget_below_beta_zero_f_raises_the_general_paths_error():
     assert message == "feasible-configuration budget 3 exceeded"
     assert diag["max_block_size"] == 1 and diag["max_f_size"] == 0
     diag = MargDiagnostics()
-    assert decay._singleton_vector(inst, 0, 3, diag, RecursionLimits(config_budget=3)) is None
+    assert _lean(inst, 0, 3, diag, RecursionLimits(config_budget=3)) is None
     assert diag == MargDiagnostics()
-    assert decay._singleton_vector(inst, 0, 3, diag, RecursionLimits(config_budget=4)) is not None
+    assert _lean(inst, 0, 3, diag, RecursionLimits(config_budget=4)) is not None
 
 
 def test_singleton_with_no_feasible_colour_raises_the_general_paths_error():
@@ -273,4 +281,4 @@ def test_singleton_with_no_feasible_colour_raises_the_general_paths_error():
     assert name == InfeasibleError.__name__
     assert message == "no feasible block configuration around vertex 0"
     with pytest.raises(InfeasibleError):
-        decay._singleton_vector(inst, 0, 2, MargDiagnostics(), RecursionLimits())
+        _lean(inst, 0, 2, MargDiagnostics(), RecursionLimits())

@@ -1,4 +1,4 @@
-"""A max_calls abort on a colour that `decay._singleton_vector` charges
+"""A max_calls abort on a colour that `decay._lean_vector` charges
 without a memo.
 
 At a singleton node, a boundary index whose children cannot read v's pin
@@ -59,6 +59,6 @@ def test_cap_on_kth_charged_colour_matches_general_path(k):
         first.termination_events + (k + 1) * second.termination_events
     )
 
-    with mock.patch.object(decay, "_singleton_vector", lambda *args: None):
+    with mock.patch.object(decay, "_lean_vector", lambda *args: None):
         general = _abort(RecursionLimits(max_calls=cap))
     assert (message, partial) == general
