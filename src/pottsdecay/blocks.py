@@ -7,9 +7,11 @@ high-degree boundary vertices; the result is independent of absorption order,
 and we process the lowest-numbered candidate first so intermediate states are
 reproducible too.
 
-The exhaustive sparsity scan takes its walks from saw._saws, which keeps its
-own stack, so l_max is not bounded by Python's recursion limit, and grows
-each walk's closure from its parent walk's instead of from scratch.
+Both sparsity-scan modes grow a walk's closure one walk vertex at a time
+with _absorb, under an empty pinning: the exhaustive scan from its parent
+walk's closure, the sampled scan from empty along each trial's walk. The
+exhaustive scan takes its walks from saw._saws, which keeps its own stack,
+so l_max is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import numpy as np
 
 from .errors import BudgetError, ParseError
-from .model import Instance, _check_seed
+from .model import _check_int, _check_seed
 from .saw import _saws
 
 DEFAULT_BLOCK_BUDGET = 64
@@ -205,35 +207,42 @@ def first_feasible_tuple(instance, verts):
     return out[0] if out else None
 
 
+def _absorb(adj, high, closure, w):
+    """Grow a block closure (empty pinning) by the walk vertex w.
+
+    Adds w and every high-degree vertex (high[u]) reachable from w through
+    high-degree vertices, and returns the added vertices in a list, empty
+    when w was already inside. This is exact because cl(cl(S) | {w}) =
+    cl(S | {w}): the closure of S is the least set holding S and every
+    high-degree neighbour of its members.
+    """
+    if w in closure:
+        return []
+    closure.add(w)
+    new = [w]
+    for u in new:  # new grows while the loop reads it
+        for x in adj[u]:
+            if high[x] and x not in closure:
+                closure.add(x)
+                new.append(x)
+    return new
+
+
 def _closure_sizes(adj, high, v, l_max):
     """Yield (walk, size of its block closure) for each walk of saw._saws.
 
-    The closure is taken with an empty pinning, high[u] telling whether u
-    is high-degree. It is grown one vertex at a time along the depth-first
-    scan and undone on backtrack (added[j] lists what walk[j] added), which
-    is exact because cl(cl(S) | {w}) = cl(S | {w}): the closure of S is the
-    least set holding S and every high-degree neighbour of its members. On
-    a sparse graph each step costs O(1) amortised, not O(walk length). The
-    yielded walk is saw._saws' walk in progress: copy it to keep it.
+    The closure is grown by _absorb one vertex at a time along the
+    depth-first scan and undone on backtrack (added[j] lists what walk[j]
+    added). On a sparse graph each step costs O(1) amortised, not O(walk
+    length). The yielded walk is saw._saws' walk in progress: copy it to
+    keep it.
     """
     closure = set()
     added = []
     for walk in _saws(adj, v, l_max):
         while len(added) >= len(walk):
             closure.difference_update(added.pop())
-        new = []
-        w = walk[-1]
-        if w not in closure:
-            closure.add(w)
-            new.append(w)
-            stack = [w]
-            while stack:
-                for x in adj[stack.pop()]:
-                    if high[x] and x not in closure:
-                        closure.add(x)
-                        new.append(x)
-                        stack.append(x)
-        added.append(new)
+        added.append(_absorb(adj, high, closure, walk[-1]))
         yield walk, len(closure)
 
 
@@ -254,13 +263,11 @@ def verify_locally_sparse(
     grows `trials` (at least 1) random self-avoiding walks from a Philox
     stream keyed by the seed, so it needs at least one vertex to start from.
     """
-    if l_max < 0:
-        raise ParseError(f"l_max must be >= 0, got {l_max}")
+    _check_int(l_max, "l_max", 0)
     if mode not in ("exhaustive", "sampled"):
         raise ParseError(f"unknown mode {mode!r}")
     if mode == "sampled":
-        if trials < 1:
-            raise ParseError(f"trials must be >= 1 in sampled mode, got {trials}")
+        _check_int(trials, "trials", 1)
         if graph.n == 0:
             raise ParseError("sampled mode needs a graph with at least one vertex")
         _check_seed(seed)
@@ -278,9 +285,9 @@ def verify_locally_sparse(
             worst_path = tuple(walk)
             worst_block = size
 
+    adj = graph.adjacency
+    high = [not params.is_low_degree(len(row)) for row in adj]
     if mode == "exhaustive":
-        adj = graph.adjacency
-        high = [not params.is_low_degree(len(row)) for row in adj]
         for v in range(graph.n):
             for walk, size in _closure_sizes(adj, high, v, l_max):
                 consider(walk, size)
@@ -289,22 +296,22 @@ def verify_locally_sparse(
                         f"walk budget {walk_budget} exceeded; use sampled mode"
                     )
     else:
-        bare = Instance(graph, params, {})
         rng = np.random.Generator(np.random.Philox(key=seed))
         for _ in range(trials):
             v = int(rng.integers(graph.n))
             walk = [v]
             visited = {v}
             while len(walk) - 1 < l_max:
-                options = [w for w in graph.adjacency[walk[-1]] if w not in visited]
+                options = [w for w in adj[walk[-1]] if w not in visited]
                 if not options:
                     break
                 w = options[int(rng.integers(len(options)))]
                 walk.append(w)
                 visited.add(w)
-            # Closures may legitimately swallow the whole graph.
-            block = minimal_permissive_block(bare, set(walk), graph.n)
-            consider(walk, len(block.vertices))
+            closure = set()
+            for w in walk:
+                _absorb(adj, high, closure, w)
+            consider(walk, len(closure))
 
     return {
         "mode": mode,

@@ -63,11 +63,15 @@ class PartitionEstimate:
 def find_feasible_config(instance, block_budget=DEFAULT_BLOCK_BUDGET):
     """A positive-weight total configuration extending the pinning.
 
-    beta > 0: color every unpinned vertex 1. beta = 0: repeatedly take the
-    lowest-id uncolored vertex, close it into its minimal permissive block
-    treating already-colored vertices as pinned, and properly color that
-    block by backtracking; low-degree leftovers end up as singleton blocks,
-    which is exactly greedy list-coloring.
+    beta > 0: color every unpinned vertex 1. beta = 0: walk the unpinned
+    vertices in ascending id and, at each one not yet colored, close it into
+    its minimal permissive block treating already-colored vertices as
+    pinned, and give that block its first proper coloring (backtracking);
+    low-degree leftovers end up as singleton blocks, which is exactly greedy
+    list-coloring. One Instance is built and its pins grow in place, so the
+    search is linear in n on a sparse graph. Raises InfeasibleError when a
+    block has no proper coloring, and BudgetError when a block outgrows
+    block_budget.
     """
     params = instance.params
     if params.q < 3:
@@ -81,11 +85,12 @@ def find_feasible_config(instance, block_budget=DEFAULT_BLOCK_BUDGET):
             raise InfeasibleError(
                 f"pinned endpoints of edge ({a}, {b}) share color {ca}"
             )
-    coloring = dict(instance.pinned)
-    remaining = set(instance.unpinned())
-    while remaining:
-        v = min(remaining)
-        current = Instance(instance.graph, params, coloring)
+    # Every pin added below is a colour in 1..q that first_feasible_tuple
+    # chose for a vertex of the graph, so none needs Instance's checks again.
+    current = Instance(instance.graph, params, instance.pinned)
+    for v in instance.unpinned():
+        if v in current.pinned:
+            continue
         block = minimal_permissive_block(current, (v,), block_budget)
         tup = first_feasible_tuple(current, block.vertices)
         if tup is None:
@@ -93,9 +98,8 @@ def find_feasible_config(instance, block_budget=DEFAULT_BLOCK_BUDGET):
                 f"no proper coloring of the block around vertex {v} "
                 "is consistent with its surroundings"
             )
-        coloring.update(zip(block.vertices, tup))
-        remaining.difference_update(block.vertices)
-    return Configuration(coloring)
+        current.pinned.update(zip(block.vertices, tup))
+    return Configuration(current.pinned)
 
 
 def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limits=None):

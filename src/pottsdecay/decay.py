@@ -87,15 +87,12 @@ termination_events, infeasible_events, max_block_size or max_f_size, nor
 the error raised. When no position is kept, every pattern shares one vector
 as is. Index 0 has no prefix, and leaf children read nothing but their own
 pin, so neither keeps a position or needs a walk. At the beta = 0
-feasibility cut-off (e < 0) the key keeps every position on purpose. A
-region key there would be just as exact and runs the ops of perfbench's
-marginal-gnp2000 workload about 1.7x faster, but perfbench/run.py keeps a
-record per op, so its peak RSS grows with the op count and that speed-up
-reads as a memory regression. The cut-off waits for run.py to drop those
-records. The memo counters, and the partial diagnostics of a max_calls
-abort, may differ from the whole-prefix key's: a hit adds its whole
-subtree before the limit check, and the region key hits more often. A cap
-still aborts exactly when the schedule without the memo would.
+feasibility cut-off (e < 0) the key keeps every position on purpose: a
+region key there would be just as exact, and waits on ROADMAP item 1. The
+memo counters, and the partial diagnostics of a max_calls abort, may
+differ from the whole-prefix key's: a hit adds its whole subtree before
+the limit check, and the region key hits more often. A cap still aborts
+exactly when the schedule without the memo would.
 
 Singleton blocks. When every vertex is low-degree, as in the paper's FPTAS
 regime q > 3(1-beta)Delta + 1, every block is its anchor alone: v's block
@@ -124,16 +121,13 @@ raises that BudgetError. The gate: it serves beta > 0, and beta = 0 only at
 ell >= 1. A beta = 0 node at ell <= 0 is a feasibility cut-off or has
 cut-off children, which keep the whole-prefix key (see "Region key"), so it
 stays on the general path, and _lean_vector tests the gate before it reads
-the graph. None of perfbench's marginal-gnp2000 nodes is served (all are at
-ell <= 0). Without the gate (ell < 0 in its place) the cut-off children
-would take the region key, which is exact and faster, but, as with the
-region key at the cut-off, that speed-up reads as a peak-RSS regression
-until run.py stops keeping a record per op (ROADMAP item 1). Behind the
-gate, a beta = 0 singleton at ell <= 0 runs _block_terms, which takes the
-singleton's positions and escape lengths directly instead of running
-escape_paths, induced_edges and a position map; that guard compares the
-block with (anchor,), so an anchor outside the block (marg_block) still
-reaches escape_paths' error.
+the graph. Without the gate (ell < 0 in its place) the cut-off children
+would take the region key, which is just as exact; dropping the gate waits
+on ROADMAP item 1. Behind the gate, a beta = 0 singleton at ell <= 0 runs
+_block_terms, which takes the singleton's positions and escape lengths
+directly instead of running escape_paths, induced_edges and a position map;
+that guard compares the block with (anchor,), so an anchor outside the block
+(marg_block) still reaches escape_paths' error.
 
 Children. Every child has one form: the root graph, the frozenset of
 canonical edges removed from it, and a pin dict. _block_terms' children
@@ -184,7 +178,7 @@ from .blocks import (
 )
 from .errors import BudgetError, InfeasibleError, ParseError
 from .graph import _kept_row, _view
-from .model import Configuration, Instance
+from .model import Configuration, Instance, _check_color, _check_vertex
 from .saw import e_delta_profile
 
 
@@ -844,18 +838,10 @@ def _common_checks(instance, v):
     _check_vertex(instance.graph, v)
 
 
-def _check_vertex(graph, v):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"vertex must be an integer, got {v!r}")
-    if not (0 <= v < graph.n):
-        raise ParseError(f"vertex {v} out of range")
-
-
 def _marg_scalar(instance, v, x, ell, limits):
     """Pr[c(v) = x] from the root vector; the body of marg and marg_coloring."""
     _common_checks(instance, v)
-    if not (1 <= x <= instance.params.q):
-        raise ParseError(f"color {x} out of range for q={instance.params.q}")
+    _check_color(instance.params, x)
     vec, diag = _root_vector(instance, v, ell, limits)
     return vec[x - 1], diag
 

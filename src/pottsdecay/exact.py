@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, InfeasibleError, ParseError
-from .model import Configuration, monochromatic_edges
+from .model import Configuration, _check_color, _check_vertex, monochromatic_edges
 
 DEFAULT_BUDGET = 10**7
 _CHUNK = 1 << 16
@@ -209,8 +209,7 @@ def exact_marginal_vector(instance, v, budget=DEFAULT_BUDGET):
     """
     graph = instance.graph
     params = instance.params
-    if not (0 <= v < graph.n):
-        raise ParseError(f"vertex {v} out of range")
+    _check_vertex(graph, v)
     pin = instance.pinned.get(v)
     if pin is not None:
         out = [0.0] * params.q
@@ -228,8 +227,7 @@ def exact_marginal_vector(instance, v, budget=DEFAULT_BUDGET):
 
 def exact_marginal(instance, v, x, budget=DEFAULT_BUDGET):
     """Exact conditional probability that v takes color x."""
-    if not (1 <= x <= instance.params.q):
-        raise ParseError(f"color {x} out of range for q={instance.params.q}")
+    _check_color(instance.params, x)
     return exact_marginal_vector(instance, v, budget)[x - 1]
 
 

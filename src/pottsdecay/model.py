@@ -50,6 +50,30 @@ def _check_seed(seed, name="seed", bits=128):
         raise ParseError(f"{name} must be an integer in [0, 2**{bits}), got {seed!r}")
 
 
+def _check_int(value, name, minimum):
+    """Raise ParseError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParseError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_vertex(graph, v):
+    """Raise ParseError unless v is an integer (not a bool) vertex of graph."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError(f"vertex must be an integer, got {v!r}")
+    if not (0 <= v < graph.n):
+        raise ParseError(f"vertex {v} out of range")
+
+
+def _check_color(params, x):
+    """Raise ParseError unless x is an integer (not a bool) colour in 1..q."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"color must be an integer, got {x!r}")
+    if not (1 <= x <= params.q):
+        raise ParseError(f"color {x} out of range for q={params.q}")
+
+
 class PottsParams:
     """Color count q and activity beta, with exact threshold arithmetic.
 

@@ -100,9 +100,6 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
     depth = _depth(L)
     limits = limits or RecursionLimits()
     colours = range(1, instance.params.q + 1)
-    # bytes keys keep the batch's keys out of CPython's small-tuple free
-    # lists, which grow peak memory; a colour fits in a byte if q < 256.
-    key = bytes if instance.params.q < 256 else tuple
     # steps lists (v, the pinned vertices of v's read region, ascending) in
     # sampling order; entries[v] maps a pattern of colours on those vertices
     # to (v's conditional vector, its termination events).
@@ -114,22 +111,20 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
         colors = dict(instance.pinned)
         logp = 0.0
         for v, region_pins in steps:
-            pat = [colors[x] for x in region_pins]
+            pat = tuple([colors[x] for x in region_pins])
             known = entries[v]
-            pat_key = key(pat)
-            entry = known.get(pat_key)
+            entry = known.get(pat)
             if entry is None:
                 canon, moves = _canonical(pat, (), colours)
-                canon_key = key(canon)
-                entry = known.get(canon_key)
+                entry = known.get(canon)
                 if entry is None:
                     pins = dict(zip(region_pins, canon))
                     step = Instance(instance.graph, instance.params, pins)
                     vec, diag = marginal_distribution(step, v, depth, limits=limits)
-                    entry = known[canon_key] = (vec, diag.termination_events)
+                    entry = known[canon] = (vec, diag.termination_events)
                     batch.conditionals_evaluated += 1
                 if moves:
-                    entry = known[pat_key] = (_permute(entry[0], moves), entry[1])
+                    entry = known[pat] = (_permute(entry[0], moves), entry[1])
             vec, events = entry
             c = _draw(vec, rng)
             logp += math.log(vec[c - 1])

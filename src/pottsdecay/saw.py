@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError, ParseError
-from .model import PottsParams
+from .errors import BudgetError
+from .model import PottsParams, _check_int, _check_vertex
 
 log = logging.getLogger(__name__)
 
@@ -116,6 +116,8 @@ def enumerate_saws(graph, v, length):
     Walks come out in lexicographic order of their vertex sequences; length 0
     yields the single walk (v,).
     """
+    _check_vertex(graph, v)
+    _check_int(length, "length", 0)
     for path in _saws(graph.adjacency, v, length):
         if len(path) == length + 1:
             yield tuple(path)
@@ -123,22 +125,28 @@ def enumerate_saws(graph, v, length):
 
 def saw_count(graph, v, length):
     """Exact number of self-avoiding walks of the given length from v."""
+    _check_int(length, "length", 0)
     return saw_count_profile(graph, v, length)[length]
 
 
 def saw_count_profile(graph, v, l_max):
     """SAW counts for every length 0..l_max in one pass."""
+    _check_vertex(graph, v)
+    _check_int(l_max, "l_max", 0)
     sums, _, _ = _walk_sums(graph.adjacency, [1.0] * graph.n, v, l_max)
     return [int(s) for s in sums]
 
 
 def e_delta(graph, v, length, delta, extension_budget=None):
     """Delta-weighted SAW sum at one length (start vertex excluded from products)."""
+    _check_int(length, "length", 0)
     return e_delta_profile(graph, v, length, delta, extension_budget)[length]
 
 
 def e_delta_profile(graph, v, l_max, delta, extension_budget=None):
     """Delta-weighted SAW sums for all lengths 0..l_max in one pass."""
+    _check_vertex(graph, v)
+    _check_int(l_max, "l_max", 0)
     values = _delta_by_vertex(graph, delta)
     sums, _, exhausted = _walk_sums(graph.adjacency, values, v, l_max, extension_budget)
     if exhausted:
@@ -173,8 +181,7 @@ def verify_contraction(graph, delta, l_max, extension_budget=DEFAULT_EXTENSION_B
     budget_exhausted=true in the report; a truncated scan certifies nothing,
     so its verdict is contracting=false whatever its gamma.
     """
-    if l_max < 1:
-        raise ParseError(f"l_max must be >= 1, got {l_max}")
+    _check_int(l_max, "l_max", 1)
     values = _delta_by_vertex(graph, delta)
     maxima = [0.0] * (l_max + 1)
     spent = 0

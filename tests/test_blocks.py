@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from pottsdecay import (
@@ -21,6 +22,7 @@ from pottsdecay import (
     saw_count_profile,
     verify_locally_sparse,
 )
+from pottsdecay import blocks
 from pottsdecay.blocks import _closure_sizes
 from pottsdecay.saw import _saws
 
@@ -316,3 +318,51 @@ def test_verify_locally_sparse_incremental_closure_matches_from_scratch():
                 for w in _saws(g.adjacency, v, l_max)
             ]
         assert verify_locally_sparse(g, params, l_max) == _from_scratch_scan(g, params, l_max)
+
+
+def _from_scratch_sampled(graph, params, l_max, trials, seed):
+    """The sampled scan with each trial's closure from minimal_permissive_block."""
+    bare = Instance(graph, params, {})
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    worst_ratio, worst_path, worst_block = 0.0, (), 0
+    for _ in range(trials):
+        v = int(rng.integers(graph.n))
+        walk = [v]
+        visited = {v}
+        while len(walk) - 1 < l_max:
+            options = [w for w in graph.adjacency[walk[-1]] if w not in visited]
+            if not options:
+                break
+            w = options[int(rng.integers(len(options)))]
+            walk.append(w)
+            visited.add(w)
+        size = len(minimal_permissive_block(bare, set(walk), graph.n).vertices)
+        if size / len(walk) > worst_ratio:
+            worst_ratio, worst_path, worst_block = size / len(walk), tuple(walk), size
+    return {
+        "mode": "sampled",
+        "l_max": l_max,
+        "paths_checked": trials,
+        "worst_ratio": worst_ratio,
+        "worst_path": list(worst_path),
+        "worst_block_size": worst_block,
+    }
+
+
+def test_verify_locally_sparse_sampled_matches_from_scratch():
+    # Sampled mode grows each trial's closure along its walk with
+    # blocks._absorb; its report must be the from-scratch scan's.
+    rng = random.Random(20261020)
+    inflated = 0
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        g = generate_gnp(n, min(n, rng.choice([1, 2, 3, 4, 6])), seed=rng.randrange(2**16))
+        params = PottsParams(rng.randint(3, 9), rng.choice(["0", "0.25", "0.5"]))
+        l_max = rng.randint(0, 8)
+        trials = rng.randint(1, 40)
+        seed = rng.randrange(2**32)
+        rep = verify_locally_sparse(g, params, l_max, mode="sampled", trials=trials, seed=seed)
+        assert rep == _from_scratch_sampled(g, params, l_max, trials, seed)
+        inflated += rep["worst_ratio"] > 1.0
+    assert 10 <= inflated <= 50
+    assert "Instance" not in vars(blocks)

@@ -8,15 +8,26 @@ from pottsdecay import (
     Graph,
     Instance,
     ParseError,
+    PottsError,
     PottsParams,
+    e_delta,
+    e_delta_profile,
+    enumerate_saws,
     estimate_partition,
+    exact_marginal,
+    exact_marginal_vector,
     generate_cycle,
     generate_gnp,
     generate_path,
+    marg,
+    marg_coloring,
     monochromatic_edges,
     parse_activity,
     sample_batch,
+    saw_count,
+    saw_count_profile,
     simulate_block_growth,
+    verify_contraction,
     verify_locally_sparse,
     weight,
 )
@@ -204,4 +215,37 @@ def test_bool_seed_rejected(call, name):
     # True == 1 as an int, but a flag passed for a seed is a caller's mistake.
     with pytest.raises(ParseError, match=f"^{name} must be an integer"):
         call(True)
+    call(1)
+
+
+_HALF3 = PottsParams(3, "0.5")
+_INT_ARGS = {
+    "marg-x": lambda x: marg(Instance(_PATH3, _HALF3), 0, x, 2),
+    "marg_coloring-x": lambda x: marg_coloring(Instance(_PATH3, _Q3), 0, x, 2),
+    "exact_marginal-x": lambda x: exact_marginal(Instance(_PATH3, _Q3), 0, x),
+    "exact_marginal-v": lambda v: exact_marginal(Instance(_PATH3, _Q3), v, 1),
+    "exact_marginal_vector-v": lambda v: exact_marginal_vector(Instance(_PATH3, _Q3), v),
+    "enumerate_saws-v": lambda v: list(enumerate_saws(_PATH3, v, 1)),
+    "enumerate_saws-length": lambda length: list(enumerate_saws(_PATH3, 0, length)),
+    "saw_count-v": lambda v: saw_count(_PATH3, v, 1),
+    "saw_count-length": lambda length: saw_count(_PATH3, 0, length),
+    "saw_count_profile-l_max": lambda l_max: saw_count_profile(_PATH3, 0, l_max),
+    "verify_contraction-l_max": lambda l_max: verify_contraction(_PATH3, _Q3, l_max),
+    "e_delta-length": lambda length: e_delta(_PATH3, 0, length, 0.5),
+    "e_delta_profile-v": lambda v: e_delta_profile(_PATH3, v, 2, 0.5),
+    "e_delta_profile-l_max": lambda l_max: e_delta_profile(_PATH3, 0, l_max, 0.5),
+    "verify_locally_sparse-l_max": lambda l_max: verify_locally_sparse(_PATH3, _Q3, l_max),
+    "verify_locally_sparse-trials": lambda trials: verify_locally_sparse(
+        _PATH3, _Q3, 2, mode="sampled", trials=trials
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_INT_ARGS.values()), ids=list(_INT_ARGS))
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+def test_integer_argument_rejected(call, bad):
+    # A vertex, colour, length or count that is not an int fails as a
+    # PottsError, never as a bare exception (CLI exit 5) or as a silent 1.
+    with pytest.raises(PottsError):
+        call(bad)
     call(1)
