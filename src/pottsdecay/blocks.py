@@ -3,15 +3,15 @@
 A vertex set B (disjoint from the pinned set) is permissive when every
 unpinned vertex just outside B is low-degree. The minimal permissive block
 B(S) containing a seed set S is obtained by repeatedly absorbing unpinned
-high-degree boundary vertices; the result is independent of absorption order,
-and we process the lowest-numbered candidate first so intermediate states are
-reproducible too.
+high-degree boundary vertices; the result is independent of absorption order.
 
-Both sparsity-scan modes grow a walk's closure one walk vertex at a time
-with _absorb, under an empty pinning: the exhaustive scan from its parent
-walk's closure, the sampled scan from empty along each trial's walk. The
-exhaustive scan takes its walks from saw._saws, which keeps its own stack,
-so l_max is not bounded by Python's recursion limit.
+Every closure grows through _absorb. minimal_permissive_block grows from
+empty by one _absorb call per seed under the instance's pins, and checks
+its budget after the growth. Both sparsity-scan modes grow a walk's closure
+one walk vertex at a time, under an empty pinning: the exhaustive scan from
+its parent walk's closure, the sampled scan from empty along each trial's
+walk. The exhaustive scan takes its walks from saw._saws, which keeps its
+own stack, so l_max is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from .errors import BudgetError, ParseError
-from .model import _check_int, _check_seed
+from .model import _check_int, _check_seed, _check_vertex
 from .saw import _saws
 
 DEFAULT_BLOCK_BUDGET = 64
@@ -72,42 +72,29 @@ def _boundary_edges(graph, inside):
 def minimal_permissive_block(instance, seeds, block_budget=DEFAULT_BLOCK_BUDGET):
     """Close a seed set under absorption of high-degree unpinned boundary vertices.
 
-    Raises BudgetError when the closure grows past block_budget vertices.
+    The closure grows through _absorb, one call per seed. It only grows, so
+    the budget is checked once after the growth: BudgetError when the
+    closure holds more than block_budget vertices (a call that raises it
+    has grown the whole closure first).
     """
     graph = instance.graph
-    params = instance.params
     pinned = instance.pinned
     seeds = sorted(set(seeds))
     if not seeds:
         raise ParseError("block seed set must be non-empty")
     for s in seeds:
-        if not (0 <= s < graph.n):
-            raise ParseError(f"seed vertex {s} out of range")
+        _check_vertex(graph, s)
         if s in pinned:
             raise ParseError(f"seed vertex {s} is pinned")
-    inside = set(seeds)
-    if len(inside) > block_budget:
+    if len(seeds) > block_budget:
         raise BudgetError(f"block budget {block_budget} exceeded by seed set")
-    candidates = set()
-
-    def scan(u):
-        for w in graph.adjacency[u]:
-            if w in inside or w in pinned:
-                continue
-            if not params.is_low_degree(graph.degree(w)):
-                candidates.add(w)
-
+    inside = set()
     for s in seeds:
-        scan(s)
-    while candidates:
-        w = min(candidates)
-        candidates.discard(w)
-        inside.add(w)
-        if len(inside) > block_budget:
-            raise BudgetError(
-                f"block budget {block_budget} exceeded growing from seeds {seeds}"
-            )
-        scan(w)
+        _absorb(graph.adjacency, instance.params.max_low_degree, pinned, inside, s)
+    if len(inside) > block_budget:
+        raise BudgetError(
+            f"block budget {block_budget} exceeded growing from seeds {seeds}"
+        )
     return Block(inside, _boundary_edges(graph, inside))
 
 
@@ -187,6 +174,8 @@ def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
     colorings of the induced subgraph that avoid all pinned neighbor colors.
     """
     verts = tuple(sorted(verts))
+    for v in verts:
+        _check_vertex(instance.graph, v)
     q = instance.params.q
     if instance.params.beta_positive:
         if q ** len(verts) > config_budget:
@@ -201,20 +190,24 @@ def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
 def first_feasible_tuple(instance, verts):
     """First feasible configuration in lexicographic order, or None."""
     verts = tuple(sorted(verts))
+    for v in verts:
+        _check_vertex(instance.graph, v)
     if instance.params.beta > 0:
         return tuple(1 for _ in verts)
     out = _backtrack_proper(instance, verts, config_budget=1, first_only=True)
     return out[0] if out else None
 
 
-def _absorb(adj, high, closure, w):
-    """Grow a block closure (empty pinning) by the walk vertex w.
+def _absorb(adj, max_low, pinned, closure, w):
+    """Grow a block closure by the vertex w.
 
-    Adds w and every high-degree vertex (high[u]) reachable from w through
-    high-degree vertices, and returns the added vertices in a list, empty
-    when w was already inside. This is exact because cl(cl(S) | {w}) =
-    cl(S | {w}): the closure of S is the least set holding S and every
-    high-degree neighbour of its members.
+    Adds w and every high-degree vertex (degree above max_low) outside
+    `pinned` that is reachable from w through such vertices, and returns the
+    added vertices in a list, empty when w was already inside. `pinned` is
+    any container of vertices never absorbed: an instance's pin dict, or ()
+    for the empty pinning of the sparsity scans. This is exact because
+    cl(cl(S) | {w}) = cl(S | {w}): the closure of S is the least set holding
+    S and every unpinned high-degree neighbour of its members.
     """
     if w in closure:
         return []
@@ -222,13 +215,13 @@ def _absorb(adj, high, closure, w):
     new = [w]
     for u in new:  # new grows while the loop reads it
         for x in adj[u]:
-            if high[x] and x not in closure:
+            if x not in closure and x not in pinned and len(adj[x]) > max_low:
                 closure.add(x)
                 new.append(x)
     return new
 
 
-def _closure_sizes(adj, high, v, l_max):
+def _closure_sizes(adj, max_low, v, l_max):
     """Yield (walk, size of its block closure) for each walk of saw._saws.
 
     The closure is grown by _absorb one vertex at a time along the
@@ -242,7 +235,7 @@ def _closure_sizes(adj, high, v, l_max):
     for walk in _saws(adj, v, l_max):
         while len(added) >= len(walk):
             closure.difference_update(added.pop())
-        added.append(_absorb(adj, high, closure, walk[-1]))
+        added.append(_absorb(adj, max_low, (), closure, walk[-1]))
         yield walk, len(closure)
 
 
@@ -264,6 +257,7 @@ def verify_locally_sparse(
     stream keyed by the seed, so it needs at least one vertex to start from.
     """
     _check_int(l_max, "l_max", 0)
+    _check_int(walk_budget, "walk_budget", 0)
     if mode not in ("exhaustive", "sampled"):
         raise ParseError(f"unknown mode {mode!r}")
     if mode == "sampled":
@@ -286,10 +280,10 @@ def verify_locally_sparse(
             worst_block = size
 
     adj = graph.adjacency
-    high = [not params.is_low_degree(len(row)) for row in adj]
+    max_low = params.max_low_degree
     if mode == "exhaustive":
         for v in range(graph.n):
-            for walk, size in _closure_sizes(adj, high, v, l_max):
+            for walk, size in _closure_sizes(adj, max_low, v, l_max):
                 consider(walk, size)
                 if checked > walk_budget:
                     raise BudgetError(
@@ -310,7 +304,7 @@ def verify_locally_sparse(
                 visited.add(w)
             closure = set()
             for w in walk:
-                _absorb(adj, high, closure, w)
+                _absorb(adj, max_low, (), closure, w)
             consider(walk, len(closure))
 
     return {

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .model import _check_seed
+from .model import _check_int, _check_seed
 
 
 class Graph:
@@ -182,29 +182,25 @@ def _kept_row(rows, removed, v):
 
 def generate_path(n):
     """Path on n >= 1 vertices: edges (i, i+1)."""
-    if n < 1:
-        raise ParseError("path needs n >= 1")
+    _check_int(n, "n", 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def generate_cycle(n):
     """Cycle on n >= 3 vertices."""
-    if n < 3:
-        raise ParseError("cycle needs n >= 3")
+    _check_int(n, "n", 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def generate_complete(n):
     """Complete graph on n >= 1 vertices."""
-    if n < 1:
-        raise ParseError("complete graph needs n >= 1")
+    _check_int(n, "n", 1)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def generate_star(k):
     """Star with center 0 and k >= 1 leaves 1..k."""
-    if k < 1:
-        raise ParseError("star needs k >= 1 leaves")
+    _check_int(k, "k", 1)
     return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
@@ -214,8 +210,8 @@ def generate_caterpillar(n, k):
     Bristles of spine vertex i are the vertices n + i*k .. n + i*k + k - 1, so
     interior spine vertices have degree k+2 and spine endpoints k+1.
     """
-    if n < 1 or k < 0:
-        raise ParseError("caterpillar needs n >= 1 spine vertices and k >= 0 bristles")
+    _check_int(n, "n", 1)
+    _check_int(k, "k", 0)
     edges = [(i, i + 1) for i in range(n - 1)]
     for i in range(n):
         for j in range(k):
@@ -230,8 +226,7 @@ def generate_gnp(n, d, seed):
     uniform draw from a Philox counter stream keyed by the seed, so the graph
     depends only on (n, d, seed).
     """
-    if n < 1:
-        raise ParseError("gnp needs n >= 1")
+    _check_int(n, "n", 1)
     if not (0 <= d <= n):
         raise ParseError(f"gnp mean degree must satisfy 0 <= d <= n, got {d}")
     _check_seed(seed, "gnp seed")

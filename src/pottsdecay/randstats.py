@@ -20,7 +20,7 @@ from .counting import find_feasible_config
 from .blocks import verify_locally_sparse
 from .errors import BudgetError, InfeasibleError, ParseError
 from .graph import generate_gnp
-from .model import Instance, PottsParams, _check_seed
+from .model import Instance, PottsParams, _check_int, _check_seed
 from .saw import verify_contraction
 
 # float(scipy.stats.norm.ppf(0.975)), written out so that importing the
@@ -48,8 +48,7 @@ class GrowthProcessReport:
 
 def expected_contraction(n, degree, q, beta=0):
     """Exact E[delta(X)] for X ~ Bin(n, degree/n), binomials in log space."""
-    if n < 1:
-        raise ParseError("n must be >= 1")
+    _check_int(n, "n", 1)
     if not 0 < degree <= n:
         raise ParseError(f"mean degree must satisfy 0 < degree <= n, got {degree}")
     from scipy import stats  # imported here: it dominates the package's import time
@@ -82,10 +81,11 @@ def simulate_block_growth(L, n, d, q, t_max, trials, seed):
     Pr[Y_t >= 0] per t with Wilson intervals and the fitted log-tail slope
     beyond t = L.
     """
-    if L < 0 or t_max < 1 or trials < 1:
-        raise ParseError("L >= 0, t_max >= 1, trials >= 1 required")
-    if q < 6:
-        raise ParseError("the censored walk needs q >= 6")
+    _check_int(L, "L", 0)
+    _check_int(n, "n", 1)
+    _check_int(q, "q", 6)
+    _check_int(t_max, "t_max", 1)
+    _check_int(trials, "trials", 1)
     if not 0 <= d <= n:
         raise ParseError(f"d must satisfy 0 <= d <= n, got {d}")
     _check_seed(seed)

@@ -147,6 +147,8 @@ def e_delta_profile(graph, v, l_max, delta, extension_budget=None):
     """Delta-weighted SAW sums for all lengths 0..l_max in one pass."""
     _check_vertex(graph, v)
     _check_int(l_max, "l_max", 0)
+    if extension_budget is not None:
+        _check_int(extension_budget, "extension_budget", 0)
     values = _delta_by_vertex(graph, delta)
     sums, _, exhausted = _walk_sums(graph.adjacency, values, v, l_max, extension_budget)
     if exhausted:
@@ -182,6 +184,7 @@ def verify_contraction(graph, delta, l_max, extension_budget=DEFAULT_EXTENSION_B
     so its verdict is contracting=false whatever its gamma.
     """
     _check_int(l_max, "l_max", 1)
+    _check_int(extension_budget, "extension_budget", 0)
     values = _delta_by_vertex(graph, delta)
     maxima = [0.0] * (l_max + 1)
     spent = 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from pottsdecay import (
     Graph,
     Instance,
     ParseError,
+    PottsError,
     PottsParams,
     feasible_tuples,
     first_feasible_tuple,
+    generate_caterpillar,
     generate_complete,
     generate_gnp,
     generate_path,
@@ -25,6 +28,48 @@ from pottsdecay import (
 from pottsdecay import blocks
 from pottsdecay.blocks import _closure_sizes
 from pottsdecay.saw import _saws
+
+
+def _min_first_block(instance, seeds, block_budget=blocks.DEFAULT_BLOCK_BUDGET):
+    """The minimal permissive block grown lowest-numbered candidate first,
+    with the budget checked at each absorption: the reference that
+    minimal_permissive_block, which grows through blocks._absorb, must match.
+    """
+    graph = instance.graph
+    params = instance.params
+    pinned = instance.pinned
+    seeds = sorted(set(seeds))
+    if not seeds:
+        raise ParseError("block seed set must be non-empty")
+    for s in seeds:
+        if not (0 <= s < graph.n):
+            raise ParseError(f"seed vertex {s} out of range")
+        if s in pinned:
+            raise ParseError(f"seed vertex {s} is pinned")
+    inside = set(seeds)
+    if len(inside) > block_budget:
+        raise BudgetError(f"block budget {block_budget} exceeded by seed set")
+    candidates = set()
+
+    def scan(u):
+        for w in graph.adjacency[u]:
+            if w in inside or w in pinned:
+                continue
+            if not params.is_low_degree(graph.degree(w)):
+                candidates.add(w)
+
+    for s in seeds:
+        scan(s)
+    while candidates:
+        w = min(candidates)
+        candidates.discard(w)
+        inside.add(w)
+        if len(inside) > block_budget:
+            raise BudgetError(
+                f"block budget {block_budget} exceeded growing from seeds {seeds}"
+            )
+        scan(w)
+    return Block(inside, blocks._boundary_edges(graph, inside))
 
 
 def _is_permissive(instance, vertices):
@@ -97,6 +142,61 @@ def test_block_budget():
     inst = Instance(generate_complete(8), PottsParams(3, 0))
     with pytest.raises(BudgetError):
         minimal_permissive_block(inst, [0], block_budget=4)
+
+
+def _hub_connector(rng, hubs, connectors):
+    """Hubs 0..hubs-1; each connector joins two distinct random hubs."""
+    edges = []
+    for c in range(connectors):
+        a, b = rng.sample(range(hubs), 2)
+        edges += [(a, hubs + c), (b, hubs + c)]
+    return Graph(hubs + connectors, edges)
+
+
+def _block_outcome(build, instance, seeds, budget):
+    try:
+        return build(instance, seeds, budget)
+    except PottsError as err:
+        return type(err), str(err)
+
+
+def test_block_matches_min_first_reference():
+    # minimal_permissive_block grows breadth-first through blocks._absorb and
+    # checks its budget once after the growth; every Block, and every error's
+    # type and message, must be the min-first reference's.
+    rng = random.Random(20261101)
+    seen = Counter()
+    for i in range(300):
+        family = ("gnp", "hubs", "caterpillar")[i % 3]
+        if family == "gnp":
+            n = rng.randint(2, 30)
+            graph = generate_gnp(n, min(n, rng.choice([2, 3, 4, 6])), seed=rng.randrange(2**16))
+        elif family == "hubs":
+            hubs = rng.randint(2, 8)
+            graph = _hub_connector(rng, hubs, rng.randint(1, 4 * hubs))
+        else:
+            graph = generate_caterpillar(rng.randint(1, 8), rng.randint(0, 4))
+        params = PottsParams(rng.randint(3, 7), rng.choice(["0", "0.25", "0.5"]))
+        pins = {}
+        if i % 2:
+            for v in rng.sample(range(graph.n), rng.randint(1, max(1, graph.n // 4))):
+                pins[v] = rng.randint(1, params.q)
+        instance = Instance(graph, params, pins)
+        seeds = rng.sample(range(graph.n), min(graph.n, rng.randint(1, 3)))
+        budget = (0, 1, 3, 64, graph.n)[i % 5]
+        got = _block_outcome(minimal_permissive_block, instance, seeds, budget)
+        assert got == _block_outcome(_min_first_block, instance, seeds, budget)
+        if isinstance(got, Block):
+            seen["block", params.beta > 0, len(got.vertices) > len(seeds)] += 1
+        elif "growing" in got[1]:
+            seen["budget trips mid-growth"] += 1
+        elif "seed set" in got[1]:
+            seen["budget trips on the seeds"] += 1
+        else:
+            seen["pinned seed"] += 1
+    # Blocks at beta = 0 and beta > 0, grown past their seeds or not, and
+    # each of the three errors, every one at least 5 times.
+    assert min(seen.values()) >= 5 and len(seen) == 7, seen
 
 
 def test_closure_is_permissive_and_minimal():
@@ -286,7 +386,7 @@ def _from_scratch_scan(graph, params, l_max):
     for v in range(graph.n):
         for walk in _saws(graph.adjacency, v, l_max):
             checked += 1
-            size = len(minimal_permissive_block(bare, set(walk), graph.n).vertices)
+            size = len(_min_first_block(bare, set(walk), graph.n).vertices)
             if size / len(walk) > worst_ratio:
                 worst_ratio, worst_path, worst_block = size / len(walk), tuple(walk), size
     return {
@@ -310,18 +410,20 @@ def test_verify_locally_sparse_incremental_closure_matches_from_scratch():
         params = PottsParams(rng.randint(3, 7), rng.choice(["0", "0.25", "0.5"]))
         l_max = rng.randint(0, 5)
         bare = Instance(g, params, {})
-        high = [not params.is_low_degree(g.degree(u)) for u in range(n)]
         for v in range(n):
-            sizes = [(tuple(w), k) for w, k in _closure_sizes(g.adjacency, high, v, l_max)]
+            sizes = [
+                (tuple(w), k)
+                for w, k in _closure_sizes(g.adjacency, params.max_low_degree, v, l_max)
+            ]
             assert sizes == [
-                (tuple(w), len(minimal_permissive_block(bare, set(w), n).vertices))
+                (tuple(w), len(_min_first_block(bare, set(w), n).vertices))
                 for w in _saws(g.adjacency, v, l_max)
             ]
         assert verify_locally_sparse(g, params, l_max) == _from_scratch_scan(g, params, l_max)
 
 
 def _from_scratch_sampled(graph, params, l_max, trials, seed):
-    """The sampled scan with each trial's closure from minimal_permissive_block."""
+    """The sampled scan with each trial's closure from _min_first_block."""
     bare = Instance(graph, params, {})
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst_ratio, worst_path, worst_block = 0.0, (), 0
@@ -336,7 +438,7 @@ def _from_scratch_sampled(graph, params, l_max, trials, seed):
             w = options[int(rng.integers(len(options)))]
             walk.append(w)
             visited.add(w)
-        size = len(minimal_permissive_block(bare, set(walk), graph.n).vertices)
+        size = len(_min_first_block(bare, set(walk), graph.n).vertices)
         if size / len(walk) > worst_ratio:
             worst_ratio, worst_path, worst_block = size / len(walk), tuple(walk), size
     return {

@@ -7,9 +7,11 @@ exactly, and only, what `__init__.py` imports, every package attribute
 the benchmark's tracer (`perfbench/tracing.py`) patches exists, no
 package module uses `functools.lru_cache` or `functools.cache`, no
 package module but `graph.py` calls `Graph.__new__` (every graph view is
-built by `graph._view`), and `decay.py` builds an `Instance` in
+built by `graph._view`), `decay.py` builds an `Instance` in
 `_node_vector` only and never calls `remove_edges` (a child of the
-recursion is built in one place).
+recursion is built in one place), and `blocks.py` grows every closure
+through `_absorb` and calls `min` nowhere (one closure step, in no
+particular absorption order).
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -249,6 +251,48 @@ def test_decay_builds_children_in_node_vector_only():
     assert builds, "decay.py builds no Instance; update this check"
     wrong = [b for b in builds if b[1:] != ("Instance", "_node_vector")]
     assert not wrong, f"decay.py builds children outside _node_vector: {wrong}"
+
+
+def _calls_by_function(source):
+    """{function: names it calls, plain or as an attribute}; function is the
+    innermost enclosing def's name, or None at module level."""
+    calls = {}
+    stack = [(ast.parse(source), None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            calls.setdefault(func, set()).add(name)
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return calls
+
+
+def test_checker_maps_calls_to_functions():
+    source = (
+        "def grow(adj, seeds):\n"
+        "    def pick(c):\n"
+        "        return min(c)\n"
+        "    return [_absorb(adj, s) for s in seeds], blocks._absorb(adj, 0)\n"
+        "def idle():\n"
+        "    return absorb\n"
+        "x = max(1, 2)\n"
+    )
+    assert _calls_by_function(source) == {
+        "grow": {"_absorb"},
+        "pick": {"min"},
+        None: {"max"},
+    }
+
+
+def test_blocks_grows_every_closure_through_absorb():
+    calls = _calls_by_function((PACKAGE / "blocks.py").read_text())
+    for name in ("minimal_permissive_block", "_closure_sizes", "verify_locally_sparse"):
+        assert "_absorb" in calls.get(name, ()), f"blocks.{name} does not call _absorb"
+    with_min = sorted(f for f, names in calls.items() if "min" in names)
+    assert not with_min, f"blocks.py calls min in {with_min}; grow closures with _absorb"
 
 
 @pytest.mark.parametrize("schema", ["marginal", "partition"])

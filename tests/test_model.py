@@ -16,11 +16,18 @@ from pottsdecay import (
     estimate_partition,
     exact_marginal,
     exact_marginal_vector,
+    expected_contraction,
+    feasible_tuples,
+    first_feasible_tuple,
+    generate_caterpillar,
+    generate_complete,
     generate_cycle,
     generate_gnp,
     generate_path,
+    generate_star,
     marg,
     marg_coloring,
+    minimal_permissive_block,
     monochromatic_edges,
     parse_activity,
     sample_batch,
@@ -238,6 +245,25 @@ _INT_ARGS = {
     "verify_locally_sparse-trials": lambda trials: verify_locally_sparse(
         _PATH3, _Q3, 2, mode="sampled", trials=trials
     ),
+    "minimal_permissive_block-seeds": lambda v: minimal_permissive_block(
+        Instance(_PATH3, _Q3), [v]
+    ),
+    "feasible_tuples-verts": lambda v: feasible_tuples(Instance(_PATH3, _Q3), [v]),
+    "first_feasible_tuple-verts": lambda v: first_feasible_tuple(Instance(_PATH3, _Q3), [v]),
+    "generate_path-n": lambda n: generate_path(n),
+    "generate_complete-n": lambda n: generate_complete(n),
+    "generate_star-k": lambda k: generate_star(k),
+    "generate_caterpillar-n": lambda n: generate_caterpillar(n, 1),
+    "generate_caterpillar-k": lambda k: generate_caterpillar(2, k),
+    "generate_gnp-n": lambda n: generate_gnp(n, 1, 1),
+    "simulate_block_growth-L": lambda L: simulate_block_growth(L, 100, 2, 7, 3, 10, 0),
+    "simulate_block_growth-n": lambda n: simulate_block_growth(1, n, 1, 7, 3, 10, 0),
+    "simulate_block_growth-t_max": lambda t: simulate_block_growth(1, 100, 2, 7, t, 10, 0),
+    "simulate_block_growth-trials": lambda t: simulate_block_growth(1, 100, 2, 7, 3, t, 0),
+    "expected_contraction-n": lambda n: expected_contraction(n, 1, 9),
+    "verify_contraction-extension_budget": lambda budget: verify_contraction(
+        _PATH3, _Q3, 2, extension_budget=budget
+    ),
 }
 
 
@@ -249,3 +275,28 @@ def test_integer_argument_rejected(call, bad):
     with pytest.raises(PottsError):
         call(bad)
     call(1)
+
+
+# Integer arguments for which 1 is out of range, each with a valid value.
+_INT_ARGS_NOT_1 = {
+    "generate_cycle-n": (lambda n: generate_cycle(n), 3),
+    "simulate_block_growth-q": (lambda q: simulate_block_growth(1, 100, 2, q, 3, 10, 0), 6),
+    "e_delta_profile-extension_budget": (
+        lambda budget: e_delta_profile(_PATH3, 0, 2, 0.5, extension_budget=budget),
+        100,
+    ),
+    "verify_locally_sparse-walk_budget": (
+        lambda budget: verify_locally_sparse(_PATH3, _Q3, 2, walk_budget=budget),
+        100,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, good", list(_INT_ARGS_NOT_1.values()), ids=list(_INT_ARGS_NOT_1)
+)
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+def test_integer_argument_rejected_where_1_is_out_of_range(call, good, bad):
+    with pytest.raises(PottsError):
+        call(bad)
+    call(good)
