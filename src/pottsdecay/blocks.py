@@ -6,12 +6,13 @@ B(S) containing a seed set S is obtained by repeatedly absorbing unpinned
 high-degree boundary vertices; the result is independent of absorption order.
 
 Every closure grows through _absorb. minimal_permissive_block grows from
-empty by one _absorb call per seed under the instance's pins, and checks
-its budget after the growth. Both sparsity-scan modes grow a walk's closure
-one walk vertex at a time, under an empty pinning: the exhaustive scan from
-its parent walk's closure, the sampled scan from empty along each trial's
-walk. The exhaustive scan takes its walks from saw._saws, which keeps its
-own stack, so l_max is not bounded by Python's recursion limit.
+empty by one _absorb call per seed under the instance's pins, capped at its
+budget, and raises BudgetError as soon as the closure passes the budget.
+Both sparsity-scan modes grow a walk's closure one walk vertex at a time,
+under an empty pinning and with no cap: the exhaustive scan from its parent
+walk's closure, the sampled scan from empty along each trial's walk. The
+exhaustive scan takes its walks from saw._saws, which keeps its own stack,
+so l_max is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -72,29 +73,31 @@ def _boundary_edges(graph, inside):
 def minimal_permissive_block(instance, seeds, block_budget=DEFAULT_BLOCK_BUDGET):
     """Close a seed set under absorption of high-degree unpinned boundary vertices.
 
-    The closure grows through _absorb, one call per seed. It only grows, so
-    the budget is checked once after the growth: BudgetError when the
-    closure holds more than block_budget vertices (a call that raises it
-    has grown the whole closure first).
+    The closure grows through _absorb, one call per seed, capped at
+    block_budget: BudgetError as soon as the closure holds more than
+    block_budget vertices, so a call that raises it absorbs at most
+    block_budget + 1. Every seed is checked before the seed set is sorted.
     """
     graph = instance.graph
     pinned = instance.pinned
+    seeds = tuple(seeds)
+    for s in seeds:
+        _check_vertex(graph, s)
     seeds = sorted(set(seeds))
     if not seeds:
         raise ParseError("block seed set must be non-empty")
     for s in seeds:
-        _check_vertex(graph, s)
         if s in pinned:
             raise ParseError(f"seed vertex {s} is pinned")
     if len(seeds) > block_budget:
         raise BudgetError(f"block budget {block_budget} exceeded by seed set")
     inside = set()
     for s in seeds:
-        _absorb(graph.adjacency, instance.params.max_low_degree, pinned, inside, s)
-    if len(inside) > block_budget:
-        raise BudgetError(
-            f"block budget {block_budget} exceeded growing from seeds {seeds}"
-        )
+        _absorb(graph.adjacency, instance.params.max_low_degree, pinned, inside, s, block_budget)
+        if len(inside) > block_budget:
+            raise BudgetError(
+                f"block budget {block_budget} exceeded growing from seeds {seeds}"
+            )
     return Block(inside, _boundary_edges(graph, inside))
 
 
@@ -198,7 +201,7 @@ def first_feasible_tuple(instance, verts):
     return out[0] if out else None
 
 
-def _absorb(adj, max_low, pinned, closure, w):
+def _absorb(adj, max_low, pinned, closure, w, cap=float("inf")):
     """Grow a block closure by the vertex w.
 
     Adds w and every high-degree vertex (degree above max_low) outside
@@ -207,7 +210,10 @@ def _absorb(adj, max_low, pinned, closure, w):
     any container of vertices never absorbed: an instance's pin dict, or ()
     for the empty pinning of the sparsity scans. This is exact because
     cl(cl(S) | {w}) = cl(S | {w}): the closure of S is the least set holding
-    S and every unpinned high-degree neighbour of its members.
+    S and every unpinned high-degree neighbour of its members. The growth
+    stops as soon as the closure holds more than `cap` vertices, leaving it
+    partial; minimal_permissive_block passes its budget, and the sparsity
+    scans pass no cap.
     """
     if w in closure:
         return []
@@ -218,6 +224,8 @@ def _absorb(adj, max_low, pinned, closure, w):
             if x not in closure and x not in pinned and len(adj[x]) > max_low:
                 closure.add(x)
                 new.append(x)
+                if len(closure) > cap:
+                    return new
     return new
 
 

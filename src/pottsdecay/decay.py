@@ -77,22 +77,23 @@ Region key. The children of one boundary index differ only in their prefix
 pins, and by read_region's proof a child at (v_i, e) reads no pin outside
 its read region. That region depends on which vertices are pinned, not on
 their colours, so _block_terms walks _read_region once per index: on the
-children's graph, with the parent's pins and every prefix vertex pinned. It
-keeps the prefix positions whose vertex lies in the region, and the memo
-keys on the canonical form of the pattern restricted to those positions
-(held is still the colours of the parent's pins). A miss pins the kept
-positions only. The dropped prefix pins lie outside the region, so leaving
-them unpinned moves neither the vector nor recursive_calls,
-termination_events, infeasible_events, max_block_size or max_f_size, nor
-the error raised. When no position is kept, every pattern shares one vector
-as is. Index 0 has no prefix, and leaf children read nothing but their own
-pin, so neither keeps a position or needs a walk. At the beta = 0
-feasibility cut-off (e < 0) the key keeps every position on purpose: a
+children's graph, with the parent's pins and every prefix vertex pinned.
+One rule, for every block shape, gives the prefix positions index i keeps:
+leaf children keep none, since they read nothing but their own pin; index
+0, which has no prefix, and the beta = 0 feasibility cut-off (e < 0) keep
+all of them, with no walk; any other index keeps the positions whose vertex
+its region walk reaches. The cut-off keeps every position on purpose: a
 region key there would be just as exact, and waits on ROADMAP item 1. The
-memo counters, and the partial diagnostics of a max_calls abort, may
-differ from the whole-prefix key's: a hit adds its whole subtree before
-the limit check, and the region key hits more often. A cap still aborts
-exactly when the schedule without the memo would.
+memo keys on the canonical form of the pattern restricted to the kept
+positions (held is still the colours of the parent's pins), and a miss
+pins the kept positions only. The dropped prefix pins lie outside the
+region, so leaving them unpinned moves neither the vector nor
+recursive_calls, termination_events, infeasible_events, max_block_size or
+max_f_size, nor the error raised. When no position is kept, every pattern
+shares one vector as is. The memo counters, and the partial diagnostics of
+a max_calls abort, may differ from the whole-prefix key's: a hit adds its
+whole subtree before the limit check, and the region key hits more often.
+A cap still aborts exactly when the schedule without the memo would.
 
 Singleton blocks. When every vertex is low-degree, as in the paper's FPTAS
 regime q > 3(1-beta)Delta + 1, every block is its anchor alone: v's block
@@ -123,11 +124,8 @@ cut-off children, which keep the whole-prefix key (see "Region key"), so it
 stays on the general path, and _lean_vector tests the gate before it reads
 the graph. Without the gate (ell < 0 in its place) the cut-off children
 would take the region key, which is just as exact; dropping the gate waits
-on ROADMAP item 1. Behind the gate, a beta = 0 singleton at ell <= 0 runs
-_block_terms, which takes the singleton's positions and escape lengths
-directly instead of running escape_paths, induced_edges and a position map;
-that guard compares the block with (anchor,), so an anchor outside the block
-(marg_block) still reaches escape_paths' error.
+on ROADMAP item 1. A node the gate or a budget turns away runs the general
+path, which treats a singleton block as any other block.
 
 Children. Every child has one form: the root graph, the frozenset of
 canonical edges removed from it, and a pin dict. _block_terms' children
@@ -150,14 +148,14 @@ goes through _leaf and then _node_vector, the one place that builds a
 child's view and Instance: it runs _lean_vector on the child and, when that
 declines it (an unpinned high-degree neighbour in the child's graph, the
 beta = 0 gate, or a budget), builds the child's view (graph._view) and
-Instance and runs _block_vector, the general path, on them. The root tries _lean_vector on its instance's root graph, removed
-edges and pins, then _block_vector on the instance itself. Besides the
-fallback, a view is built only for the region walk that tells whether an
-index i >= 1 is keyed. Through unkeyed singleton indices the recursion
-alternates _lean_vector and _node_vector, two Python frames per level. On
-perfbench's partition-cycle workload every block is one vertex, so no
-child falls back: no Instance is built below the root, and the only views
-are those of the region walks.
+Instance and runs _block_vector, the general path, on them. The root tries
+_lean_vector on its instance's root graph, removed edges and pins, then
+_block_vector on the instance itself. Besides the fallback, a view is built
+only for the region walk that tells whether an index i >= 1 is keyed.
+Through unkeyed singleton indices the recursion alternates _lean_vector and
+_node_vector, two Python frames per level. On perfbench's partition-cycle
+workload every block is one vertex, so no child falls back: no Instance is
+built below the root, and the only views are those of the region walks.
 """
 
 from __future__ import annotations
@@ -429,16 +427,10 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
     free = [c for c in range(1, q1) if c not in held]
     verts = block.vertices
     bedges = block.boundary_edges
-    if verts == (anchor,):
-        # What the general path computes for a singleton block.
-        internal = ()
-        upos = [0] * len(bedges)
-        lengths = [1] * len(bedges)
-    else:
-        pos = {u: i for i, u in enumerate(verts)}
-        internal = graph.induced_edges(verts)
-        upos = [pos[u] for u, _ in bedges]
-        lengths = escape_paths(graph, block, anchor)
+    pos = {u: i for i, u in enumerate(verts)}
+    internal = graph.induced_edges(verts)
+    upos = [pos[u] for u, _ in bedges]
+    lengths = escape_paths(graph, block, anchor)
 
     cut = [(u, w) if u < w else (w, u) for u, w in bedges]  # canonical boundary edges
 
@@ -456,31 +448,23 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
         sub_ell = ell - lengths[i]
         removed_i = None
-        if pin_i is None and not (params.beta_positive and sub_ell < 0):  # not a leaf
+        # The prefix positions whose pin the children of index i can read
+        # (see "Region key" in the module docstring), and each node's
+        # pattern restricted to them.
+        kept = range(i)
+        if pin_i is not None or (params.beta_positive and sub_ell < 0):
+            kept = ()  # leaf children read only v_i's pin (_leaf's rule)
+        else:
             # Every child of index i drops the block's internal edges and
             # the boundary edges at positions >= i.
             removed_i = graph.removed.union(internal, cut[i:])
-        # The prefix positions whose pin the children of index i can read,
-        # and each node's pattern restricted to them (see "Region key" in
-        # the module docstring). Index 0 has no prefix, and the beta = 0
-        # cut-off keeps the whole prefix.
-        kept_pos = upos[:i]
-        subs = pats
-        if i and pin_i is None and sub_ell >= 0:
-            pinned = set(instance.pinned)
-            pinned.update(verts[p] for p in kept_pos)
-            region = _read_region(_view(graph.root, removed_i), params, pinned, v_i, sub_ell)
-            kept = [j for j, p in enumerate(kept_pos) if verts[p] in region]
-            if not kept:
-                kept_pos = []
-                subs = [()] * len(pats)
-            elif len(kept) < i:
-                kept_pos = [kept_pos[j] for j in kept]
-                subs = [tuple([pat[j] for j in kept]) for pat in pats]
-        elif i and (pin_i is not None or params.beta_positive):
-            kept_pos = []  # leaf children read only v_i's pin (_leaf's rule)
-            subs = [()] * len(pats)
-        at = [verts[p] for p in kept_pos]
+            if i and sub_ell >= 0:
+                pinned = set(instance.pinned)
+                pinned.update(verts[p] for p in upos[:i])
+                region = _read_region(_view(graph.root, removed_i), params, pinned, v_i, sub_ell)
+                kept = [j for j in kept if verts[upos[j]] in region]
+        subs = pats if len(kept) == i else [tuple([pat[j] for j in kept]) for pat in pats]
+        at = [verts[upos[j]] for j in kept]
         evaluate = _child(
             graph.root, removed_i, params, instance.pinned, at, v_i, pin_i, sub_ell, diag, limits
         )

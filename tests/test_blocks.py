@@ -144,6 +144,35 @@ def test_block_budget():
         minimal_permissive_block(inst, [0], block_budget=4)
 
 
+def test_block_budget_stops_the_growth(monkeypatch):
+    # Every vertex of gnp(300, 8) is high-degree at q = 3, so the closure of
+    # vertex 0 is its whole component; a failing call absorbs at most
+    # budget + 1 vertices of it, not the component.
+    inst = Instance(generate_gnp(300, 8, seed=1), PottsParams(3, 0))
+    absorb = blocks._absorb
+    absorbed = []
+
+    def counting(*args):
+        new = absorb(*args)
+        absorbed.extend(new)
+        return new
+
+    monkeypatch.setattr(blocks, "_absorb", counting)
+    assert len(minimal_permissive_block(inst, [0], inst.graph.n).vertices) > 64
+    for budget, seeds in ((1, [0]), (3, [0]), (64, [0]), (64, [5, 0, 9])):
+        absorbed.clear()
+        with pytest.raises(BudgetError, match="growing from seeds"):
+            minimal_permissive_block(inst, seeds, budget)
+        assert len(absorbed) == len(set(absorbed)) <= budget + 1
+
+
+@pytest.mark.parametrize("seeds", [["a", 1], [[1]], [1, 2.5], [True]])
+def test_seeds_checked_before_sorting(seeds):
+    inst = Instance(generate_path(4), PottsParams(3, 0))
+    with pytest.raises(ParseError, match="vertex must be an integer"):
+        minimal_permissive_block(inst, seeds)
+
+
 def _hub_connector(rng, hubs, connectors):
     """Hubs 0..hubs-1; each connector joins two distinct random hubs."""
     edges = []
@@ -162,8 +191,8 @@ def _block_outcome(build, instance, seeds, budget):
 
 def test_block_matches_min_first_reference():
     # minimal_permissive_block grows breadth-first through blocks._absorb and
-    # checks its budget once after the growth; every Block, and every error's
-    # type and message, must be the min-first reference's.
+    # stops once the closure passes its budget; every Block, and every
+    # error's type and message, must be the min-first reference's.
     rng = random.Random(20261101)
     seen = Counter()
     for i in range(300):

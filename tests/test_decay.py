@@ -625,8 +625,9 @@ def test_marg_block_rejects_a_block_the_instance_does_not_have():
 
 @pytest.mark.parametrize("beta", ["0", "0.5"])
 def test_singleton_blocks_skip_escape_walk(beta, monkeypatch):
-    # On a cycle at q = 6 every block is one vertex, so no node walks
-    # escape paths or scans internal edges, and the answer is unchanged.
+    # On a cycle at q = 6 every block is one vertex, and _lean_vector serves
+    # every node: no node reaches _block_terms, which would walk escape
+    # paths and scan internal edges, and the answer is unchanged.
     inst = _inst(generate("cycle", n=9), 6, beta, {4: 2})
     want = marginal_vector(inst, 0, 6)
 

@@ -9,9 +9,11 @@ package module uses `functools.lru_cache` or `functools.cache`, no
 package module but `graph.py` calls `Graph.__new__` (every graph view is
 built by `graph._view`), `decay.py` builds an `Instance` in
 `_node_vector` only and never calls `remove_edges` (a child of the
-recursion is built in one place), and `blocks.py` grows every closure
+recursion is built in one place), `blocks.py` grows every closure
 through `_absorb` and calls `min` nowhere (one closure step, in no
-particular absorption order).
+particular absorption order), and `decay._block_terms` calls
+`escape_paths` and `induced_edges` outside every `if` (one code path for
+every block shape).
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -293,6 +295,53 @@ def test_blocks_grows_every_closure_through_absorb():
         assert "_absorb" in calls.get(name, ()), f"blocks.{name} does not call _absorb"
     with_min = sorted(f for f, names in calls.items() if "min" in names)
     assert not with_min, f"blocks.py calls min in {with_min}; grow closures with _absorb"
+
+
+def _unconditional_calls(source, function):
+    """Names the top-level function `function` calls, plain or as an
+    attribute, outside every if statement and conditional expression (and
+    outside nested functions and lambdas, which it need not call)."""
+    tree = ast.parse(source)
+    stack = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == function]
+    assert stack, f"no function {function}"
+    stack = list(stack[0].body)
+    names = set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.IfExp, ast.FunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            f = node.func
+            names.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_checker_finds_unconditional_calls():
+    source = (
+        "def terms(g, b):\n"
+        "    x = g.induced_edges(b) if b else ()\n"
+        "    if len(b) == 1:\n"
+        "        y = escape_paths(g, b)\n"
+        "    else:\n"
+        "        y = walk(g)\n"
+        "    for i in range(3):\n"
+        "        z = g.pos(i)\n"
+        "    def inner():\n"
+        "        return hidden()\n"
+        "    return sorted(y)\n"
+        "def other():\n"
+        "    return escape_paths()\n"
+    )
+    assert _unconditional_calls(source, "terms") == {"range", "pos", "sorted"}
+
+
+def test_block_terms_treats_every_block_alike():
+    # One code path for every block: no shortcut skips the escape-path walk
+    # or the internal-edge scan for a block of some shape.
+    calls = _unconditional_calls((PACKAGE / "decay.py").read_text(), "_block_terms")
+    missing = sorted({"escape_paths", "induced_edges"} - calls)
+    assert not missing, f"decay._block_terms calls {missing} only under an if"
 
 
 @pytest.mark.parametrize("schema", ["marginal", "partition"])

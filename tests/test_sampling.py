@@ -183,6 +183,22 @@ def test_sampler_infeasible_instance():
         sample_batch(inst, 4, 1, seed=0)
 
 
+class _StubRng:
+    def random(self):
+        return 0.99999999
+
+
+def test_draw_falls_back_to_last_positive_entry():
+    # The entries sum to 0.9999999, below the draw, so no prefix sum passes
+    # it and the last positive entry (colour 3) is drawn, not the zero one.
+    assert sampling._draw([0.3, 0.3, 0.3999999, 0.0], _StubRng()) == 3
+
+
+def test_draw_rejects_vector_without_positive_entry():
+    with pytest.raises(InfeasibleError, match="no positive entry"):
+        sampling._draw([0.0, 0.0], _StubRng())
+
+
 # ------------------------------------------------------- distributional sanity
 
 
