@@ -25,13 +25,14 @@ from .blocks import DEFAULT_BLOCK_BUDGET, first_feasible_tuple, minimal_permissi
 from .decay import (
     MargDiagnostics,
     RecursionLimits,
+    _check_q,
     _depth,
     _region_steps,
     default_depth,
     marg,
     marg_coloring,
 )
-from .errors import InfeasibleError, ParseError
+from .errors import InfeasibleError
 from .model import Configuration, Instance, _check_seed, monochromatic_edges
 
 
@@ -74,8 +75,7 @@ def find_feasible_config(instance, block_budget=DEFAULT_BLOCK_BUDGET):
     block_budget.
     """
     params = instance.params
-    if params.q < 3:
-        raise ParseError("the estimator needs q >= 3")
+    _check_q(params)
     if params.beta > 0:
         colors = {v: instance.pinned.get(v, 1) for v in range(instance.graph.n)}
         return Configuration(colors)

@@ -101,61 +101,66 @@ is {v} exactly when every unpinned neighbour of v is low-degree. Such a
 block has no internal edge, its boundary edges run to v's neighbours w_0 <
 w_1 < ..., every escape path has length 1, and F is the palette (beta > 0)
 or the palette minus the colours of v's pinned neighbours (beta = 0). The
-prefix pattern of colour c at index i >= 1 is (c,)*i, and index i's
-children either cannot read v's pin, so one vector serves every c, or read
-it, so each held colour is its own class and every other colour maps to
-free[0]: that is _canonical((c,)*i), read back through the swap of c and
-free[0]. _lean_vector, which every non-leaf call tries before the general
-path, evaluates such a node from these facts alone, without
-minimal_permissive_block, the Block, feasible_tuples, the prefix trie,
-_canonical or the by_color combine. It makes the same children in the same
-order and takes the same logs, sums and caps. An index whose children
-cannot read v's pin (index 0, leaf children, or a region walk that misses
-v) evaluates its one child directly, with no memo; at i >= 1 it then
-charges each further colour of F as a _memo_child hit does: the subtree's
-calls, terminations and infeasible events, one cache hit, and the limit
-check after each. A keyed index goes through _memo_child. So no float and
-no counter moves, and a max_calls abort lands where it did, with the same
-partial diagnostics; it raises the same errors, and leaves a node whose
-block or configuration budget is too small to the general path, which
-raises that BudgetError. The gate: it serves beta > 0, and beta = 0 only at
-ell >= 1. A beta = 0 node at ell <= 0 is a feasibility cut-off or has
-cut-off children, which keep the whole-prefix key (see "Region key"), so it
-stays on the general path, and _lean_vector tests the gate before it reads
-the graph. Without the gate (ell < 0 in its place) the cut-off children
-would take the region key, which is just as exact; dropping the gate waits
-on ROADMAP item 1. A node the gate or a budget turns away runs the general
-path, which treats a singleton block as any other block.
+prefix pattern of colour c at index i >= 1 is (c,)*i, so when index i's
+children cannot read v's pin, one vector serves every c. _lean_vector,
+which every non-leaf call tries before the general path, serves exactly the
+singleton nodes where that holds at every index. Before it evaluates or
+counts anything, it walks _read_region for each index i >= 1 whose children
+are not leaves (index 0 has no prefix, and a leaf reads only its own pin),
+and it declines the node when a walk reaches v. The walk leaves v unpinned:
+every vertex whose pin a walk consults joins its region, so whether the
+region holds v does not depend on v's pin. A declined node takes the
+general path, whose colour memo keys the same classes (_canonical((c,))
+keeps a held c and maps any other to free[0]). A served node is evaluated
+from these facts alone, without minimal_permissive_block, the Block,
+feasible_tuples, the prefix trie, _canonical or the by_color combine. It
+makes the same children in the same order and takes the same logs, sums
+and caps. Each index evaluates its one child directly, with no memo; at
+i >= 1 it then charges each further colour of F as a _memo_child hit does:
+the subtree's calls, terminations and infeasible events, one cache hit,
+and the limit check after each. So no float and no counter moves, and a
+max_calls abort lands where it did, with the same partial diagnostics; it
+raises the same errors, and leaves a node whose block or configuration
+budget is too small to the general path, which raises that BudgetError. The
+gate: it serves beta > 0, and beta = 0 only at ell >= 1. A beta = 0 node at
+ell <= 0 is a feasibility cut-off or has cut-off children, which keep the
+whole-prefix key (see "Region key"), so it stays on the general path, and
+_lean_vector tests the gate before it reads the graph. Without the gate
+(ell < 0 in its place) the cut-off children would take the region key,
+which is just as exact; dropping the gate waits on ROADMAP item 1. A node
+the gate, a budget or a walk turns away runs the general path, which treats
+a singleton block as any other block.
 
 Children. Every child has one form: the root graph, the frozenset of
 canonical edges removed from it, and a pin dict. _block_terms' children
 of index i remove the node's removed edges, the block's internal edges and
 its boundary edges at positions >= i, and get a copy of the node's pins
-with the kept prefix positions pinned. _lean_vector's children of index i
-remove the node's removed edges and its boundary edges at positions >= i;
-an unkeyed child shares the node's pin dict, and a keyed one gets a copy
-with v pinned to a colour c of F. Rows are the root's rows filtered by the
-removed set (graph._kept_row), and the high-degree test reads the root
-degree first, since a derived degree is never larger. No pin is
-re-checked: the root's were checked when its Instance was built, a child
-only adds pins, and an added pin puts a vertex of the graph to a palette
-colour. No removed edge is checked either (graph._view holds the set as
-given): each is an edge of its node's graph, which is why marg_block
-checks a caller's block first. A memoised child (every child of
-_block_terms, and a keyed child of _lean_vector) is evaluated by _child,
-which copies the node's pins and adds the prefix pins. Each non-leaf child
-goes through _leaf and then _node_vector, the one place that builds a
-child's view and Instance: it runs _lean_vector on the child and, when that
-declines it (an unpinned high-degree neighbour in the child's graph, the
-beta = 0 gate, or a budget), builds the child's view (graph._view) and
-Instance and runs _block_vector, the general path, on them. The root tries
-_lean_vector on its instance's root graph, removed edges and pins, then
-_block_vector on the instance itself. Besides the fallback, a view is built
-only for the region walk that tells whether an index i >= 1 is keyed.
-Through unkeyed singleton indices the recursion alternates _lean_vector and
-_node_vector, two Python frames per level. On perfbench's partition-cycle
-workload every block is one vertex, so no child falls back: no Instance is
-built below the root, and the only views are those of the region walks.
+with the kept prefix positions pinned: _child makes that copy, and every
+such child goes through the colour memo, _memo_child. _lean_vector's
+children of index i remove the node's removed edges and its boundary edges
+at positions >= i and share the node's pin dict, since none of them reads
+v's pin; no lean child goes through the memo. Rows are the root's rows
+filtered by the removed set (graph._kept_row), and the high-degree test
+reads the root degree first, since a derived degree is never larger. A
+child's pins need no check: the root's were checked when its Instance was
+built, a child only adds pins, and an added pin puts a vertex of the graph
+to a palette colour. (A child that falls back still has them checked again,
+by its Instance's __init__.) No removed edge is checked (graph._view holds
+the set as given): each is an edge of its node's graph, which is why
+marg_block checks a caller's block first. Each non-leaf child goes through
+_leaf and then _node_vector, the one place that builds a child's view and
+Instance: it runs _lean_vector on the child and, when that declines it (an
+unpinned high-degree neighbour in the child's graph, children that can read
+its pin, the beta = 0 gate, or a budget), builds the child's view
+(graph._view) and Instance and runs _block_vector, the general path, on
+them. The root tries _lean_vector on its instance's root graph, removed
+edges and pins, then _block_vector on the instance itself. Besides the
+fallback, a view is built only for a region walk. Through singleton nodes
+the recursion alternates _lean_vector and _node_vector, two Python frames
+per level. On perfbench's partition-cycle workload every block is one
+vertex and no child can read its node's pin, so no child falls back: no
+Instance is built below the root, and the only views are those of the
+region walks.
 """
 
 from __future__ import annotations
@@ -166,6 +171,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 from .blocks import (
     DEFAULT_BLOCK_BUDGET,
@@ -176,7 +182,7 @@ from .blocks import (
 )
 from .errors import BudgetError, InfeasibleError, ParseError
 from .graph import _kept_row, _view
-from .model import Configuration, Instance, _check_color, _check_vertex
+from .model import Configuration, Instance, _check_color, _check_int, _check_vertex
 from .saw import e_delta_profile
 
 
@@ -236,6 +242,15 @@ class RecursionLimits:
     config_budget: int = DEFAULT_CONFIG_BUDGET
     max_calls: int | None = None
     deadline: float | None = None
+
+    def __post_init__(self):
+        _check_int(self.block_budget, "block_budget", 0)
+        _check_int(self.config_budget, "config_budget", 0)
+        if self.max_calls is not None:
+            _check_int(self.max_calls, "max_calls", 0)
+        d = self.deadline
+        if not (d is None or isinstance(d, Real) and not isinstance(d, bool) and math.isfinite(d)):
+            raise ParseError(f"deadline must be None or a finite real, got {d!r}")
 
 
 def _depth(ell):
@@ -519,33 +534,25 @@ def _leaf(params, pin, ell, diag, limits):
 
 
 def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
-    """The vector at a node whose block is v alone, on the graph root minus
-    the edges `removed`; None for any other node.
+    """The vector at a node whose block is v alone and whose children cannot
+    read v's pin, on the graph root minus the edges `removed`; None for any
+    other node.
 
     Serves beta > 0, or beta = 0 at ell >= 1, and returns None, before
-    counting anything, when an unpinned neighbour of v is high-degree or a
-    block or configuration budget would be exceeded; the gate is tested
-    before the graph is read. Each non-leaf child is handed to _node_vector
-    as the same root, the removed set grown by the boundary edges it drops,
-    and the parent's pin dict, or a copy of it with v pinned to a colour of
-    F. This function builds a view only for the region walk that tells
-    whether an index is keyed. See "Singleton blocks" and "Children" in the
-    module docstring.
+    counting anything or evaluating any child, when an unpinned neighbour of
+    v is high-degree, a block or configuration budget would be exceeded, or
+    the region walk of some non-leaf index i >= 1 reaches v; the gate is
+    tested before the graph is read, and the budgets before any walk. Each
+    non-leaf child is handed to _node_vector as the same root, the removed
+    set grown by the boundary edges it drops, and the parent's pin dict.
+    This function builds a view only for the region walks. See "Singleton
+    blocks" and "Children" in the module docstring.
     """
     beta_positive = params.beta_positive
     if not beta_positive and ell < 1:
         return None
     rows = root.adjacency
     nbrs = _kept_row(rows, removed, v)
-    max_low = params.max_low_degree
-    for w in nbrs:
-        # A derived degree is never larger than the root degree.
-        if (
-            w not in pinned
-            and len(rows[w]) > max_low
-            and len(_kept_row(rows, removed, w)) > max_low
-        ):
-            return None
     q = params.q
     F = range(1, q + 1)
     if not beta_positive:
@@ -553,63 +560,52 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
         F = [c for c in F if c not in banned]
     if limits.block_budget < 1 or len(F) > limits.config_budget:
         return None
-    if diag.max_block_size < 1:
-        diag.max_block_size = 1
-    if len(F) > diag.max_f_size:
-        diag.max_f_size = len(F)
+    max_low = params.max_low_degree
+    sub_ell = ell - 1
+    bedges = [(v, w) if v < w else (w, v) for w in nbrs]
+    sub_removed = [None] * len(nbrs)  # a leaf child gets no graph
+    for i, w in enumerate(nbrs):
+        if w in pinned:
+            continue
+        # A derived degree is never larger than the root degree.
+        if len(rows[w]) > max_low and len(_kept_row(rows, removed, w)) > max_low:
+            return None
+        if sub_ell >= 0:  # not a leaf child; the gate keeps sub_ell >= 0 at beta = 0
+            # The children of index i drop the boundary edges at positions
+            # >= i. If those at i >= 1 can read v's pin (the walk leaves v
+            # unpinned; see "Singleton blocks"), the node is declined.
+            sub_removed[i] = removed.union(bedges[i:])
+            if i and v in _read_region(_view(root, sub_removed[i]), params, pinned, w, sub_ell):
+                return None
+    diag.max_block_size = max(diag.max_block_size, 1)
+    diag.max_f_size = max(diag.max_f_size, len(F))
     if not F:
         raise InfeasibleError(f"no feasible block configuration around vertex {v}")
 
     one_minus = 1.0 - params.beta_float
-    sub_ell = ell - 1
-    bedges = [(v, w) if v < w else (w, v) for w in nbrs]
-    pinned_v = None
     terms = [0.0] * len(F)
     for i, w in enumerate(nbrs):
-        pin_w = pinned.get(w)
-        keyed = False  # do the children of index i read v's pin?
-        if pin_w is None and not (beta_positive and sub_ell < 0):  # not a leaf
-            # The children of index i drop the boundary edges at positions >= i.
-            sub_removed = removed.union(bedges[i:])
-            if i:
-                if pinned_v is None:
-                    pinned_v = {*pinned, v}
-                region = _read_region(_view(root, sub_removed), params, pinned_v, w, sub_ell)
-                keyed = v in region
-
-        if not keyed:
-            # One child serves every colour. Index 0 has one prefix, (), so
-            # one child; at i >= 1 each further colour is charged as a memo
-            # hit (see _memo_child).
-            calls = diag.recursive_calls
-            terminations = diag.termination_events
-            infeasible = diag.infeasible_events
-            vec = _leaf(params, pin_w, sub_ell, diag, limits)
-            if vec is None:
-                vec = _node_vector(root, sub_removed, params, pinned, w, sub_ell, diag, limits)
-            if i and len(F) > 1:
-                calls = diag.recursive_calls - calls
-                terminations = diag.termination_events - terminations
-                infeasible = diag.infeasible_events - infeasible
-                for _ in range(len(F) - 1):
-                    diag.recursive_calls += calls
-                    diag.termination_events += terminations
-                    diag.infeasible_events += infeasible
-                    diag.cache_hits += 1
-                    _check_limits(diag, limits)
-            for k, c in enumerate(F):
-                factor = 1.0 - one_minus * vec[c - 1]
-                terms[k] += math.log(factor) if factor > 0.0 else -math.inf
-            continue
-
-        held = set(pinned.values())
-        free0 = next((c for c in range(1, q + 1) if c not in held), None)
-        evaluate = _child(root, sub_removed, params, pinned, (v,), w, None, sub_ell, diag, limits)
-        memo = {}
+        # One child serves every colour. Index 0 has one prefix, (), so one
+        # child; at i >= 1 each further colour is charged as a memo hit (see
+        # _memo_child).
+        calls = diag.recursive_calls
+        terminations = diag.termination_events
+        infeasible = diag.infeasible_events
+        vec = _leaf(params, pinned.get(w), sub_ell, diag, limits)
+        if vec is None:
+            vec = _node_vector(root, sub_removed[i], params, pinned, w, sub_ell, diag, limits)
+        if i and len(F) > 1:
+            calls = diag.recursive_calls - calls
+            terminations = diag.termination_events - terminations
+            infeasible = diag.infeasible_events - infeasible
+            for _ in range(len(F) - 1):
+                diag.recursive_calls += calls
+                diag.termination_events += terminations
+                diag.infeasible_events += infeasible
+                diag.cache_hits += 1
+                _check_limits(diag, limits)
         for k, c in enumerate(F):
-            x = c if c in held else free0
-            vec = _memo_child(memo, (x,), evaluate, diag, limits)
-            factor = 1.0 - one_minus * vec[x - 1]
+            factor = 1.0 - one_minus * vec[c - 1]
             terms[k] += math.log(factor) if factor > 0.0 else -math.inf
 
     den = _denominator(terms, v)
@@ -628,7 +624,7 @@ def _child(root, removed, params, pinned, at, v, pin, ell, diag, limits):
     `pinned` with the vertices `at` pinned to `colours` as well, and it is
     evaluated by _node_vector on the root graph minus `removed`. The added
     pins put vertices of the graph to palette colours, so they need no
-    check. (A closure here rather than in its callers keeps their locals
+    check. (A closure here rather than in _block_terms keeps its locals
     plain.)
     """
 
@@ -816,9 +812,14 @@ def _region_steps(instance, order, depth):
     return steps
 
 
-def _common_checks(instance, v):
-    if instance.params.q < 3:
+def _check_q(params):
+    """Raise ParseError unless q >= 3, which the estimator needs."""
+    if params.q < 3:
         raise ParseError("the estimator needs q >= 3")
+
+
+def _common_checks(instance, v):
+    _check_q(instance.params)
     _check_vertex(instance.graph, v)
 
 

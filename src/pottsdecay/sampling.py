@@ -31,6 +31,7 @@ import numpy as np
 from .decay import (
     RecursionLimits,
     _canonical,
+    _check_q,
     _depth,
     _permute,
     _region_steps,
@@ -92,8 +93,7 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
     """
     if threads != 1:
         raise ParseError(f"sample_batch runs on one thread, got threads={threads!r}")
-    if instance.params.q < 3:
-        raise ParseError("the estimator needs q >= 3")
+    _check_q(instance.params)
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
         raise ParseError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     _check_seed(seed, bits=64)

@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -243,6 +244,49 @@ def test_deadline_checked_on_first_call():
     with pytest.raises(BudgetError, match="deadline") as err:
         marginal_vector(inst, 1, 0, limits)
     assert err.value.diagnostics.recursive_calls == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("block_budget", None),
+        ("block_budget", "64"),
+        ("block_budget", -1),
+        ("block_budget", True),
+        ("block_budget", 64.0),
+        ("config_budget", None),
+        ("config_budget", "64"),
+        ("config_budget", -1),
+        ("config_budget", False),
+        ("max_calls", "5"),
+        ("max_calls", -1),
+        ("max_calls", True),
+        ("max_calls", 5.0),
+        ("deadline", "x"),
+        ("deadline", True),
+        ("deadline", math.nan),
+        ("deadline", math.inf),
+        ("deadline", -math.inf),
+        ("deadline", 1j),
+    ],
+)
+def test_recursion_limits_reject_bad_fields(field, value):
+    with pytest.raises(ParseError, match=field):
+        RecursionLimits(**{field: value})
+
+
+def test_recursion_limits_accept_their_ranges():
+    for kwargs in (
+        {"block_budget": 0, "config_budget": 0, "max_calls": 0, "deadline": 0},
+        {"max_calls": None, "deadline": None},
+        {"deadline": -1.5},
+        {"deadline": Fraction(1, 3)},
+    ):
+        RecursionLimits(**kwargs)
+    inst = _inst(generate("path", n=3), 5)
+    limits = RecursionLimits(max_calls=100, deadline=time.monotonic() + 60)
+    vec, _ = marginal_vector(inst, 1, 0, limits)
+    assert math.isclose(sum(vec), 1.0, rel_tol=1e-9)
 
 
 def test_abort_keeps_partial_diagnostics():

@@ -13,7 +13,9 @@ recursion is built in one place), `blocks.py` grows every closure
 through `_absorb` and calls `min` nowhere (one closure step, in no
 particular absorption order), and `decay._block_terms` calls
 `escape_paths` and `induced_edges` outside every `if` (one code path for
-every block shape).
+every block shape), `decay._block_terms` alone calls `_child` and
+`_memo_child` (the colour memo has one home), and the "q >= 3" check is
+written once, in `decay.py`.
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -295,6 +297,38 @@ def test_blocks_grows_every_closure_through_absorb():
         assert "_absorb" in calls.get(name, ()), f"blocks.{name} does not call _absorb"
     with_min = sorted(f for f, names in calls.items() if "min" in names)
     assert not with_min, f"blocks.py calls min in {with_min}; grow closures with _absorb"
+
+
+def _memo_callers(source):
+    """The functions that call `_child` or `_memo_child`, sorted."""
+    calls = _calls_by_function(source)
+    return sorted(f for f, names in calls.items() if names & {"_child", "_memo_child"})
+
+
+def test_checker_finds_memo_callers():
+    source = (
+        "def terms(g):\n"
+        "    evaluate = _child(g)\n"
+        "    return [decay._memo_child(m, k, evaluate) for k in g]\n"
+        "def lean(g):\n"
+        "    def inner():\n"
+        "        return _memo_child(g)\n"
+        "    return child(g), _children(g), _child\n"
+    )
+    assert _memo_callers(source) == ["inner", "terms"]
+
+
+def test_colour_memo_has_one_home():
+    # _lean_vector declines a node whose children can read its pin, so it
+    # evaluates no child through the colour memo.
+    callers = _memo_callers((PACKAGE / "decay.py").read_text())
+    assert "_lean_vector" not in callers, "decay._lean_vector calls _child or _memo_child"
+    assert callers == ["_block_terms"]
+
+
+def test_q_check_has_one_home():
+    found = [p.name for p in MODULES for _ in range(p.read_text().count("needs q >= 3"))]
+    assert found == ["decay.py"], f"the q >= 3 check is written in {found}"
 
 
 def _unconditional_calls(source, function):

@@ -10,8 +10,9 @@ These tests draw instances on which both kinds of child occur: hub/connector
 graphs at beta > 0, and at beta = 0 with ell >= 1. A hub whose connectors are
 all low-degree is a singleton node, and a connector child whose other hub is
 still high-degree falls back. The draws also cover pinned neighbours, keyed
-indices (children that read the node's pin) and max_calls caps that abort
-inside a lean child's subtree. Each run is compared with the general path
+indices (children that read the node's pin, whose node `_lean_vector`
+declines before it counts anything) and max_calls caps that abort inside a
+lean child's subtree. Each run is compared with the general path
 (the evaluator patched to return None) with `==` on the vector and every
 `MargDiagnostics` field, or on the error's type, message and partial
 diagnostics. Every view that decay builds from a root and a removed set must
@@ -28,6 +29,7 @@ from pottsdecay import (
     BudgetError,
     Graph,
     Instance,
+    MargDiagnostics,
     PottsError,
     PottsParams,
     RecursionLimits,
@@ -142,7 +144,8 @@ def test_fixed_mixed_case_covers_fallbacks_keyed_indices_and_caps():
     inst = Instance(graph, params, pins)
     out, seen = _check(inst, 0, 3, RecursionLimits())
     assert isinstance(out[0], list)
-    assert (seen.fallbacks, seen.keyed, len(seen.views)) == (12, 2, 21)
+    # The root is declined, and the general path repeats its region walks.
+    assert (seen.fallbacks, seen.keyed, len(seen.views)) == (12, 2, 22)
     calls = out[1]["recursive_calls"]
     assert calls == 607
     inside = 0
@@ -156,11 +159,12 @@ def test_fixed_mixed_case_covers_fallbacks_keyed_indices_and_caps():
 
 
 def test_singleton_children_of_general_nodes_build_no_instance():
-    # The root hub is a singleton node and its connector children fall
-    # back: each connector's block holds the connector and its other hub.
-    # Six children of those blocks are one-vertex blocks, which _lean_vector
-    # serves, so every Instance decay builds goes to a node whose block has
-    # more than one vertex.
+    # The root hub is a one-vertex block whose children can read its pin, so
+    # _lean_vector declines it and _block_vector runs on the root's own
+    # instance. Its connector children fall back: each connector's block
+    # holds the connector and its other hub. Six children of those blocks
+    # are one-vertex blocks, which _lean_vector serves, so every Instance
+    # decay builds goes to a node whose block has more than one vertex.
     graph, params, pins = FIXED
     inst = Instance(graph, params, pins)
     built, blocks = [], {}
@@ -182,7 +186,24 @@ def test_singleton_children_of_general_nodes_build_no_instance():
     assert out == marginal_vector(inst, 0, 3)
     assert len(built) == 12
     assert all(len(blocks[id(child)]) > 1 for child in built)
+    assert blocks.pop(id(inst)) == (0,)
     assert all(len(block) > 1 for block in blocks.values())
+
+
+def test_root_whose_children_read_its_pin_is_declined():
+    # At index 1 of the root hub 0, the connector children reach back to 0
+    # through their other hub, so _lean_vector declines the root before it
+    # evaluates or counts anything, and the general path gives the result.
+    graph, params, pins = FIXED
+    inst = Instance(graph, params, pins)
+    diag = MargDiagnostics()
+    limits = RecursionLimits()
+    assert decay._lean_vector(graph.root, graph.removed, params, pins, 0, 3, diag, limits) is None
+    assert diag == MargDiagnostics()
+    vec, got = marginal_vector(inst, 0, 3)
+    with mock.patch.object(decay, "_lean_vector", lambda *args: None):
+        general = marginal_vector(inst, 0, 3)
+    assert (vec, got) == general
 
 
 if given is not None:
