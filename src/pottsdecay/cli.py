@@ -43,8 +43,6 @@ def _fmt(value):
         return {k: _fmt(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        return _fmt(value.item())
     return value
 
 
@@ -86,12 +84,9 @@ def _at_least_one(args, name):
 
 
 def _limits(args):
-    limits = RecursionLimits()
-    for name in ("block_budget", "config_budget", "max_calls"):
-        value = _at_least_one(args, name)
-        if value is not None:
-            setattr(limits, name, value)
-    return limits
+    names = ("block_budget", "config_budget", "max_calls")
+    values = {name: _at_least_one(args, name) for name in names}
+    return RecursionLimits(**{k: v for k, v in values.items() if v is not None})
 
 
 def cmd_gen(args):

@@ -931,10 +931,7 @@ def error_bound(graph, v, L, params, alpha, prefactor="conservative"):
     q = params.q
     beta_f = params.beta_float
     arg = (q - 1) / (2.0 * (1.0 - beta_f))
-    if arg <= 1.0:
-        theta = 2
-    else:
-        theta = max(math.ceil(math.log(arg) / math.log(1.0 / alpha) - 1e-12), 2)
+    theta = max(math.ceil(math.log(arg) / math.log(1.0 / alpha) - 1e-12), 2)
     sums = e_delta_profile(graph, v, theta * L, params)
     tail = math.fsum(sums[L + 1 : theta * L + 1])
     if params.beta == 0:

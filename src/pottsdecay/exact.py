@@ -181,8 +181,6 @@ def _enumerate(instance, budget, root=None, first_only=False):
     params = instance.params
     if params.beta == 0 and mono_base > 0:
         return 0.0, [0.0] * params.q if root is not None else None, iso
-    if root is not None and root not in set(active):
-        raise ParseError("root must be an active vertex here")
     if params.beta == 0:
         z, vec = _dfs_enumerate(instance, active, budget, root, first_only)
     else:

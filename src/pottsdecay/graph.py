@@ -30,7 +30,7 @@ from .model import _check_int, _check_seed
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1 (root or view)."""
 
-    __slots__ = ("n", "m", "adjacency", "_root", "_removed", "_edges", "_hash")
+    __slots__ = ("n", "m", "adjacency", "_root", "_removed", "_edges")
 
     def __init__(self, n, edges=()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -118,12 +118,7 @@ class Graph:
         )
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.n, self.edges))
-            self._hash = h
-            return h
+        return hash((self.n, self.edges))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -62,8 +62,6 @@ def expected_contraction(n, degree, q, beta=0):
 
 
 def _wilson(k, n, z=_Z95):
-    if n == 0:
-        return 0.0, 1.0
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -160,8 +160,6 @@ def e_delta_profile(graph, v, l_max, delta, extension_budget=None):
 
 def _fit_decay_rate(lengths, maxima):
     """Geometric decay rate from a log-linear fit over the upper half of lengths."""
-    if not lengths:
-        return 0.0, 0, 0
     lo = max(1, math.ceil(lengths[-1] / 2))
     hi = lengths[-1]
     pts = [(l, m) for l, m in zip(lengths, maxima) if lo <= l <= hi and m > 0.0]

@@ -11,7 +11,16 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from pottsdecay import Graph, Instance, PottsParams, generate, sample_batch, serialize_graph
+from pottsdecay import (
+    Graph,
+    Instance,
+    PottsParams,
+    RecursionLimits,
+    generate,
+    sample_batch,
+    serialize_graph,
+)
+from pottsdecay import cli
 from pottsdecay.cli import build_parser, run
 
 
@@ -573,6 +582,33 @@ def test_stack_overflow_exits_4(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 4
     assert "budget exceeded" in captured.err and "depth 1200" in captured.err
+    argv = ["marginal", "--q", "4", "--beta", "0.5", "--vertex", "0", "--depth", "600"]
+    assert run(argv + ["--instance", str(f)]) == 4
+    assert "nested deeper than the Python stack" in capsys.readouterr().err
+
+
+def test_internal_error_exits_5(edge_file, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "marginal_vector", boom)
+    argv = ["marginal", "--q", "3", "--instance", edge_file, "--vertex", "0", "--depth", "2"]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_fmt_numbers():
+    assert cli._fmt(float("inf")) is None and cli._fmt(float("nan")) is None
+    assert cli._fmt(2.0) == 2 and type(cli._fmt(2.0)) is int
+
+
+def test_limit_flags_build_recursion_limits(edge_file):
+    argv = ["marginal", "--q", "3", "--instance", edge_file, "--vertex", "0"]
+    args = build_parser().parse_args(argv + ["--max-calls", "7", "--config-budget", "9"])
+    assert cli._limits(args) == RecursionLimits(config_budget=9, max_calls=7)
+    assert cli._limits(build_parser().parse_args(argv)) == RecursionLimits()
 
 
 def test_instance_file_alias(edge_file, capsys):

@@ -1,6 +1,7 @@
 """Tests for the truncated block recursion and its support machinery."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -302,12 +303,16 @@ def test_abort_keeps_partial_diagnostics():
 
 
 def test_stack_overflow_is_budget_error():
-    # Each level nests two Python frames, so depth 1200 on a long path runs
-    # past the default recursion limit.
-    inst = _inst(generate("path", n=1200), 6)
-    with pytest.raises(BudgetError, match="depth 1200") as err:
-        marginal_vector(inst, 600, 1200)
-    assert err.value.diagnostics.recursive_calls > 100
+    # Each level nests two Python frames, so depth 1200 (or 600 from an end
+    # vertex) on a long path runs past the default recursion limit.
+    g = generate("path", n=1200)
+    for q, beta, v, depth in ((6, "0", 600, 1200), (4, "0.5", 0, 600)):
+        with pytest.raises(BudgetError, match=f"depth {depth}") as err:
+            marginal_vector(_inst(g, q, beta), v, depth)
+        msg = str(err.value)
+        assert "nested deeper than the Python stack" in msg
+        assert f"recursion limit {sys.getrecursionlimit()}" in msg
+        assert err.value.diagnostics.recursive_calls > 100
 
 
 # ---------------------------------------------------------- colour-class memo

@@ -100,6 +100,16 @@ def test_partition_budget_error():
         exact_partition(inst, budget=1000)
 
 
+def test_beta0_budget_errors():
+    # at beta = 0 the backtracking count meters colorings as it goes, and the
+    # Gibbs table checks q^unpinned before its sweep
+    inst = Instance(generate_cycle(12), PottsParams(3, 0))
+    with pytest.raises(BudgetError, match="enumeration budget 5 exceeded"):
+        exact_partition(inst, budget=5)
+    with pytest.raises(BudgetError, match="Gibbs table budget 5 exceeded"):
+        exact_gibbs_table(inst, budget=5)
+
+
 def test_marginals_path3_pinned():
     inst = Instance(generate_path(3), PottsParams(3, 0), {0: 1})
     assert exact_marginal(inst, 2, 1) == pytest.approx(0.5, abs=1e-12)

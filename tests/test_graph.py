@@ -119,6 +119,11 @@ def test_gnp_seed_range():
             generate_gnp(10, 2, seed=bad)
 
 
+def test_gnp_mean_degree_range():
+    with pytest.raises(ParseError, match="0 <= d <= n, got 11"):
+        generate_gnp(10, 11, 1)
+
+
 def _gnp_edges_all_pairs(n, d, seed):
     # One draw over all C(n, 2) pairs at once: the stream order generate_gnp
     # must reproduce row by row.
@@ -151,6 +156,8 @@ def test_generate_dispatch():
         generate("tree", n=5)
     with pytest.raises(ParseError):
         generate("path", k=5)
+    with pytest.raises(ParseError, match="bad parameters for family 'path'"):
+        generate("path", m=3)
 
 
 def test_serialize_load_round_trip():
@@ -178,6 +185,10 @@ def test_load_graph_accepts_comments_and_blanks():
     "text,needle",
     [
         ("edge 0 1\n", "missing graph header"),
+        ("# only a comment\n", "missing graph header"),
+        ("graph\n", "malformed graph header at line 1"),
+        ("graph x\n", "malformed graph header at line 1"),
+        ("graph -1\n", "negative vertex count at line 1"),
         ("graph 3\ngraph 3\n", "duplicate graph header at line 2"),
         ("graph 3\nedge 0\n", "malformed edge at line 2"),
         ("graph 3\nedge 0 x\n", "malformed edge at line 2"),
@@ -185,6 +196,8 @@ def test_load_graph_accepts_comments_and_blanks():
         ("graph 3\nedge 0 5\n", "vertex id out of range at line 2"),
         ("graph 3\nedge 0 1\nedge 1 0\n", "duplicate edge at line 3"),
         ("graph 3\npin 0\n", "malformed pin at line 2"),
+        ("graph 3\npin 1 x\n", "malformed pin at line 2"),
+        ("graph 3\npin 5 1\n", "vertex id out of range at line 2"),
         ("graph 3\npin 0 0\n", "pin color out of range at line 2"),
         ("graph 3\npin 0 1\npin 0 2\n", "duplicate pin at line 3"),
         ("graph 3\nvertex 0\n", "at line 2"),

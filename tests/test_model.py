@@ -57,6 +57,16 @@ def test_params_validation():
     with pytest.raises(ParseError):
         PottsParams(3, "1.0")
     PottsParams(2, "0.999999999")
+    assert PottsParams(3, Fraction(1, 2)).beta == Fraction(1, 2)
+    assert PottsParams(3, 0.5).beta == Fraction(1, 2)
+    # a float is read as its exact binary value, not its decimal spelling
+    assert PottsParams(3, 0.1).beta == Fraction(0.1) != Fraction("0.1")
+    with pytest.raises(ParseError, match="activity must be numeric"):
+        PottsParams(3, True)
+    with pytest.raises(ParseError, match="cannot interpret activity"):
+        PottsParams(3, [0.5])
+    inst = Instance(Graph(2, [(0, 1)]), PottsParams(3, 0), Configuration({0: 1}))
+    assert inst.pinned == {0: 1}
 
 
 def test_low_degree_threshold_q7_beta0():
