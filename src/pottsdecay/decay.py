@@ -47,15 +47,16 @@ memo; MargDiagnostics.evaluations and cache_hits say what the memo saved.
 
 In-place leaves. A call is a leaf when its vertex is pinned (one-hot
 vector) or unpinned at beta > 0 with ell < 0 (uniform, one termination);
-_leaf holds that rule. A leaf reads its pin and nothing else, so
-_block_terms answers such a child through _leaf directly, without deriving
-its graph, pin dict or Instance; whether the child v_i is pinned is read off
-the parent, because sub-instances pin only block vertices and v_i lies
-outside the block. The child still passes through the colour memo, and
-_leaf counts it as it counts every call, the root's included
-(recursive_calls and evaluations, then the limit check, then the
-termination), so no float and no counter moves, and a max_calls abort
-lands on the same call.
+_leaf holds that rule. A leaf reads its pin and nothing else, so a leaf
+child is answered without deriving its graph, pin dict or Instance: its
+parent hands it to _node_vector with no removed set (None), and _leaf
+answers it before that would be read. Whether the child v_i is pinned is
+read off the parent's pins, because sub-instances pin only block vertices
+and v_i lies outside the block. A leaf child of _block_terms still passes
+through the colour memo. _node_vector calls _leaf first on every call, the
+root's included, so each call is counted in one place (recursive_calls
+and evaluations, then the limit check, then the termination): no float
+and no counter moves, and a max_calls abort lands on the same call.
 
 Prefix trie. The factor 1 - (1-beta) p_i(rho) depends on rho only through
 its spins at the first i boundary positions, so there is one factor per
@@ -131,36 +132,40 @@ which is just as exact; dropping the gate waits on ROADMAP item 1. A node
 the gate, a budget or a walk turns away runs the general path, which treats
 a singleton block as any other block.
 
-Children. Every child has one form: the root graph, the frozenset of
-canonical edges removed from it, and a pin dict. _block_terms' children
-of index i remove the node's removed edges, the block's internal edges and
-its boundary edges at positions >= i, and get a copy of the node's pins
-with the kept prefix positions pinned: _child makes that copy, and every
-such child goes through the colour memo, _memo_child. _lean_vector's
-children of index i remove the node's removed edges and its boundary edges
-at positions >= i and share the node's pin dict, since none of them reads
-v's pin; no lean child goes through the memo. Rows are the root's rows
-filtered by the removed set (graph._kept_row), and the high-degree test
-reads the root degree first, since a derived degree is never larger. A
-child's pins need no check: the root's were checked when its Instance was
-built, a child only adds pins, and an added pin puts a vertex of the graph
-to a palette colour. (A child that falls back still has them checked again,
-by its Instance's __init__.) No removed edge is checked (graph._view holds
-the set as given): each is an edge of its node's graph, which is why
-marg_block checks a caller's block first. Each non-leaf child goes through
-_leaf and then _node_vector, the one place that builds a child's view and
-Instance: it runs _lean_vector on the child and, when that declines it (an
-unpinned high-degree neighbour in the child's graph, children that can read
-its pin, the beta = 0 gate, or a budget), builds the child's view
-(graph._view) and Instance and runs _block_vector, the general path, on
-them. The root tries _lean_vector on its instance's root graph, removed
-edges and pins, then _block_vector on the instance itself. Besides the
-fallback, a view is built only for a region walk. Through singleton nodes
-the recursion alternates _lean_vector and _node_vector, two Python frames
-per level. On perfbench's partition-cycle workload every block is one
-vertex and no child can read its node's pin, so no child falls back: no
-Instance is built below the root, and the only views are those of the
-region walks.
+Children. Every call has one form: the root graph, the frozenset of
+canonical edges removed from it, and a pin dict. Every call enters through
+_node_vector, the one call step: _root_vector hands it the root
+instance's graph root, removed edges and pins; _lean_vector hands it each
+child, leaves included; and _memo_child hands it each child of
+_block_terms that the colour memo misses. _node_vector counts the call
+with _leaf and answers a leaf. Otherwise it tries _lean_vector, and when
+that declines the node (an unpinned high-degree neighbour, children that
+can read v's pin, the beta = 0 gate, or a budget), it builds the node's
+view (graph._view) and Instance, the one place that builds them, and runs
+_block_vector, the general path, on them. A root that falls back builds
+its own Instance too; with no edge removed, the root graph is its view.
+_block_terms' children of index i remove the node's removed edges, the
+block's internal edges and its boundary edges at positions >= i, and get
+the node's pins with the kept prefix positions pinned: on a miss
+_memo_child copies the pins to add them, and a child with no kept
+position shares the node's pin dict. _lean_vector's children of index i
+remove the node's removed edges and its boundary edges at positions >= i
+and share the node's pin dict, since none of them reads v's pin; no lean
+child goes through the memo. No call changes a pin dict it is handed, and
+an Instance copies its pins. Rows are the root's rows filtered by the
+removed set (graph._kept_row), and the high-degree test reads the root
+degree first, since a derived degree is never larger. A child's pins need
+no check: the root's were checked when its Instance was built, a child
+only adds pins, and an added pin puts a vertex of the graph to a palette
+colour. (A node that falls back still has them checked again, by its
+Instance's __init__.) No removed edge is checked (graph._view holds the
+set as given): each is an edge of its node's graph, which is why
+marg_block checks a caller's block first. Besides the fallback, a view is
+built only for a region walk. Through singleton nodes the recursion
+alternates _node_vector and _lean_vector, two Python frames per level. On
+perfbench's partition-cycle workload every block is one vertex and no
+child can read its node's pin, so no call falls back: no Instance is
+built, and the only views are those of the region walks.
 """
 
 from __future__ import annotations
@@ -325,14 +330,11 @@ def _root_vector(instance, v, ell, limits):
     diag = MargDiagnostics()
     depth = _depth(ell)
     limits = limits or RecursionLimits()
+    g = instance.graph
     with _root_call(diag, depth):
-        params, pinned = instance.params, instance.pinned
-        vec = _leaf(params, pinned.get(v), depth, diag, limits)
-        if vec is None:
-            g = instance.graph
-            vec = _lean_vector(g.root, g.removed, params, pinned, v, depth, diag, limits)
-            if vec is None:
-                vec = _block_vector(instance, v, depth, diag, limits)
+        vec = _node_vector(
+            g.root, g.removed, instance.params, instance.pinned, v, depth, diag, limits
+        )
     return vec, diag
 
 
@@ -395,20 +397,29 @@ def _permute(vec, moves):
     return out
 
 
-def _memo_child(memo, key, evaluate, diag, limits):
-    """The child vector memoised under key; evaluate(key) computes it on a miss.
+def _memo_child(memo, key, diag, limits, root, removed, params, pinned, at, v, ell):
+    """The child vector memoised under key, evaluated by _node_vector on a miss.
 
-    A miss stores the vector with the calls, terminations and infeasible
-    events its subtree counted. A hit adds those counts again, counts a
-    cache hit and checks the limits, so the counters and a max_calls abort
-    keep the values of the schedule without the memo.
+    The child is the call at v with depth ell on the root graph minus
+    `removed`; its pins are `pinned` with the vertices `at` pinned to the
+    colours of key as well, on a copy made only when `at` is non-empty (a
+    child with no kept position shares its parent's pin dict, which it
+    never changes). The added pins put vertices of the graph to palette
+    colours, so they need no check. A miss stores the vector with the
+    calls, terminations and infeasible events its subtree counted. A hit
+    adds those counts again, counts a cache hit and checks the limits, so
+    the counters and a max_calls abort keep the values of the schedule
+    without the memo.
     """
     hit = memo.get(key)
     if hit is None:
         calls = diag.recursive_calls
         terminations = diag.termination_events
         infeasible = diag.infeasible_events
-        vec = evaluate(key)
+        if at:
+            pinned = dict(pinned)
+            pinned.update(zip(at, key))
+        vec = _node_vector(root, removed, params, pinned, v, ell, diag, limits)
         memo[key] = (
             vec,
             diag.recursive_calls - calls,
@@ -480,14 +491,15 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
                 kept = [j for j in kept if verts[upos[j]] in region]
         subs = pats if len(kept) == i else [tuple([pat[j] for j in kept]) for pat in pats]
         at = [verts[upos[j]] for j in kept]
-        evaluate = _child(
-            graph.root, removed_i, params, instance.pinned, at, v_i, pin_i, sub_ell, diag, limits
-        )
         vectors = []
         memo = {}
         for sub in subs:
             canon, moves = _canonical(sub, held, free) if free and sub else (sub, ())
-            vectors.append(_permute(_memo_child(memo, canon, evaluate, diag, limits), moves))
+            vec = _memo_child(
+                memo, canon, diag, limits,
+                graph.root, removed_i, params, instance.pinned, at, v_i, sub_ell,
+            )
+            vectors.append(_permute(vec, moves))
 
         # Level i+1: one node, and one log factor, per (parent node, spin),
         # numbered in first-appearance order.
@@ -514,10 +526,11 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
 def _leaf(params, pin, ell, diag, limits):
     """Count one call of the recursion; return its vector if it is a leaf.
 
-    A leaf is a pinned vertex (its one-hot vector) or an unpinned one at
-    beta > 0 with ell < 0 (uniform, one termination). It reads nothing but
-    its pin, so it needs no instance. Any other call returns None, for
-    _lean_vector or _block_vector to evaluate.
+    _node_vector calls it first on every call. A leaf is a pinned vertex
+    (its one-hot vector) or an unpinned one at beta > 0 with ell < 0
+    (uniform, one termination). It reads nothing but its pin, so it needs
+    no graph, removed set or instance. Any other call returns None, for
+    _node_vector to evaluate by _lean_vector or _block_vector.
     """
     diag.recursive_calls += 1
     diag.evaluations += 1
@@ -543,10 +556,11 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
     v is high-degree, a block or configuration budget would be exceeded, or
     the region walk of some non-leaf index i >= 1 reaches v; the gate is
     tested before the graph is read, and the budgets before any walk. Each
-    non-leaf child is handed to _node_vector as the same root, the removed
-    set grown by the boundary edges it drops, and the parent's pin dict.
-    This function builds a view only for the region walks. See "Singleton
-    blocks" and "Children" in the module docstring.
+    child is handed to _node_vector as the same root, the removed set grown
+    by the boundary edges it drops (None for a leaf child, which reads only
+    its pin), and the parent's pin dict. This function builds a view only
+    for the region walks. See "Singleton blocks" and "Children" in the
+    module docstring.
     """
     beta_positive = params.beta_positive
     if not beta_positive and ell < 1:
@@ -591,9 +605,7 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
         calls = diag.recursive_calls
         terminations = diag.termination_events
         infeasible = diag.infeasible_events
-        vec = _leaf(params, pinned.get(w), sub_ell, diag, limits)
-        if vec is None:
-            vec = _node_vector(root, sub_removed[i], params, pinned, w, sub_ell, diag, limits)
+        vec = _node_vector(root, sub_removed[i], params, pinned, w, sub_ell, diag, limits)
         if i and len(F) > 1:
             calls = diag.recursive_calls - calls
             terminations = diag.termination_events - terminations
@@ -617,40 +629,23 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
     return out
 
 
-def _child(root, removed, params, pinned, at, v, pin, ell, diag, limits):
-    """_memo_child's evaluate(colours): the child at v, whose pin is `pin`.
-
-    The child is counted by _leaf; unless it is a leaf, its pins are
-    `pinned` with the vertices `at` pinned to `colours` as well, and it is
-    evaluated by _node_vector on the root graph minus `removed`. The added
-    pins put vertices of the graph to palette colours, so they need no
-    check. (A closure here rather than in _block_terms keeps its locals
-    plain.)
-    """
-
-    def evaluate(colours):
-        vec = _leaf(params, pin, ell, diag, limits)
-        if vec is None:
-            pins = dict(pinned)
-            pins.update(zip(at, colours))
-            vec = _node_vector(root, removed, params, pins, v, ell, diag, limits)
-        return vec
-
-    return evaluate
-
-
 def _node_vector(root, removed, params, pinned, v, ell, diag, limits):
-    """The vector of a non-leaf child, which _leaf counted.
+    """The vector of one call of the recursion: the call at v with depth ell
+    on the root graph minus the edges `removed`, with the pins `pinned`.
 
-    The child is the root graph minus `removed`, with the pins `pinned`.
-    _lean_vector evaluates it when it serves it; otherwise the child's view
-    and Instance are built here, the one place that builds a child, and the
-    general path runs on them.
+    Every call, the root's included, enters here. _leaf counts it and
+    answers a leaf, which reads only v's pin (so a leaf child may pass
+    removed = None); _lean_vector evaluates a node it serves; any other
+    node gets its view and Instance built here, the one place that builds
+    them, and runs the general path, _block_vector. Only the root call can
+    have no edge removed, and its view is then the root graph itself.
     """
-    out = _lean_vector(root, removed, params, pinned, v, ell, diag, limits)
+    out = _leaf(params, pinned.get(v), ell, diag, limits)
     if out is None:
-        instance = Instance(_view(root, removed), params, pinned)
-        out = _block_vector(instance, v, ell, diag, limits)
+        out = _lean_vector(root, removed, params, pinned, v, ell, diag, limits)
+        if out is None:
+            instance = Instance(_view(root, removed) if removed else root, params, pinned)
+            out = _block_vector(instance, v, ell, diag, limits)
     return out
 
 
@@ -701,9 +696,9 @@ def read_region(instance, v, ell):
     instance's pin colours, and the memo moves no float.)
 
     Proof, by induction on the depth of the call. A call of the recursion
-    (_leaf, then _lean_vector or _block_vector) at u with depth e, in a
-    derived instance whose graph is a subgraph of the root's and whose
-    pinned set contains the root's, reads:
+    (_node_vector: _leaf, then _lean_vector or _block_vector) at u with
+    depth e, in a derived instance whose graph is a subgraph of the root's
+    and whose pinned set contains the root's, reads:
 
     - u's pin. A pinned u is a leaf and reads nothing else; so is an
       unpinned u at beta > 0 with e < 0.

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, InfeasibleError, ParseError
-from .model import Configuration, _check_color, _check_vertex, monochromatic_edges
+from .model import Configuration, _check_color, _check_int, _check_vertex, monochromatic_edges
 
 DEFAULT_BUDGET = 10**7
 _CHUNK = 1 << 16
@@ -177,6 +177,7 @@ def _enumerate(instance, budget, root=None, first_only=False):
     z and vec exclude the factor q^iso of the unpinned isolated vertices.
     first_only, read at beta = 0 only, stops at the first proper coloring.
     """
+    _check_int(budget, "budget", 0)
     active, iso, mono_base = _base_state(instance)
     params = instance.params
     if params.beta == 0 and mono_base > 0:
@@ -259,6 +260,7 @@ def exact_gibbs_table(instance, budget=10**6):
     are omitted, so the keys are exactly the Gibbs support. Raises
     InfeasibleError when the total weight is 0.
     """
+    _check_int(budget, "budget", 0)
     graph = instance.graph
     params = instance.params
     unp = instance.unpinned()

@@ -38,6 +38,8 @@ def _as_fraction(beta):
     if isinstance(beta, int):
         return Fraction(beta)
     if isinstance(beta, float):
+        if not math.isfinite(beta):
+            raise ParseError(f"activity must be finite, got {beta!r}")
         # Exact value of the binary float; pass a string or Fraction when the
         # decimal reading matters near a degree threshold.
         return Fraction(beta)
@@ -255,6 +257,8 @@ def _total_colors(instance, config):
     n = instance.graph.n
     if len(colors) != n or any(v not in colors for v in range(n)):
         raise ParseError("configuration must color every vertex")
+    for c in colors.values():
+        _check_color(instance.params, c)
     return colors
 
 

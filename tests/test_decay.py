@@ -109,17 +109,19 @@ def made(monkeypatch):
 
 @pytest.fixture
 def children(monkeypatch):
-    """Record the (kept edges, pins) of every child a singleton node makes.
+    """Record the (vertex, kept edges, pins) of every call of the recursion.
 
-    A singleton node hands each non-leaf child to decay._node_vector as the
-    root graph, the removed edges and the pins, with no graph view or
-    Instance; a child is recorded there.
+    Every call, the root's and each leaf child's included, enters
+    decay._node_vector as the root graph, the removed edges and the pins,
+    with no graph view or Instance, and is recorded there. A leaf child
+    reads only its pin and gets no removed set; its kept edges are None.
     """
     children = []
     real = decay._node_vector
 
     def recorded(root, removed, params, pinned, v, ell, diag, limits):
-        children.append((tuple(e for e in root.edges if e not in removed), dict(pinned)))
+        kept = None if removed is None else tuple(e for e in root.edges if e not in removed)
+        children.append((v, kept, dict(pinned)))
         return real(root, removed, params, pinned, v, ell, diag, limits)
 
     monkeypatch.setattr(decay, "_node_vector", recorded)
@@ -128,8 +130,9 @@ def children(monkeypatch):
 
 def test_children_per_boundary_index_star_leaf(made):
     # Star centre 0 is high-degree at q = 7, so vertex 1's block is {0, 1}
-    # with boundary edges (0, 2) .. (0, 5). Child i is built once: it keeps
-    # the boundary edges [:i], and its leaf lost its only edge, so its read
+    # with boundary edges (0, 2) .. (0, 5), and the root builds its own
+    # Instance on the whole star. Child i is built once: it keeps the
+    # boundary edges [:i], and its leaf lost its only edge, so its read
     # region is the leaf alone and the centre's prefix pin is dropped.
     g = generate("star", k=5)
     inst = _inst(g, 7)
@@ -137,8 +140,10 @@ def test_children_per_boundary_index_star_leaf(made):
     assert block.vertices == (0, 1)
     bedges = block.boundary_edges
     marginal_vector(inst, 1, 2)
-    assert [graph.edges for graph, _, _ in made] == [tuple(bedges[:i]) for i in range(4)]
-    assert [pins for _, _, pins in made] == [{}, {}, {}, {}]
+    assert [graph.edges for graph, _, _ in made] == [g.edges] + [
+        tuple(bedges[:i]) for i in range(4)
+    ]
+    assert [pins for _, _, pins in made] == [{}, {}, {}, {}, {}]
     # parent untouched
     assert inst.pinned == {}
     assert g.edges == tuple(sorted((0, k) for k in range(1, 6)))
@@ -150,31 +155,35 @@ def test_children_per_boundary_index_keep_parent_pins(made, children):
     # child at (1, 2) keeps (0, 1), so vertex 2 cannot reach vertex 1: one
     # child serves every prefix colour, without vertex 1's pin. Every child
     # keeps the parent's pin. Both children are singleton nodes too, so no
-    # Instance is built.
+    # Instance is built; the child at 2 has one child, the pinned leaf 3.
     g = generate("path", n=4)
     inst = _inst(g, 7, pins={3: 6})
     marginal_vector(inst, 1, 2)
     kept = ((0, 1), (2, 3))
-    assert [edges for edges, _ in children] == [((2, 3),), kept]
-    assert [pins for _, pins in children] == [{3: 6}, {3: 6}]
+    assert [(v, edges) for v, edges, _ in children] == [
+        (1, g.edges), (0, ((2, 3),)), (2, kept), (3, None)
+    ]
+    assert [pins for _, _, pins in children] == [{3: 6}] * 4
     assert made == []
     assert inst.pinned == {3: 6}
     assert g.edges == ((0, 1), (1, 2), (2, 3))
 
 
 def test_children_per_boundary_index_keep_readable_prefix_pins(made):
-    # Triangle 0-1-2 with tail (2, 3) and pin {3: 6}, beta = 0: the child at
-    # (1, 2) reaches vertex 1 through 0 at the feasibility cut-off, so it
-    # pins vertex 1 once per colour class, to the canonical free colour 1
-    # and the held colour 6; each such child builds one grandchild at 0.
-    inst = _inst(Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), 7, pins={3: 6})
+    # Triangle 0-1-2 with tail (2, 3) and pin {3: 6}, beta = 0: after the
+    # root's own Instance, the child at (1, 2) reaches vertex 1 through 0 at
+    # the feasibility cut-off, so it pins vertex 1 once per colour class, to
+    # the canonical free colour 1 and the held colour 6; each such child
+    # builds one grandchild at 0.
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    inst = _inst(g, 7, pins={3: 6})
     marginal_vector(inst, 1, 1)
     child = ((0, 1), (0, 2), (2, 3))
     assert [graph.edges for graph, _, _ in made] == [
-        ((0, 2), (2, 3)), ((2, 3),), child, ((0, 1),), child, ((0, 1),)
+        g.edges, ((0, 2), (2, 3)), ((2, 3),), child, ((0, 1),), child, ((0, 1),)
     ]
     assert [pins for _, _, pins in made] == [
-        {3: 6}, {3: 6}, {3: 6, 1: 1}, {3: 6, 1: 1}, {3: 6, 1: 6}, {3: 6, 1: 6}
+        {3: 6}, {3: 6}, {3: 6}, {3: 6, 1: 1}, {3: 6, 1: 1}, {3: 6, 1: 6}, {3: 6, 1: 6}
     ]
 
 
@@ -183,12 +192,13 @@ def test_cut_off_children_keep_every_prefix_pin(made):
     # 0, beta = 0: the child at (1, 2) is a feasibility cut-off. Vertex 2
     # cannot reach vertex 1 there, yet the cut-off keys on the whole prefix,
     # so vertex 1 is pinned once per colour class (canonical free colour 1
-    # and the held colour 6).
-    inst = _inst(generate("path", n=4), 7, pins={3: 6})
+    # and the held colour 6). The root builds its own Instance first.
+    g = generate("path", n=4)
+    inst = _inst(g, 7, pins={3: 6})
     marginal_vector(inst, 1, 0)
     kept = ((0, 1), (2, 3))
-    assert [graph.edges for graph, _, _ in made] == [((2, 3),), kept, kept]
-    assert [pins for _, _, pins in made] == [{3: 6}, {3: 6, 1: 1}, {3: 6, 1: 6}]
+    assert [graph.edges for graph, _, _ in made] == [g.edges, ((2, 3),), kept, kept]
+    assert [pins for _, _, pins in made] == [{3: 6}, {3: 6}, {3: 6, 1: 1}, {3: 6, 1: 6}]
 
 
 # ------------------------------------------------------- depth and work guards
@@ -367,20 +377,30 @@ def test_leaf_children_build_no_instance(made, children):
     # child that cannot read a prefix pin serves every prefix colour. The
     # vector and the naive counters are those of the schedule that built an
     # Instance for each child (38 constructions). Six children recurse; each
-    # is a singleton node, so none of them builds an Instance either.
+    # is a singleton node, as is the root, so none of them builds an
+    # Instance either. Each of the 11 calls run, the four leaf children at
+    # 3, 6, 10 and 14 included, enters _node_vector once.
     g = Graph(16, [(i, (i + 1) % 16) for i in range(16)] + [(0, 8), (4, 12)])
     pins = {5: 1, 11: 1, 14: 2}
     inst = _inst(g, 4, "0.5", pins)
     vec, diag = marginal_vector(inst, 0, 2)
-    assert [sorted(set(g.edges) - set(edges)) for edges, _ in children] == [
-        [(0, 1), (0, 8), (0, 15)],
-        [(0, 1), (0, 8), (0, 15), (1, 2)],
-        [(0, 8), (0, 15)],
-        [(0, 8), (0, 15), (7, 8), (8, 9)],
-        [(0, 8), (0, 15), (8, 9)],
-        [(0, 15)],
+    assert [
+        (v, None if edges is None else sorted(set(g.edges) - set(edges)))
+        for v, edges, _ in children
+    ] == [
+        (0, []),
+        (1, [(0, 1), (0, 8), (0, 15)]),
+        (2, [(0, 1), (0, 8), (0, 15), (1, 2)]),
+        (3, None),
+        (8, [(0, 8), (0, 15)]),
+        (7, [(0, 8), (0, 15), (7, 8), (8, 9)]),
+        (6, None),
+        (9, [(0, 8), (0, 15), (8, 9)]),
+        (10, None),
+        (15, [(0, 15)]),
+        (14, None),
     ]
-    assert [child_pins for _, child_pins in children] == [pins] * 6
+    assert [child_pins for _, _, child_pins in children] == [pins] * 11
     assert made == []
     assert vec == [
         0.24489795918367346, 0.26530612244897955, 0.24489795918367346, 0.24489795918367346

@@ -12,6 +12,7 @@ from pottsdecay import (
     Instance,
     ParseError,
     PottsParams,
+    empirical_tv,
     exact_block_marginal,
     exact_gibbs_table,
     exact_marginal,
@@ -22,6 +23,7 @@ from pottsdecay import (
     generate_path,
     is_feasible,
     minimal_permissive_block,
+    sample_batch,
 )
 
 
@@ -108,6 +110,26 @@ def test_beta0_budget_errors():
         exact_partition(inst, budget=5)
     with pytest.raises(BudgetError, match="Gibbs table budget 5 exceeded"):
         exact_gibbs_table(inst, budget=5)
+
+
+def test_budget_must_be_a_nonnegative_integer():
+    # A budget of 0 is checked against the work as before; a budget that is
+    # not an integer >= 0 is a ParseError before any work.
+    inst = Instance(generate_cycle(6), PottsParams(4, "0.5"))
+    batch = sample_batch(inst, 2, 1, seed=1)
+    for call in (
+        lambda b: exact_partition(inst, budget=b),
+        lambda b: exact_marginal_vector(inst, 0, budget=b),
+        lambda b: exact_gibbs_table(inst, budget=b),
+        lambda b: empirical_tv(batch, inst, budget=b),
+    ):
+        for bad in ("5", "x", 5.0, None, True):
+            with pytest.raises(ParseError, match="budget must be an integer"):
+                call(bad)
+        with pytest.raises(ParseError, match="budget must be >= 0, got -1"):
+            call(-1)
+        with pytest.raises(BudgetError, match="budget 0 exceeded"):
+            call(0)
 
 
 def test_marginals_path3_pinned():

@@ -13,9 +13,11 @@ recursion is built in one place), `blocks.py` grows every closure
 through `_absorb` and calls `min` nowhere (one closure step, in no
 particular absorption order), and `decay._block_terms` calls
 `escape_paths` and `induced_edges` outside every `if` (one code path for
-every block shape), `decay._block_terms` alone calls `_child` and
-`_memo_child` (the colour memo has one home), and the "q >= 3" check is
-written once, in `decay.py`.
+every block shape), `decay._block_terms` alone calls `_memo_child` (the
+colour memo has one home), `decay._node_vector` alone calls `_leaf`,
+`_lean_vector` and `_block_vector` (every call of the recursion enters
+through one call step), and the "q >= 3" check is written once, in
+`decay.py`.
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -299,31 +301,61 @@ def test_blocks_grows_every_closure_through_absorb():
     assert not with_min, f"blocks.py calls min in {with_min}; grow closures with _absorb"
 
 
-def _memo_callers(source):
-    """The functions that call `_child` or `_memo_child`, sorted."""
+def _callers(source, name):
+    """The functions that call `name`, plain or as an attribute, sorted;
+    None stands for module level."""
     calls = _calls_by_function(source)
-    return sorted(f for f, names in calls.items() if names & {"_child", "_memo_child"})
+    return sorted((f for f, names in calls.items() if name in names), key=str)
 
 
 def test_checker_finds_memo_callers():
     source = (
         "def terms(g):\n"
-        "    evaluate = _child(g)\n"
-        "    return [decay._memo_child(m, k, evaluate) for k in g]\n"
+        "    return [decay._memo_child(m, k) for k in g]\n"
         "def lean(g):\n"
         "    def inner():\n"
         "        return _memo_child(g)\n"
-        "    return child(g), _children(g), _child\n"
+        "    return memo_child(g), _memo_children(g), _memo_child\n"
     )
-    assert _memo_callers(source) == ["inner", "terms"]
+    assert _callers(source, "_memo_child") == ["inner", "terms"]
 
 
 def test_colour_memo_has_one_home():
     # _lean_vector declines a node whose children can read its pin, so it
     # evaluates no child through the colour memo.
-    callers = _memo_callers((PACKAGE / "decay.py").read_text())
-    assert "_lean_vector" not in callers, "decay._lean_vector calls _child or _memo_child"
+    callers = _callers((PACKAGE / "decay.py").read_text(), "_memo_child")
+    assert "_lean_vector" not in callers, "decay._lean_vector calls _memo_child"
     assert callers == ["_block_terms"]
+
+
+CALL_STEP = ("_leaf", "_lean_vector", "_block_vector")
+
+
+def test_checker_finds_call_step_callers():
+    source = (
+        "def _node_vector(r):\n"
+        "    return _leaf(r) or _lean_vector(r) or decay._block_vector(r)\n"
+        "def _root_vector(r):\n"
+        "    def evaluate(k):\n"
+        "        return _leaf(k)\n"
+        "    return _node_vector(r), _lean_vector\n"
+        "x = _block_vector(0)\n"
+    )
+    assert {name: _callers(source, name) for name in CALL_STEP} == {
+        "_leaf": ["_node_vector", "evaluate"],
+        "_lean_vector": ["_node_vector"],
+        "_block_vector": [None, "_node_vector"],
+    }
+
+
+def test_recursion_enters_through_node_vector():
+    # One call step: the root, a lean node's children and the colour memo's
+    # misses all call _node_vector, which counts the call with _leaf and
+    # tries _lean_vector before the general path.
+    source = (PACKAGE / "decay.py").read_text()
+    for name in CALL_STEP:
+        callers = _callers(source, name)
+        assert callers == ["_node_vector"], f"decay.{name} is called from {callers}"
 
 
 def test_q_check_has_one_home():

@@ -1,10 +1,10 @@
 """Children that fall back to the general path, and children that do not.
 
-Every node hands each non-leaf child to `decay._node_vector` as the root
-graph, the removed edges and the pins. `_lean_vector` evaluates the child
-there when its block is one vertex; otherwise `_node_vector` builds the
-child's view and Instance, the only Instance `decay` builds, and runs the
-general path on them.
+Every call of the recursion, the root's and each child's, enters
+`decay._node_vector` as the root graph, the removed edges and the pins.
+`_lean_vector` evaluates the call there when its block is one vertex;
+otherwise `_node_vector` builds the call's view and Instance, the only
+Instance `decay` builds, and runs the general path on them.
 
 These tests draw instances on which both kinds of child occur: hub/connector
 graphs at beta > 0, and at beta = 0 with ell >= 1. A hub whose connectors are
@@ -12,7 +12,7 @@ all low-degree is a singleton node, and a connector child whose other hub is
 still high-degree falls back. The draws also cover pinned neighbours, keyed
 indices (children that read the node's pin, whose node `_lean_vector`
 declines before it counts anything) and max_calls caps that abort inside a
-lean child's subtree. Each run is compared with the general path
+child's subtree. Each run is compared with the general path
 (the evaluator patched to return None) with `==` on the vector and every
 `MargDiagnostics` field, or on the error's type, message and partial
 diagnostics. Every view that decay builds from a root and a removed set must
@@ -66,12 +66,13 @@ class _Seen:
         self.keyed = 0
         self.views = []
         self.aborted_in_child = False
+        self.depth = 0  # _node_vector calls open, the root's included
 
 
 def _observed(inst, v, ell, limits):
     """_outcome of the evaluator's run, with what it did."""
     seen = _Seen()
-    view, child, node_vector = decay._view, decay._child, decay._node_vector
+    view, memo_child, node_vector = decay._view, decay._memo_child, decay._node_vector
 
     class Counted(Instance):
         __slots__ = ()
@@ -85,22 +86,26 @@ def _observed(inst, v, ell, limits):
         seen.views.append((root, removed, out))
         return out
 
-    def counted_child(root, removed, params, pinned, at, *rest):
-        seen.keyed += bool(at)
-        return child(root, removed, params, pinned, at, *rest)
+    def counted_memo_child(memo, key, diag, limits, root, removed, params, pinned, at, *rest):
+        # An index's children share one memo, empty at its first child.
+        seen.keyed += bool(at) and not memo
+        return memo_child(memo, key, diag, limits, root, removed, params, pinned, at, *rest)
 
     def watched_node(*args):
+        seen.depth += 1
         try:
             return node_vector(*args)
         except BudgetError:
-            seen.aborted_in_child = True
+            seen.aborted_in_child |= seen.depth > 1
             raise
+        finally:
+            seen.depth -= 1
 
     with mock.patch.multiple(
         decay,
         Instance=Counted,
         _view=recorded_view,
-        _child=counted_child,
+        _memo_child=counted_memo_child,
         _node_vector=watched_node,
     ):
         out = _outcome(inst, v, ell, limits)
@@ -144,8 +149,9 @@ def test_fixed_mixed_case_covers_fallbacks_keyed_indices_and_caps():
     inst = Instance(graph, params, pins)
     out, seen = _check(inst, 0, 3, RecursionLimits())
     assert isinstance(out[0], list)
-    # The root is declined, and the general path repeats its region walks.
-    assert (seen.fallbacks, seen.keyed, len(seen.views)) == (12, 2, 22)
+    # The root is declined, so its general path repeats its region walks
+    # and builds its own Instance, the first of the 13, on the root graph.
+    assert (seen.fallbacks, seen.keyed, len(seen.views)) == (13, 2, 22)
     calls = out[1]["recursive_calls"]
     assert calls == 607
     inside = 0
@@ -160,11 +166,12 @@ def test_fixed_mixed_case_covers_fallbacks_keyed_indices_and_caps():
 
 def test_singleton_children_of_general_nodes_build_no_instance():
     # The root hub is a one-vertex block whose children can read its pin, so
-    # _lean_vector declines it and _block_vector runs on the root's own
-    # instance. Its connector children fall back: each connector's block
-    # holds the connector and its other hub. Six children of those blocks
-    # are one-vertex blocks, which _lean_vector serves, so every Instance
-    # decay builds goes to a node whose block has more than one vertex.
+    # _lean_vector declines it and _node_vector builds the root's own
+    # Instance, the first one built, for _block_vector. Its connector
+    # children fall back: each connector's block holds the connector and its
+    # other hub. Six children of those blocks are one-vertex blocks, which
+    # _lean_vector serves, so every other Instance decay builds goes to a
+    # node whose block has more than one vertex.
     graph, params, pins = FIXED
     inst = Instance(graph, params, pins)
     built, blocks = [], {}
@@ -184,9 +191,10 @@ def test_singleton_children_of_general_nodes_build_no_instance():
     with mock.patch.multiple(decay, Instance=Recorded, _block_vector=recorded_block):
         out = marginal_vector(inst, 0, 3)
     assert out == marginal_vector(inst, 0, 3)
-    assert len(built) == 12
-    assert all(len(blocks[id(child)]) > 1 for child in built)
-    assert blocks.pop(id(inst)) == (0,)
+    assert len(built) == 13
+    assert set(blocks) == {id(node) for node in built}
+    assert built[0].pinned == inst.pinned and built[0].graph.edges == graph.edges
+    assert blocks.pop(id(built[0])) == (0,)
     assert all(len(block) > 1 for block in blocks.values())
 
 

@@ -65,6 +65,10 @@ def test_params_validation():
         PottsParams(3, True)
     with pytest.raises(ParseError, match="cannot interpret activity"):
         PottsParams(3, [0.5])
+    # Fraction(nan) and Fraction(inf) raise ValueError and OverflowError
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParseError, match="activity must be finite"):
+            PottsParams(3, bad)
     inst = Instance(Graph(2, [(0, 1)]), PottsParams(3, 0), Configuration({0: 1}))
     assert inst.pinned == {0: 1}
 
@@ -205,6 +209,18 @@ def test_weight_zero_cases():
     assert weight(inst, {0: 1, 1: 1}) == 0.0  # monochromatic at beta=0
     with pytest.raises(ParseError):
         weight(inst, {0: 1})  # partial configuration
+
+
+def test_weight_rejects_colours_outside_the_palette():
+    # A plain dict skips Configuration's checks; weight checks each colour.
+    inst = Instance(generate_cycle(6), PottsParams(4, "0.5"))
+    with pytest.raises(ParseError, match="color 0 out of range for q=4"):
+        weight(inst, {v: 0 for v in range(6)})
+    with pytest.raises(ParseError, match="color must be an integer, got '1'"):
+        weight(inst, {v: "1" for v in range(6)})
+    with pytest.raises(ParseError, match="color 5 out of range"):
+        weight(inst, Configuration({v: 5 for v in range(6)}))
+    assert weight(inst, {v: 4 for v in range(6)}) == 0.015625
 
 
 _PATH3 = generate_path(3)

@@ -77,8 +77,8 @@ def _served(inst, v, ell, limits=None):
     """marginal_vector's result, and for each node the evaluator's body saw,
     in order of return, whether it served the node.
 
-    `decay._lean_vector` sees the root through `_root_vector` and each
-    non-leaf child through `_node_vector`.
+    `decay._lean_vector` sees every non-leaf call, the root's included,
+    through `_node_vector`.
     """
     served = []
     real = decay._lean_vector
