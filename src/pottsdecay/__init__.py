@@ -31,7 +31,6 @@ from .errors import BudgetError, InfeasibleError, ParseError, PottsError
 from .exact import (
     exact_block_marginal,
     exact_gibbs_table,
-    exact_marginal,
     exact_marginal_vector,
     exact_partition,
     is_feasible,
@@ -64,11 +63,8 @@ from .randstats import (
 )
 from .sampling import SampleBatch, empirical_tv, sample_batch
 from .saw import (
-    e_delta,
     e_delta_profile,
     enumerate_saws,
-    saw_count,
-    saw_count_profile,
     verify_contraction,
 )
 
@@ -90,7 +86,6 @@ __all__ = [
     "RecursionLimits",
     "SampleBatch",
     "default_depth",
-    "e_delta",
     "e_delta_profile",
     "empirical_tv",
     "enumerate_saws",
@@ -99,7 +94,6 @@ __all__ = [
     "estimate_partition",
     "exact_block_marginal",
     "exact_gibbs_table",
-    "exact_marginal",
     "exact_marginal_vector",
     "exact_partition",
     "expected_contraction",
@@ -124,8 +118,6 @@ __all__ = [
     "monochromatic_edges",
     "parse_activity",
     "sample_batch",
-    "saw_count",
-    "saw_count_profile",
     "serialize_graph",
     "simulate_block_growth",
     "verify_contraction",

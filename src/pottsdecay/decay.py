@@ -229,6 +229,8 @@ class MargDiagnostics:
 
 def default_depth(n, coeff=3.0):
     """Default root depth ceil(coeff * ln n), at least 1."""
+    if not _is_real(coeff):
+        raise ParseError(f"depth coefficient must be a real number, got {coeff!r}")
     if not math.isfinite(coeff):
         raise ParseError(f"depth coefficient must be finite, got {coeff!r}")
     return max(1, math.ceil(coeff * math.log(max(n, 2))))
@@ -254,8 +256,13 @@ class RecursionLimits:
         if self.max_calls is not None:
             _check_int(self.max_calls, "max_calls", 0)
         d = self.deadline
-        if not (d is None or isinstance(d, Real) and not isinstance(d, bool) and math.isfinite(d)):
+        if not (d is None or _is_real(d) and math.isfinite(d)):
             raise ParseError(f"deadline must be None or a finite real, got {d!r}")
+
+
+def _is_real(x):
+    """Whether x is a real number (a numbers.Real) and not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def _depth(ell):
@@ -919,6 +926,8 @@ def error_bound(graph, v, L, params, alpha, prefactor="conservative"):
     _check_vertex(graph, v)
     if _depth(L) < 1:
         raise ParseError("depth L must be >= 1")
+    if not _is_real(alpha):
+        raise ParseError(f"alpha must be a real number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ParseError(f"alpha must be in (0, 1); got {alpha} (no contraction certified)")
     if prefactor not in ("conservative", "degree"):

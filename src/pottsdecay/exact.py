@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, InfeasibleError, ParseError
-from .model import Configuration, _check_color, _check_int, _check_vertex, monochromatic_edges
+from .model import Configuration, _check_int, _check_vertex, monochromatic_edges
 
 DEFAULT_BUDGET = 10**7
 _CHUNK = 1 << 16
@@ -176,8 +176,8 @@ def _enumerate(instance, budget, root=None, first_only=False):
 
     z and vec exclude the factor q^iso of the unpinned isolated vertices.
     first_only, read at beta = 0 only, stops at the first proper coloring.
+    The caller checks budget.
     """
-    _check_int(budget, "budget", 0)
     active, iso, mono_base = _base_state(instance)
     params = instance.params
     if params.beta == 0 and mono_base > 0:
@@ -196,6 +196,7 @@ def _enumerate(instance, budget, root=None, first_only=False):
 
 def exact_partition(instance, budget=DEFAULT_BUDGET):
     """Exact partition function (0.0 when no positive-weight configuration exists)."""
+    _check_int(budget, "budget", 0)
     z, _, iso = _enumerate(instance, budget)
     return z * instance.params.q**iso
 
@@ -209,6 +210,7 @@ def exact_marginal_vector(instance, v, budget=DEFAULT_BUDGET):
     graph = instance.graph
     params = instance.params
     _check_vertex(graph, v)
+    _check_int(budget, "budget", 0)
     pin = instance.pinned.get(v)
     if pin is not None:
         out = [0.0] * params.q
@@ -224,15 +226,15 @@ def exact_marginal_vector(instance, v, budget=DEFAULT_BUDGET):
     return [x / z for x in vec]
 
 
-def exact_marginal(instance, v, x, budget=DEFAULT_BUDGET):
-    """Exact conditional probability that v takes color x."""
-    _check_color(instance.params, x)
-    return exact_marginal_vector(instance, v, budget)[x - 1]
-
-
 def exact_block_marginal(instance, block, pi, budget=DEFAULT_BUDGET):
-    """Exact probability that a whole vertex set takes the joint coloring pi."""
-    verts = tuple(sorted(block.vertices if hasattr(block, "vertices") else block))
+    """Exact probability that a whole vertex set takes the joint coloring pi.
+
+    Every block vertex is checked before the block is sorted.
+    """
+    verts = tuple(block.vertices if hasattr(block, "vertices") else block)
+    for v in verts:
+        _check_vertex(instance.graph, v)
+    verts = sorted(verts)
     pi = Configuration(pi)
     missing = [v for v in verts if v not in pi]
     if missing:
@@ -247,6 +249,7 @@ def exact_block_marginal(instance, block, pi, budget=DEFAULT_BUDGET):
 
 def is_feasible(instance, budget=DEFAULT_BUDGET):
     """Whether any configuration of positive weight extends the pinning."""
+    _check_int(budget, "budget", 0)
     if instance.params.beta > 0:
         return True
     z, _, _ = _enumerate(instance, budget, first_only=True)

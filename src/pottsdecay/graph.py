@@ -27,6 +27,13 @@ from .errors import ParseError
 from .model import _check_int, _check_seed
 
 
+def _endpoint(x, e):
+    """x as an int; ParseError unless it is a Python or numpy integer, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ParseError(f"edge endpoint must be an integer, got {x!r} in edge {e!r}")
+    return int(x)
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1 (root or view)."""
 
@@ -38,7 +45,11 @@ class Graph:
         seen = set()
         canon = []
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ParseError(f"edge must be a pair of vertices, got {e!r}") from None
+            u, v = _endpoint(u, e), _endpoint(v, e)
             if u == v:
                 raise ParseError(f"self-loop ({u}, {v})")
             if not (0 <= u < n and 0 <= v < n):

@@ -79,9 +79,12 @@ def _check_color(params, x):
 class PottsParams:
     """Color count q and activity beta, with exact threshold arithmetic.
 
-    A vertex of degree d is low-degree iff d < (q-1)/(1-beta) - 2 strictly;
-    the decay coefficient delta(d) uses the finite branch up to and including
-    the threshold (where it equals exactly 1), and saturates at 1 beyond it.
+    A vertex of degree d is low-degree iff d < (q-1)/(1-beta) - 2 strictly.
+    The low-degree rule is d <= max_low_degree: the largest low degree,
+    decided once at construction by exact rational arithmetic, and negative
+    when no degree is low. The decay coefficient delta(d) uses the finite
+    branch up to and including the threshold (where it equals exactly 1),
+    and saturates at 1 beyond it.
     """
 
     __slots__ = (
@@ -112,10 +115,6 @@ class PottsParams:
         t_floor = math.floor(threshold)
         self.max_low_degree = t_floor - 1 if threshold == t_floor else t_floor
         self._max_first_branch = t_floor
-
-    def is_low_degree(self, d):
-        """Strict comparison d < (q-1)/(1-beta) - 2, decided exactly."""
-        return d <= self.max_low_degree
 
     def delta(self, d):
         """Per-degree decay coefficient 2(1-beta)/(q-1-(1-beta)d), capped at 1."""

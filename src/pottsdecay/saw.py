@@ -7,6 +7,13 @@ Exponential decay of max_v E(v, l) in l is the contraction property the
 estimator's error analysis rests on; with constant delta = 1/D the sums
 reduce to SAW counts over D^l, the connective-constant normalization.
 
+The public entries are enumerate_saws (the walks themselves),
+e_delta_profile (E(v, l) for every l = 0..l_max in one pass) and
+verify_contraction (the worst profile over all start vertices, with a fitted
+decay rate). The walk counts are e_delta_profile(graph, v, l_max, 1): with
+delta = 1 every walk's product is 1.0, so each sum is its count, exact as a
+float while below 2**53.
+
 Walk scans keep explicit stacks, not Python recursion, so walk length has no
 recursion limit: _walk_sums sums products per length in one pass, and _saws
 yields the walks for enumerate_saws and blocks.verify_locally_sparse.
@@ -121,26 +128,6 @@ def enumerate_saws(graph, v, length):
     for path in _saws(graph.adjacency, v, length):
         if len(path) == length + 1:
             yield tuple(path)
-
-
-def saw_count(graph, v, length):
-    """Exact number of self-avoiding walks of the given length from v."""
-    _check_int(length, "length", 0)
-    return saw_count_profile(graph, v, length)[length]
-
-
-def saw_count_profile(graph, v, l_max):
-    """SAW counts for every length 0..l_max in one pass."""
-    _check_vertex(graph, v)
-    _check_int(l_max, "l_max", 0)
-    sums, _, _ = _walk_sums(graph.adjacency, [1.0] * graph.n, v, l_max)
-    return [int(s) for s in sums]
-
-
-def e_delta(graph, v, length, delta, extension_budget=None):
-    """Delta-weighted SAW sum at one length (start vertex excluded from products)."""
-    _check_int(length, "length", 0)
-    return e_delta_profile(graph, v, length, delta, extension_budget)[length]
 
 
 def e_delta_profile(graph, v, l_max, delta, extension_budget=None):

@@ -13,6 +13,7 @@ from pottsdecay import (
     ParseError,
     PottsError,
     PottsParams,
+    e_delta_profile,
     feasible_tuples,
     first_feasible_tuple,
     generate_caterpillar,
@@ -22,7 +23,6 @@ from pottsdecay import (
     generate_star,
     minimal_permissive_block,
     monochromatic_edges,
-    saw_count_profile,
     verify_locally_sparse,
 )
 from pottsdecay import blocks
@@ -55,7 +55,7 @@ def _min_first_block(instance, seeds, block_budget=blocks.DEFAULT_BLOCK_BUDGET):
         for w in graph.adjacency[u]:
             if w in inside or w in pinned:
                 continue
-            if not params.is_low_degree(graph.degree(w)):
+            if graph.degree(w) > params.max_low_degree:
                 candidates.add(w)
 
     for s in seeds:
@@ -78,7 +78,7 @@ def _is_permissive(instance, vertices):
         for w in instance.graph.adjacency[u]:
             if w in inside or w in instance.pinned:
                 continue
-            if not instance.params.is_low_degree(instance.graph.degree(w)):
+            if instance.graph.degree(w) > instance.params.max_low_degree:
                 return False
     return True
 
@@ -393,11 +393,11 @@ def test_verify_locally_sparse_walk_budget():
 
 
 def test_verify_locally_sparse_checks_every_walk_once():
-    # saw_count_profile counts walks with a walker of its own
+    # e_delta_profile at delta = 1 counts walks with a walker of its own
     cases = [(generate_gnp(30, 3, seed=2), 4), (generate_complete(5), 4), (generate_star(6), 2)]
     for g, l_max in cases:
         rep = verify_locally_sparse(g, PottsParams(7, 0), l_max)
-        counts = [sum(saw_count_profile(g, v, l_max)) for v in range(g.n)]
+        counts = [sum(e_delta_profile(g, v, l_max, 1)) for v in range(g.n)]
         assert rep["paths_checked"] == sum(counts)
 
 

@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pottsdecay import (
@@ -20,7 +21,6 @@ from pottsdecay import (
     default_depth,
     error_bound,
     escape_paths,
-    exact_marginal,
     exact_marginal_vector,
     e_delta_profile,
     feasible_tuples,
@@ -213,6 +213,12 @@ def test_depth_budget_for_graph():
     for coeff in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParseError, match="depth coefficient must be finite"):
             default_depth(50, coeff)
+    # True would read as 1.0, and a string or None would fail as a bare
+    # TypeError.
+    for coeff in ("3", None, True):
+        with pytest.raises(ParseError, match="depth coefficient must be a real number"):
+            default_depth(10, coeff)
+    assert default_depth(10, 3) == default_depth(10, 3.0) == default_depth(10, np.float64(3.0))
 
 
 def test_depth_argument_forms():
@@ -730,6 +736,9 @@ def test_error_bound_validation():
         error_bound(g, 0, 0, params, 0.5)
     for alpha in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ParseError, match="alpha"):
+            error_bound(g, 0, 2, params, alpha)
+    for alpha in ("0.5", None, True):
+        with pytest.raises(ParseError, match="alpha must be a real number"):
             error_bound(g, 0, 2, params, alpha)
     with pytest.raises(ParseError, match="prefactor"):
         error_bound(g, 0, 2, params, 0.5, prefactor="optimistic")

@@ -15,7 +15,6 @@ from pottsdecay import (
     empirical_tv,
     exact_block_marginal,
     exact_gibbs_table,
-    exact_marginal,
     exact_marginal_vector,
     exact_partition,
     generate_complete,
@@ -130,12 +129,21 @@ def test_budget_must_be_a_nonnegative_integer():
             call(-1)
         with pytest.raises(BudgetError, match="budget 0 exceeded"):
             call(0)
+    # Calls that answer before any enumeration check the budget too: a
+    # pinned vertex, a feasibility test at beta > 0, an isolated vertex.
+    half = PottsParams(4, "0.5")
+    with pytest.raises(ParseError, match="budget must be an integer"):
+        exact_marginal_vector(Instance(generate_path(3), half, {0: 1}), 0, budget="x")
+    with pytest.raises(ParseError, match="budget must be an integer"):
+        is_feasible(Instance(generate_path(3), half), budget="x")
+    with pytest.raises(ParseError, match="budget must be >= 0, got -3"):
+        exact_marginal_vector(Instance(Graph(2, []), PottsParams(3, "0.5")), 0, budget=-3)
 
 
 def test_marginals_path3_pinned():
     inst = Instance(generate_path(3), PottsParams(3, 0), {0: 1})
-    assert exact_marginal(inst, 2, 1) == pytest.approx(0.5, abs=1e-12)
-    assert exact_marginal(inst, 1, 1) == 0.0
+    assert exact_marginal_vector(inst, 2)[0] == pytest.approx(0.5, abs=1e-12)
+    assert exact_marginal_vector(inst, 1)[0] == 0.0
     vec = exact_marginal_vector(inst, 1)
     assert vec == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
     assert math.fsum(vec) == pytest.approx(1.0, abs=1e-12)
@@ -180,10 +188,9 @@ def test_marginal_infeasible_raises():
 
 def test_marginal_validates_color():
     inst = Instance(generate_path(2), PottsParams(3, 0))
+    # The vector holds one entry per colour 1..q; only the vertex is an argument.
     with pytest.raises(ParseError):
-        exact_marginal(inst, 0, 4)
-    with pytest.raises(ParseError):
-        exact_marginal(inst, 5, 1)
+        exact_marginal_vector(inst, 5)
 
 
 def test_marginal_matches_brute_force():
@@ -203,7 +210,7 @@ def test_marginal_matches_brute_force():
         v = rng.choice(inst.unpinned())
         for x in range(1, q + 1):
             num = _brute_z(inst.with_pins({v: x}))
-            assert exact_marginal(inst, v, x) == pytest.approx(num / z, abs=1e-11)
+            assert exact_marginal_vector(inst, v)[x - 1] == pytest.approx(num / z, abs=1e-11)
 
 
 def test_block_marginal_singleton_is_vertex_marginal():
@@ -229,6 +236,18 @@ def test_block_marginal_requires_coverage():
     b = minimal_permissive_block(inst, [0, 1])
     with pytest.raises(ParseError):
         exact_block_marginal(inst, b, Configuration({0: 1}))
+
+
+@pytest.mark.parametrize(
+    "block, needle",
+    [(["a", 1], "vertex must be an integer, got 'a'"), ([[0]], r"vertex must be an integer, got \[0\]")],
+    ids=["str", "list"],
+)
+def test_block_marginal_checks_vertices_before_sorting(block, needle):
+    # Sorting ["a", 1] or hashing [0] would raise a bare TypeError.
+    inst = Instance(generate_path(3), PottsParams(3, 0))
+    with pytest.raises(ParseError, match=needle):
+        exact_block_marginal(inst, block, {1: 1})
 
 
 def test_gibbs_table_triangle():

@@ -38,6 +38,31 @@ def test_bad_edges_rejected():
         Graph(-1)
 
 
+@pytest.mark.parametrize(
+    "edges, needle",
+    [
+        ([(0, 1.9)], "endpoint must be an integer, got 1.9"),
+        ([(True, 2)], "endpoint must be an integer, got True"),
+        ([("0", "2")], "endpoint must be an integer, got '0'"),
+        ([(0,)], r"edge must be a pair of vertices, got \(0,\)"),
+        ([5], "edge must be a pair of vertices, got 5"),
+        ([(0, 1, 2)], "edge must be a pair of vertices"),
+    ],
+    ids=["float", "bool", "str", "single", "int", "triple"],
+)
+def test_edge_endpoints_must_be_integer_pairs(edges, needle):
+    # int() would floor 1.9 to 1, read True as 1 and parse "0"; a bare
+    # IndexError or TypeError would exit the CLI with 5.
+    with pytest.raises(ParseError, match=needle):
+        Graph(3, edges)
+
+
+def test_numpy_integer_endpoints_accepted():
+    g = Graph(3, np.array([[0, 1], [1, 2]]))
+    assert g.edges == ((0, 1), (1, 2))
+    assert all(type(x) is int for e in g.edges for x in e)
+
+
 def test_remove_edges_keeps_vertex_count():
     g = generate_star(3)
     h = g.remove_edges([(0, 1), (0, 2), (0, 3)])

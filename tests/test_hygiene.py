@@ -16,8 +16,9 @@ particular absorption order), and `decay._block_terms` calls
 every block shape), `decay._block_terms` alone calls `_memo_child` (the
 colour memo has one home), `decay._node_vector` alone calls `_leaf`,
 `_lean_vector` and `_block_vector` (every call of the recursion enters
-through one call step), and the "q >= 3" check is written once, in
-`decay.py`.
+through one call step), the "q >= 3" check is written once, in
+`decay.py`, and no function named in `__all__` only indexes the result
+of another `__all__` name (one public entry per quantity).
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -438,6 +439,73 @@ def test_all_names_importable():
     namespace = {}
     exec("from pottsdecay import *", namespace)
     assert all(name in namespace for name in pottsdecay.__all__)
+
+
+def _called_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _index_wrappers(source, public):
+    """Module-level functions named in `public` whose body, past a leading
+    docstring and any `_check_*` calls, is one `return` of a subscripted
+    call of another name in `public`."""
+    found = []
+    for f in ast.parse(source).body:
+        if not isinstance(f, ast.FunctionDef) or f.name not in public:
+            continue
+        body = f.body[1:] if ast.get_docstring(f) is not None else f.body
+        body = [
+            s
+            for s in body
+            if not (
+                isinstance(s, ast.Expr)
+                and isinstance(s.value, ast.Call)
+                and str(_called_name(s.value)).startswith("_check_")
+            )
+        ]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        value = body[0].value
+        if (
+            isinstance(value, ast.Subscript)
+            and isinstance(value.value, ast.Call)
+            and _called_name(value.value) in public - {f.name}
+        ):
+            found.append(f.name)
+    return sorted(found)
+
+
+def test_checker_flags_index_wrappers_only():
+    source = (
+        "def count(g, v, l):\n"
+        "    'One length.'\n"
+        "    _check_int(l, 'l', 0)\n"
+        "    return profile(g, v, l)[l]\n"
+        "def prob(inst, v, x):\n"
+        "    return pkg.vector(inst, v)[x - 1]\n"
+        "def profile(g, v, l):\n"
+        "    return _sums(g, v, l)[0]\n"
+        "def vector(inst, v):\n"
+        "    check(v)\n"
+        "    return profile(inst, v, 1)[0]\n"
+        "def first(g):\n"
+        "    return first(g)[0]\n"
+        "def low(p, d):\n"
+        "    return d <= p.max_low\n"
+        "def _private(g):\n"
+        "    return profile(g, 0, 1)[1]\n"
+    )
+    public = {"count", "prob", "profile", "vector", "first", "low"}
+    assert _index_wrappers(source, public) == ["count", "prob"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_index_wrappers(path):
+    # A public name that returns one entry of another public name's result
+    # is a second entry for the same quantity: callers index the result.
+    found = _index_wrappers(path.read_text(), set(pottsdecay.__all__))
+    assert not found, f"{path.name}: {found} only index another public name's result"
 
 
 def _patch_points(source):

@@ -10,11 +10,9 @@ from pottsdecay import (
     ParseError,
     PottsError,
     PottsParams,
-    e_delta,
     e_delta_profile,
     enumerate_saws,
     estimate_partition,
-    exact_marginal,
     exact_marginal_vector,
     expected_contraction,
     feasible_tuples,
@@ -31,8 +29,6 @@ from pottsdecay import (
     monochromatic_edges,
     parse_activity,
     sample_batch,
-    saw_count,
-    saw_count_profile,
     simulate_block_growth,
     verify_contraction,
     verify_locally_sparse,
@@ -76,8 +72,8 @@ def test_params_validation():
 def test_low_degree_threshold_q7_beta0():
     p = PottsParams(7, 0)
     # threshold (7-1)/1 - 2 = 4: strict comparison
-    assert p.is_low_degree(3)
-    assert not p.is_low_degree(4)
+    assert 3 <= p.max_low_degree
+    assert not 4 <= p.max_low_degree
     assert p.delta(2) == 0.5
     assert p.delta(4) == 1.0
     assert p.delta(5) == 1.0
@@ -85,15 +81,15 @@ def test_low_degree_threshold_q7_beta0():
 
 def test_low_degree_d0_q4():
     p = PottsParams(4, 0)
-    assert p.is_low_degree(0)
-    assert not p.is_low_degree(1)
+    assert 0 <= p.max_low_degree
+    assert not 1 <= p.max_low_degree
 
 
 def test_threshold_fractional_beta():
     # q=4, beta=1/4: threshold 3/(3/4) - 2 = 2, integer, so d=2 is high
     p = PottsParams(4, "0.25")
-    assert p.is_low_degree(1)
-    assert not p.is_low_degree(2)
+    assert 1 <= p.max_low_degree
+    assert not 2 <= p.max_low_degree
     assert p.delta(2) == 1.0  # boundary of the finite branch
     assert p.delta(3) == 1.0
 
@@ -255,16 +251,10 @@ _HALF3 = PottsParams(3, "0.5")
 _INT_ARGS = {
     "marg-x": lambda x: marg(Instance(_PATH3, _HALF3), 0, x, 2),
     "marg_coloring-x": lambda x: marg_coloring(Instance(_PATH3, _Q3), 0, x, 2),
-    "exact_marginal-x": lambda x: exact_marginal(Instance(_PATH3, _Q3), 0, x),
-    "exact_marginal-v": lambda v: exact_marginal(Instance(_PATH3, _Q3), v, 1),
     "exact_marginal_vector-v": lambda v: exact_marginal_vector(Instance(_PATH3, _Q3), v),
     "enumerate_saws-v": lambda v: list(enumerate_saws(_PATH3, v, 1)),
     "enumerate_saws-length": lambda length: list(enumerate_saws(_PATH3, 0, length)),
-    "saw_count-v": lambda v: saw_count(_PATH3, v, 1),
-    "saw_count-length": lambda length: saw_count(_PATH3, 0, length),
-    "saw_count_profile-l_max": lambda l_max: saw_count_profile(_PATH3, 0, l_max),
     "verify_contraction-l_max": lambda l_max: verify_contraction(_PATH3, _Q3, l_max),
-    "e_delta-length": lambda length: e_delta(_PATH3, 0, length, 0.5),
     "e_delta_profile-v": lambda v: e_delta_profile(_PATH3, v, 2, 0.5),
     "e_delta_profile-l_max": lambda l_max: e_delta_profile(_PATH3, 0, l_max, 0.5),
     "verify_locally_sparse-l_max": lambda l_max: verify_locally_sparse(_PATH3, _Q3, l_max),

@@ -7,7 +7,6 @@ from pottsdecay import (
     BudgetError,
     Graph,
     PottsParams,
-    e_delta,
     e_delta_profile,
     enumerate_saws,
     generate_caterpillar,
@@ -16,8 +15,6 @@ from pottsdecay import (
     generate_gnp,
     generate_path,
     generate_star,
-    saw_count,
-    saw_count_profile,
     verify_contraction,
 )
 
@@ -44,14 +41,14 @@ def test_enumerate_saws_lexicographic():
 
 def test_saw_counts_complete4():
     g = generate_complete(4)
-    assert saw_count_profile(g, 0, 3) == [1, 3, 6, 6]
+    assert e_delta_profile(g, 0, 3, 1) == [1, 3, 6, 6]
 
 
 def test_saw_counts_star():
     g = generate_star(5)
-    assert saw_count(g, 1, 2) == 4  # leaf -> center -> other leaf
-    assert saw_count(g, 1, 3) == 0
-    assert saw_count(g, 0, 1) == 5
+    assert e_delta_profile(g, 1, 2, 1)[2] == 4  # leaf -> center -> other leaf
+    assert e_delta_profile(g, 1, 3, 1)[3] == 0
+    assert e_delta_profile(g, 0, 1, 1)[1] == 5
 
 
 def test_saw_count_matches_enumeration():
@@ -64,14 +61,14 @@ def test_saw_count_matches_enumeration():
         g = Graph(n, edges)
         v = rng.randrange(n)
         for length in range(4):
-            assert saw_count(g, v, length) == len(list(enumerate_saws(g, v, length)))
+            assert e_delta_profile(g, v, length, 1)[length] == len(list(enumerate_saws(g, v, length)))
 
 
 def test_e_delta_path3():
     g = generate_path(3)
     params = PottsParams(7, 0)
-    assert e_delta(g, 0, 2, params) == pytest.approx(0.2, abs=1e-15)
-    assert e_delta(g, 0, 3, params) == 0.0
+    assert e_delta_profile(g, 0, 2, params)[2] == pytest.approx(0.2, abs=1e-15)
+    assert e_delta_profile(g, 0, 3, params)[3] == 0.0
     prof = e_delta_profile(g, 0, 3, params)
     assert prof[0] == 1.0
     assert prof[2] == pytest.approx(0.2, abs=1e-15)
@@ -81,7 +78,7 @@ def test_e_delta_constant_matches_counts():
     g = generate_gnp(30, 3, seed=2)
     for v in (0, 7):
         prof = e_delta_profile(g, v, 5, 0.5)
-        counts = saw_count_profile(g, v, 5)
+        counts = e_delta_profile(g, v, 5, 1)
         for l in range(6):
             assert prof[l] == pytest.approx(counts[l] * 0.5**l, rel=1e-12)
 
@@ -89,7 +86,7 @@ def test_e_delta_constant_matches_counts():
 def test_e_delta_budget():
     g = generate_complete(9)
     with pytest.raises(BudgetError):
-        e_delta(g, 0, 8, 1.0, extension_budget=100)
+        e_delta_profile(g, 0, 8, 1.0, extension_budget=100)
 
 
 def test_verify_contraction_cycle():
