@@ -252,8 +252,12 @@ _INT_ARGS = {
     "marg-x": lambda x: marg(Instance(_PATH3, _HALF3), 0, x, 2),
     "marg_coloring-x": lambda x: marg_coloring(Instance(_PATH3, _Q3), 0, x, 2),
     "exact_marginal_vector-v": lambda v: exact_marginal_vector(Instance(_PATH3, _Q3), v),
+    # The exact marginal of colour 1 at v, read from its vector.
+    "exact_marginal-v": lambda v: exact_marginal_vector(Instance(_PATH3, _Q3), v)[0],
     "enumerate_saws-v": lambda v: list(enumerate_saws(_PATH3, v, 1)),
     "enumerate_saws-length": lambda length: list(enumerate_saws(_PATH3, 0, length)),
+    # The number of length-1 walks from v: with delta = 1 each sum is a count.
+    "saw_count-v": lambda v: e_delta_profile(_PATH3, v, 1, 1)[1],
     "verify_contraction-l_max": lambda l_max: verify_contraction(_PATH3, _Q3, l_max),
     "e_delta_profile-v": lambda v: e_delta_profile(_PATH3, v, 2, 0.5),
     "e_delta_profile-l_max": lambda l_max: e_delta_profile(_PATH3, 0, l_max, 0.5),
