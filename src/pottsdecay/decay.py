@@ -86,15 +86,20 @@ all of them, with no walk; any other index keeps the positions whose vertex
 its region walk reaches. The cut-off keeps every position on purpose: a
 region key there would be just as exact, and waits on ROADMAP item 1. The
 memo keys on the canonical form of the pattern restricted to the kept
-positions (held is still the colours of the parent's pins), and a miss
-pins the kept positions only. The dropped prefix pins lie outside the
-region, so leaving them unpinned moves neither the vector nor
-recursive_calls, termination_events, infeasible_events, max_block_size or
-max_f_size, nor the error raised. When no position is kept, every pattern
-shares one vector as is. The memo counters, and the partial diagnostics of
-a max_calls abort, may differ from the whole-prefix key's: a hit adds its
-whole subtree before the limit check, and the region key hits more often.
-A cap still aborts exactly when the schedule without the memo would.
+positions, and a miss pins the kept positions only. The dropped prefix pins
+lie outside the region, so leaving them unpinned moves neither the vector
+nor recursive_calls, termination_events, infeasible_events, max_block_size
+or max_f_size, nor the error raised. When no position is kept, every
+pattern shares one vector as is. An index that walks its region holds only
+the colours of the parent's pins inside it (held_i, and free_i the other
+colours): its children read no other pin, so a colour permutation that
+moves the colour of a pin outside the region changes nothing they read,
+and more patterns share a class. Index 0, leaf children and the cut-off
+walk nothing and hold every colour of the parent's pins. The memo
+counters, and the partial diagnostics of a max_calls abort, may differ
+from the whole-prefix key's: a hit adds its whole subtree before the limit
+check, and the region key hits more often. A cap still aborts exactly when
+the schedule without the memo would.
 
 Singleton blocks. When every vertex is low-degree, as in the paper's FPTAS
 regime q > 3(1-beta)Delta + 1, every block is its anchor alone: v's block
@@ -107,10 +112,18 @@ children cannot read v's pin, one vector serves every c. _lean_vector,
 which every non-leaf call tries before the general path, serves exactly the
 singleton nodes where that holds at every index. Before it evaluates or
 counts anything, it walks _read_region for each index i >= 1 whose children
-are not leaves (index 0 has no prefix, and a leaf reads only its own pin),
-and it declines the node when a walk reaches v. The walk leaves v unpinned:
-every vertex whose pin a walk consults joins its region, so whether the
-region holds v does not depend on v's pin. A declined node takes the
+are not leaves (index 0 has no prefix, and a leaf reads only its own pin)
+and which follows an unpinned neighbour w_j, j < i, and it declines the
+node when a walk reaches v. The walk leaves v unpinned: every vertex whose
+pin a walk consults joins its region, so whether the region holds v does
+not depend on v's pin. An index whose earlier neighbours are all pinned
+needs no walk, because none could reach v. In child i's graph v's only
+edges run to w_0, ..., w_{i-1}, and v is not the walk's start w_i. The walk
+adds a vertex to its region only as a neighbour of a vertex it expands
+(the one-hop row) or of a vertex of B* (the breadth-first search's dist),
+so it adds v only next to one of those w_j, and only if that w_j is
+expanded or in B*. A pinned vertex is neither: it is never expanded, and
+the search adds only unpinned vertices to B*. A declined node takes the
 general path, whose colour memo keys the same classes (_canonical((c,))
 keeps a held c and maps any other to free[0]). A served node is evaluated
 from these facts alone, without minimal_permissive_block, the Block,
@@ -176,7 +189,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 from .blocks import (
     DEFAULT_BLOCK_BUDGET,
@@ -187,7 +199,7 @@ from .blocks import (
 )
 from .errors import BudgetError, InfeasibleError, ParseError
 from .graph import _kept_row, _view
-from .model import Configuration, Instance, _check_color, _check_int, _check_vertex
+from .model import Configuration, Instance, _check_color, _check_int, _check_vertex, _is_real
 from .saw import e_delta_profile
 
 
@@ -229,6 +241,7 @@ class MargDiagnostics:
 
 def default_depth(n, coeff=3.0):
     """Default root depth ceil(coeff * ln n), at least 1."""
+    _check_int(n, "n", 0)
     if not _is_real(coeff):
         raise ParseError(f"depth coefficient must be a real number, got {coeff!r}")
     if not math.isfinite(coeff):
@@ -258,11 +271,6 @@ class RecursionLimits:
         d = self.deadline
         if not (d is None or _is_real(d) and math.isfinite(d)):
             raise ParseError(f"deadline must be None or a finite real, got {d!r}")
-
-
-def _is_real(x):
-    """Whether x is a real number (a numbers.Real) and not a bool."""
-    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def _depth(ell):
@@ -349,10 +357,7 @@ def _logsumexp(values):
     if len(values) == 1:
         # x + log(fsum([1.0])) is x itself, bar the sign of a zero.
         return values[0]
-    hi = -math.inf
-    for x in values:
-        if x > hi:
-            hi = x
+    hi = max(values, default=-math.inf)
     if hi == -math.inf:
         return -math.inf
     return hi + math.log(math.fsum([math.exp(x - hi) for x in values]))
@@ -481,6 +486,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
         sub_ell = ell - lengths[i]
         removed_i = None
+        held_i, free_i = held, free
         # The prefix positions whose pin the children of index i can read
         # (see "Region key" in the module docstring), and each node's
         # pattern restricted to them.
@@ -496,12 +502,15 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
                 pinned.update(verts[p] for p in upos[:i])
                 region = _read_region(_view(graph.root, removed_i), params, pinned, v_i, sub_ell)
                 kept = [j for j in kept if verts[upos[j]] in region]
+                # The children read only the parent's pins inside the region.
+                held_i = {instance.pinned[u] for u in region if u in instance.pinned}
+                free_i = [c for c in range(1, q1) if c not in held_i]
         subs = pats if len(kept) == i else [tuple([pat[j] for j in kept]) for pat in pats]
         at = [verts[upos[j]] for j in kept]
         vectors = []
         memo = {}
         for sub in subs:
-            canon, moves = _canonical(sub, held, free) if free and sub else (sub, ())
+            canon, moves = _canonical(sub, held_i, free_i) if free_i and sub else (sub, ())
             vec = _memo_child(
                 memo, canon, diag, limits,
                 graph.root, removed_i, params, instance.pinned, at, v_i, sub_ell,
@@ -585,6 +594,7 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
     sub_ell = ell - 1
     bedges = [(v, w) if v < w else (w, v) for w in nbrs]
     sub_removed = [None] * len(nbrs)  # a leaf child gets no graph
+    opened = False  # whether some earlier neighbour is unpinned
     for i, w in enumerate(nbrs):
         if w in pinned:
             continue
@@ -593,11 +603,15 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
             return None
         if sub_ell >= 0:  # not a leaf child; the gate keeps sub_ell >= 0 at beta = 0
             # The children of index i drop the boundary edges at positions
-            # >= i. If those at i >= 1 can read v's pin (the walk leaves v
-            # unpinned; see "Singleton blocks"), the node is declined.
+            # >= i. If they can read v's pin (the walk leaves v unpinned),
+            # the node is declined; no walk reaches v before an earlier
+            # neighbour is unpinned (see "Singleton blocks").
             sub_removed[i] = removed.union(bedges[i:])
-            if i and v in _read_region(_view(root, sub_removed[i]), params, pinned, w, sub_ell):
+            if opened and v in _read_region(
+                _view(root, sub_removed[i]), params, pinned, w, sub_ell
+            ):
                 return None
+        opened = True
     diag.max_block_size = max(diag.max_block_size, 1)
     diag.max_f_size = max(diag.max_f_size, len(F))
     if not F:
@@ -624,8 +638,10 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
                 diag.cache_hits += 1
                 _check_limits(diag, limits)
         for k, c in enumerate(F):
-            factor = 1.0 - one_minus * vec[c - 1]
-            terms[k] += math.log(factor) if factor > 0.0 else -math.inf
+            x = vec[c - 1]
+            if x:  # a zero entry's factor is 1.0, and terms[k] + log(1.0) is terms[k]
+                factor = 1.0 - one_minus * x
+                terms[k] += math.log(factor) if factor > 0.0 else -math.inf
 
     den = _denominator(terms, v)
     cap = params.marginal_upper_bound(len(nbrs))
@@ -699,8 +715,12 @@ def read_region(instance, v, ell):
     recursive_calls, termination_events, infeasible_events, max_block_size
     or max_f_size, or the PottsError it raises; the set itself is computed
     from the pins inside it only. The graph is held fixed. (The memo's
-    evaluations and cache_hits may change: its `held` colours are all the
-    instance's pin colours, and the memo moves no float.)
+    evaluations and cache_hits may change, and the memo moves no float. A
+    walked index of _block_terms holds only the colours of its parent's
+    pins inside its children's region. That is exact by this very claim:
+    a child reads no pin outside the region, so it reads none of their
+    colours, and a colour permutation that fixes those colours recolours
+    only pins outside the region, which by this claim move nothing.)
 
     Proof, by induction on the depth of the call. A call of the recursion
     (_node_vector: _leaf, then _lean_vector or _block_vector) at u with

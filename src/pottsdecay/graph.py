@@ -40,8 +40,9 @@ class Graph:
     __slots__ = ("n", "m", "adjacency", "_root", "_removed", "_edges")
 
     def __init__(self, n, edges=()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise ParseError(f"vertex count must be a non-negative integer, got {n!r}")
+        n = int(n)
         seen = set()
         canon = []
         for e in edges:
@@ -183,7 +184,7 @@ def _view(root, removed):
 
 def _kept_row(rows, removed, v):
     """Row v of a root graph's rows, without the canonical edges in `removed`."""
-    return tuple(w for w in rows[v] if ((v, w) if v < w else (w, v)) not in removed)
+    return tuple([w for w in rows[v] if ((v, w) if v < w else (w, v)) not in removed])
 
 
 def generate_path(n):

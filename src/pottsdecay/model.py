@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from numbers import Real
 
 from .errors import ParseError
 
@@ -58,6 +59,11 @@ def _check_int(value, name, minimum):
         raise ParseError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ParseError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _is_real(x):
+    """Whether x is a real number (a numbers.Real) and not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def _check_vertex(graph, v):

@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError
-from .model import PottsParams, _check_int, _check_vertex
+from .errors import BudgetError, ParseError
+from .model import PottsParams, _check_int, _check_vertex, _is_real
 
 log = logging.getLogger(__name__)
 
@@ -38,6 +38,8 @@ def _delta_by_vertex(graph, delta):
     """Normalize a delta argument (PottsParams or constant) to per-vertex values."""
     if isinstance(delta, PottsParams):
         return [delta.delta(graph.degree(v)) for v in range(graph.n)]
+    if not _is_real(delta):
+        raise ParseError(f"delta must be PottsParams or a real number, got {delta!r}")
     c = float(delta)
     return [c] * graph.n
 

@@ -12,8 +12,8 @@ vertices or fewer, calls stay within the instance's local branching bound,
 and the first depth that cannot finish ends in a deadline BudgetError
 rather than a hang. The deepest depth reached is reported, not asserted:
 L = 0 to 6 make 121, 6 327, 280 521, about 1.3e7, 6.6e8, 3.3e10 and 1.6e12
-calls (about 50x per level); the colour memo runs only 9, 39, 153, 693,
-3 403, 17 598 and 132 638 of them (about 5-8x per level), so L = 6
+calls (about 50x per level); the colour memo runs only 9, 39, 153, 669,
+2 852, 14 409 and 92 955 of them (about 4-6.5x per level), so L = 6
 completes within 60 s and L = 23 is far out of reach.
 """
 
@@ -306,9 +306,10 @@ def test_criterion_9_large_sparse_runtime():
     of the schedule without the colour memo: L = 0 to 6 make 121, 6 327,
     280 521, 12 883 455, 664 589 710, 32 679 197 961 and 1 644 324 340 952
     calls (44x to 52x per level). The memo, keyed on the pins each child
-    can read, runs 9, 39, 153, 693, 3 403, 17 598 and 132 638 of them
-    (about 5-8x per level), and on a 2-CPU machine L = 4, 5 and 6 take
-    about 0.5 s, 2.3 s and 16 s, so L = 6 is the deepest depth reached and
+    can read and holding only the colours of the pins in its region, runs
+    9, 39, 153, 669, 2 852, 14 409 and 92 955 of them (about 4-6.5x per
+    level), and on a 2-CPU machine L = 4, 5 and 6 take about 0.4 s, 1.7 s
+    and 11 s, so L = 6 is the deepest depth reached and
     L = 7 stops at the deadline, with the calls it made reported from the
     aborted call's diagnostics. Vertex 0 has
     eccentricity 8 in its 1 959-vertex component and about 3.85^k

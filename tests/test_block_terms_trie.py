@@ -1,8 +1,10 @@
 """Property test: the prefix-trie walk of `decay._block_terms` returns exactly
 what the loop with one prefix tuple and one log per (configuration, boundary
 edge) returns, with the same counters and the same errors. Both key the
-colour memo on the prefix positions the children can read (the region key);
-`test_region_key.py` checks that key against the whole-prefix one.
+colour memo on the prefix positions the children can read (the region key),
+and at an index that walks its region both hold only the colours of the
+parent's pins inside it; `test_region_key.py` checks that key against the
+whole-prefix one.
 
 Needs Hypothesis (in the `test` extras); the module skips without it.
 """
@@ -62,6 +64,7 @@ def _naive_block_terms(instance, block, F, anchor, ell, diag, limits):
         vectors = {}
         memo = {}
         prefix_pos = upos[:i]
+        held_i, free_i = held, free
         if pin_i is not None or (params.beta_positive and sub_ell < 0):
             kept = []
         elif sub_ell < 0:
@@ -71,12 +74,16 @@ def _naive_block_terms(instance, block, F, anchor, ell, diag, limits):
             pinned = set(instance.pinned) | {verts[p] for p in prefix_pos}
             region = decay._read_region(g_i, params, pinned, v_i, sub_ell)
             kept = [j for j, p in enumerate(prefix_pos) if verts[p] in region]
+            # A walked index holds only the colours of the parent's pins
+            # inside its region: the children read no other pin.
+            held_i = {c for u, c in instance.pinned.items() if u in region}
+            free_i = [c for c in range(1, params.q + 1) if c not in held_i]
         for t in F:
             pat = tuple(t[p] for p in prefix_pos)
             if pat in vectors:
                 continue
             key = tuple(pat[j] for j in kept)
-            canon, moves = decay._canonical(key, held, free) if free else (key, ())
+            canon, moves = decay._canonical(key, held_i, free_i) if free_i else (key, ())
             hit = memo.get(canon)
             if hit is None:
                 calls = diag.recursive_calls

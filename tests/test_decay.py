@@ -219,6 +219,14 @@ def test_depth_budget_for_graph():
         with pytest.raises(ParseError, match="depth coefficient must be a real number"):
             default_depth(10, coeff)
     assert default_depth(10, 3) == default_depth(10, 3.0) == default_depth(10, np.float64(3.0))
+    # n is a vertex count: a string would fail as a bare TypeError, and True
+    # would read as 1.
+    for n in ("10", None, True, 10.0):
+        with pytest.raises(ParseError, match="n must be an integer"):
+            default_depth(n)
+    with pytest.raises(ParseError, match="n must be >= 0"):
+        default_depth(-1)
+    assert default_depth(0) == default_depth(1) == default_depth(2)
 
 
 def test_depth_argument_forms():
@@ -349,6 +357,23 @@ def test_naive_counts_on_criterion_9_graph():
     _, diag = marginal_vector(inst, 0, 3)
     assert diag.recursive_calls == 12_883_455
     assert diag.termination_events == 12_602_934
+
+
+def test_region_scoped_held_on_criterion_9_graph():
+    # A walked index holds only the colours of the parent's pins inside its
+    # region, so more prefix patterns share a colour class: evaluations fall
+    # from 693 and 3 403 (every pin colour held) to 669 and 2 852, and the
+    # counters of the schedule without the memo stay.
+    inst = _inst(generate("gnp", n=2000, d=4, seed=1), 17)
+    for ell, calls, terminations, evaluations in (
+        (3, 12_883_455, 12_602_934, 669),
+        (4, 664_589_710, 651_460_605, 2_852),
+    ):
+        vec, diag = marginal_vector(inst, 0, ell)
+        assert vec == [0.0588235294117647] * 17
+        assert diag.recursive_calls == calls
+        assert diag.termination_events == terminations
+        assert diag.evaluations == evaluations
 
 
 def test_memo_evaluates_one_child_per_colour_class():

@@ -63,6 +63,16 @@ def test_numpy_integer_endpoints_accepted():
     assert all(type(x) is int for e in g.edges for x in e)
 
 
+def test_numpy_integer_vertex_count_accepted():
+    # A numpy vertex count is read as an int, as a numpy endpoint is.
+    g = Graph(np.int64(3), np.array([[0, 1]]))
+    assert g.n == 3 and type(g.n) is int
+    assert g.edges == ((0, 1),)
+    for n in (True, np.bool_(True), 3.0, np.float64(3.0), "3", None, np.int64(-1)):
+        with pytest.raises(ParseError, match="vertex count must be a non-negative integer"):
+            Graph(n)
+
+
 def test_remove_edges_keeps_vertex_count():
     g = generate_star(3)
     h = g.remove_edges([(0, 1), (0, 2), (0, 3)])

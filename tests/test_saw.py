@@ -1,11 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pottsdecay import (
     BudgetError,
     Graph,
+    ParseError,
     PottsParams,
     e_delta_profile,
     enumerate_saws,
@@ -81,6 +84,23 @@ def test_e_delta_constant_matches_counts():
         counts = e_delta_profile(g, v, 5, 1)
         for l in range(6):
             assert prof[l] == pytest.approx(counts[l] * 0.5**l, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", ["x", "0.5", None, True, [0.5], 1j])
+def test_delta_must_be_params_or_real(delta):
+    # float() would read "0.5" as 0.5 and True as 1.0, and fail on "x" or
+    # None with a bare ValueError or TypeError.
+    g = generate_path(3)
+    with pytest.raises(ParseError, match="delta must be PottsParams or a real number"):
+        e_delta_profile(g, 0, 2, delta)
+    with pytest.raises(ParseError, match="delta must be PottsParams or a real number"):
+        verify_contraction(g, delta, 2)
+
+
+def test_delta_accepts_any_real():
+    g = generate_path(3)
+    for delta in (1, 0.5, np.float64(0.5), np.int64(1), Fraction(1, 2)):
+        assert e_delta_profile(g, 0, 2, delta) == [1.0, float(delta), float(delta) ** 2]
 
 
 def test_e_delta_budget():
