@@ -76,8 +76,10 @@ def minimal_permissive_block(instance, seeds, block_budget=DEFAULT_BLOCK_BUDGET)
     The closure grows through _absorb, one call per seed, capped at
     block_budget: BudgetError as soon as the closure holds more than
     block_budget vertices, so a call that raises it absorbs at most
-    block_budget + 1. Every seed is checked before the seed set is sorted.
+    block_budget + 1. The budget must be an integer >= 0, and every seed
+    is checked before the seed set is sorted (ParseError).
     """
+    _check_int(block_budget, "block_budget", 0)
     graph = instance.graph
     pinned = instance.pinned
     seeds = tuple(seeds)
@@ -175,7 +177,10 @@ def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
 
     beta > 0: every configuration in [q]^B, lexicographic. beta = 0: proper
     colorings of the induced subgraph that avoid all pinned neighbor colors.
+    More than config_budget of them raise BudgetError; config_budget must be
+    an integer >= 0 (ParseError).
     """
+    _check_int(config_budget, "config_budget", 0)
     verts = tuple(sorted(verts))
     for v in verts:
         _check_vertex(instance.graph, v)

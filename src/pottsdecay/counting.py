@@ -24,16 +24,16 @@ import numpy as np
 from .blocks import DEFAULT_BLOCK_BUDGET, first_feasible_tuple, minimal_permissive_block
 from .decay import (
     MargDiagnostics,
-    RecursionLimits,
     _check_q,
     _depth,
+    _limits,
     _region_steps,
     default_depth,
     marg,
     marg_coloring,
 )
 from .errors import InfeasibleError
-from .model import Configuration, Instance, _check_seed, monochromatic_edges
+from .model import Configuration, Instance, _check_int, _check_seed, monochromatic_edges
 
 
 @dataclass
@@ -72,10 +72,11 @@ def find_feasible_config(instance, block_budget=DEFAULT_BLOCK_BUDGET):
     list-coloring. One Instance is built and its pins grow in place, so the
     search is linear in n on a sparse graph. Raises InfeasibleError when a
     block has no proper coloring, and BudgetError when a block outgrows
-    block_budget.
+    block_budget, which must be an integer >= 0 (ParseError) at every beta.
     """
     params = instance.params
     _check_q(params)
+    _check_int(block_budget, "block_budget", 0)
     if params.beta > 0:
         colors = {v: instance.pinned.get(v, 1) for v in range(instance.graph.n)}
         return Configuration(colors)
@@ -116,7 +117,7 @@ def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limi
     if L is None:
         L = default_depth(graph.n)
     depth = _depth(L)
-    limits = limits or RecursionLimits()
+    limits = _limits(limits)
     anchor = find_feasible_config(instance, limits.block_budget)
     full = {v: anchor[v] for v in range(graph.n)}
     mono = monochromatic_edges(graph, full)

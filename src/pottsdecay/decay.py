@@ -131,11 +131,15 @@ feasible_tuples, the prefix trie, _canonical or the by_color combine. It
 makes the same children in the same order and takes the same logs, sums
 and caps. Each index evaluates its one child directly, with no memo; at
 i >= 1 it then charges each further colour of F as a _memo_child hit does:
-the subtree's calls, terminations and infeasible events, one cache hit,
-and the limit check after each. So no float and no counter moves, and a
-max_calls abort lands where it did, with the same partial diagnostics; it
-raises the same errors, and leaves a node whose block or configuration
-budget is too small to the general path, which raises that BudgetError. The
+the subtree's calls, terminations and infeasible events, and one cache
+hit. A hit checks the limits after it, so the charges stop at the first
+one that passes max_calls; the kernel makes that run in one step, every
+charge up to that one, and then checks the limits once (a deadline is thus
+read once per run, not once per charge). So no float and no counter moves,
+and a max_calls abort lands where it did, with the same partial
+diagnostics; it raises the same errors, and leaves a node whose block or
+configuration budget is too small to the general path, which raises that
+BudgetError. The
 gate: it serves beta > 0, and beta = 0 only at ell >= 1. A beta = 0 node at
 ell <= 0 is a feasibility cut-off or has cut-off children, which keep the
 whole-prefix key (see "Region key"), so it stays on the general path, and
@@ -175,10 +179,17 @@ Instance's __init__.) No removed edge is checked (graph._view holds the
 set as given): each is an edge of its node's graph, which is why
 marg_block checks a caller's block first. Besides the fallback, a view is
 built only for a region walk. Through singleton nodes the recursion
-alternates _node_vector and _lean_vector, two Python frames per level. On
-perfbench's partition-cycle workload every block is one vertex and no
-child can read its node's pin, so no call falls back: no Instance is
-built, and the only views are those of the region walks.
+alternates _node_vector and _lean_vector, a flat kernel: a served node runs
+_node_vector, _leaf and its _check_limits, _lean_vector, and _denominator
+with its _logsumexp, six Python frames, plus _view and _read_region for
+each region walk; a leaf child runs the first three. The kernel filters
+v's row, updates the size maxima, charges the memo hits and clamps to
+params.marginal_upper_bound inline. The root call runs in a plain try in
+_root_vector (and marg_block): a BudgetError gets the root's diagnostics
+attached and is re-raised, and a RecursionError becomes _too_deep's
+BudgetError. On perfbench's partition-cycle workload every block is one
+vertex and no child can read its node's pin, so no call falls back: no
+Instance is built, and the only views are those of the region walks.
 """
 
 from __future__ import annotations
@@ -187,7 +198,6 @@ import heapq
 import math
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from .blocks import (
@@ -273,6 +283,16 @@ class RecursionLimits:
             raise ParseError(f"deadline must be None or a finite real, got {d!r}")
 
 
+def _limits(limits):
+    """The RecursionLimits a root estimate runs under: the defaults for None,
+    a RecursionLimits as given, and ParseError for anything else."""
+    if limits is None:
+        return RecursionLimits()
+    if not isinstance(limits, RecursionLimits):
+        raise ParseError(f"limits must be None or a RecursionLimits, got {limits!r}")
+    return limits
+
+
 def _depth(ell):
     if isinstance(ell, bool) or not isinstance(ell, int):
         raise ParseError(f"depth must be an integer, got {ell!r}")
@@ -319,48 +339,62 @@ def _check_limits(diag, limits):
         raise BudgetError("recursion wall-clock deadline exceeded")
 
 
-@contextmanager
-def _root_call(diag, depth):
-    """Surface every abort of a root estimate as a BudgetError carrying diag.
+def _too_deep(diag, depth):
+    """The BudgetError for a root estimate that overflowed Python's stack.
 
-    The error's `diagnostics` attribute holds the counts gathered up to the
-    abort. Python's own stack limit is turned into a BudgetError too, so a
-    depth too deep for the stack fails with exit code 4 like any budget.
+    A depth too deep for the stack fails with exit code 4 like any budget;
+    the error's `diagnostics` attribute holds the counts gathered up to the
+    overflow, as for every abort of a root estimate.
     """
-    try:
-        yield
-    except RecursionError:
-        err = BudgetError(
-            f"recursion at depth {depth} nested deeper than the Python stack "
-            f"allows (recursion limit {sys.getrecursionlimit()}); use a smaller depth"
-        )
-        err.diagnostics = diag
-        raise err from None
-    except BudgetError as err:
-        err.diagnostics = diag
-        raise
+    err = BudgetError(
+        f"recursion at depth {depth} nested deeper than the Python stack "
+        f"allows (recursion limit {sys.getrecursionlimit()}); use a smaller depth"
+    )
+    err.diagnostics = diag
+    return err
 
 
 def _root_vector(instance, v, ell, limits):
+    """The root call at v with depth ell, and its MargDiagnostics.
+
+    Every abort surfaces as a BudgetError whose `diagnostics` attribute
+    holds the counts gathered up to it: a budget's own error gets them
+    attached in a plain try, and Python's stack limit becomes _too_deep's.
+    """
     diag = MargDiagnostics()
     depth = _depth(ell)
-    limits = limits or RecursionLimits()
+    limits = _limits(limits)
     g = instance.graph
-    with _root_call(diag, depth):
+    try:
         vec = _node_vector(
             g.root, g.removed, instance.params, instance.pinned, v, depth, diag, limits
         )
+    except BudgetError as err:
+        err.diagnostics = diag
+        raise
+    except RecursionError:
+        raise _too_deep(diag, depth) from None
     return vec, diag
 
 
 def _logsumexp(values):
-    if len(values) == 1:
-        # x + log(fsum([1.0])) is x itself, bar the sign of a zero.
-        return values[0]
-    hi = max(values, default=-math.inf)
+    """log(sum(exp(x) for x in values)), or -inf for no value or all -inf.
+
+    One term is returned as is (x + log(fsum([1.0])) is x, bar the sign of
+    a zero). Otherwise hi is the first maximal value and the sum is the
+    correctly rounded math.fsum of exp(x - hi) in the values' order. A loop
+    builds that list: a comprehension would run a frame of its own.
+    """
+    if len(values) < 2:
+        return values[0] if values else -math.inf
+    hi = max(values)
     if hi == -math.inf:
-        return -math.inf
-    return hi + math.log(math.fsum([math.exp(x - hi) for x in values]))
+        return hi
+    exp = math.exp
+    scaled = []
+    for x in values:
+        scaled.append(exp(x - hi))
+    return hi + math.log(math.fsum(scaled))
 
 
 def _denominator(terms, v=None):
@@ -575,24 +609,34 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
     child is handed to _node_vector as the same root, the removed set grown
     by the boundary edges it drops (None for a leaf child, which reads only
     its pin), and the parent's pin dict. This function builds a view only
-    for the region walks. See "Singleton blocks" and "Children" in the
-    module docstring.
+    for the region walks. Besides _node_vector and the walks it calls only
+    _denominator, _check_limits once per run of charges when a limit is
+    set, and graph._kept_row for a neighbour of high root degree: v's kept
+    row, the size maxima, the charges, the cap (params.marginal_upper_bound
+    of v's degree) and its clamp are written out here. See "Singleton
+    blocks" and "Children" in the module docstring.
     """
     beta_positive = params.beta_positive
     if not beta_positive and ell < 1:
         return None
     rows = root.adjacency
-    nbrs = _kept_row(rows, removed, v)
+    nbrs = []  # v's kept row (graph._kept_row)
+    bedges = []  # the canonical boundary edge to each of nbrs
+    for w in rows[v]:
+        e = (v, w) if v < w else (w, v)
+        if e not in removed:
+            nbrs.append(w)
+            bedges.append(e)
     q = params.q
-    F = range(1, q + 1)
+    F = range(q)  # the feasible colours, 0-based
     if not beta_positive:
-        banned = {pinned[w] for w in nbrs if w in pinned}
+        banned = {pinned[w] - 1 for w in nbrs if w in pinned}
         F = [c for c in F if c not in banned]
-    if limits.block_budget < 1 or len(F) > limits.config_budget:
+    n_f = len(F)
+    if limits.block_budget < 1 or n_f > limits.config_budget:
         return None
     max_low = params.max_low_degree
     sub_ell = ell - 1
-    bedges = [(v, w) if v < w else (w, v) for w in nbrs]
     sub_removed = [None] * len(nbrs)  # a leaf child gets no graph
     opened = False  # whether some earlier neighbour is unpinned
     for i, w in enumerate(nbrs):
@@ -612,13 +656,21 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
             ):
                 return None
         opened = True
-    diag.max_block_size = max(diag.max_block_size, 1)
-    diag.max_f_size = max(diag.max_f_size, len(F))
-    if not F:
+    if diag.max_block_size < 1:
+        diag.max_block_size = 1
+    if diag.max_f_size < n_f:
+        diag.max_f_size = n_f
+    if not n_f:
         raise InfeasibleError(f"no feasible block configuration around vertex {v}")
 
+    log = math.log
+    exp = math.exp
+    neg_inf = -math.inf
     one_minus = 1.0 - params.beta_float
-    terms = [0.0] * len(F)
+    max_calls = limits.max_calls
+    checked = max_calls is not None or limits.deadline is not None
+    extra = n_f - 1  # the memo hits an index i >= 1 charges
+    terms = [0.0] * n_f
     for i, w in enumerate(nbrs):
         # One child serves every colour. Index 0 has one prefix, (), so one
         # child; at i >= 1 each further colour is charged as a memo hit (see
@@ -627,28 +679,37 @@ def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
         terminations = diag.termination_events
         infeasible = diag.infeasible_events
         vec = _node_vector(root, sub_removed[i], params, pinned, w, sub_ell, diag, limits)
-        if i and len(F) > 1:
+        if i and extra:
             calls = diag.recursive_calls - calls
             terminations = diag.termination_events - terminations
             infeasible = diag.infeasible_events - infeasible
-            for _ in range(len(F) - 1):
-                diag.recursive_calls += calls
-                diag.termination_events += terminations
-                diag.infeasible_events += infeasible
-                diag.cache_hits += 1
+            # A hit checks the limits after it, so the run of hits stops at
+            # the first that passes max_calls: the hits-th, for the least
+            # hits with recursive_calls + hits * calls > max_calls. The
+            # child left recursive_calls <= max_calls, and calls >= 1.
+            hits = extra
+            if max_calls is not None:
+                hits = min(hits, (max_calls - diag.recursive_calls) // calls + 1)
+            diag.recursive_calls += hits * calls
+            diag.termination_events += hits * terminations
+            diag.infeasible_events += hits * infeasible
+            diag.cache_hits += hits
+            if checked:
                 _check_limits(diag, limits)
         for k, c in enumerate(F):
-            x = vec[c - 1]
+            x = vec[c]
             if x:  # a zero entry's factor is 1.0, and terms[k] + log(1.0) is terms[k]
                 factor = 1.0 - one_minus * x
-                terms[k] += math.log(factor) if factor > 0.0 else -math.inf
+                terms[k] += log(factor) if factor > 0.0 else neg_inf
 
     den = _denominator(terms, v)
-    cap = params.marginal_upper_bound(len(nbrs))
+    cap = q - params.one_minus_beta_float * len(nbrs)  # params.marginal_upper_bound
+    cap = 1.0 / cap if cap > 1.0 else 1.0
     out = [0.0] * q
     for c, t in zip(F, terms):
-        if t != -math.inf:
-            out[c - 1] = min(math.exp(t - den), cap)
+        if t != neg_inf:
+            p = exp(t - den)
+            out[c] = p if p < cap else cap
     return out
 
 
@@ -893,7 +954,7 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
     the graph, and its boundary_edges must list each edge leaving it once,
     as (block vertex, outside vertex), in any order.
     """
-    limits = limits or RecursionLimits()
+    limits = _limits(limits)
     graph = instance.graph
     verts = block.vertices
     if not verts:
@@ -927,8 +988,13 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
     diag.max_block_size = len(verts)
     diag.max_f_size = len(F)
     depth = _depth(ell)
-    with _root_call(diag, depth):
+    try:
         terms = _block_terms(instance, block, F, anchor, depth, diag, limits)
+    except BudgetError as err:
+        err.diagnostics = diag
+        raise
+    except RecursionError:
+        raise _too_deep(diag, depth) from None
     den = _denominator(terms)
     num = terms[idx]
     return 0.0 if num == -math.inf else math.exp(num - den)

@@ -196,11 +196,30 @@ class Configuration:
 
 
 def _as_pin_dict(pinned):
+    """A new dict of the pins: None, a Configuration, a mapping or an iterable
+    of (vertex, colour) pairs. Anything else raises ParseError, which names
+    the first entry that is not a pair with a hashable vertex."""
     if pinned is None:
         return {}
     if isinstance(pinned, Configuration):
         return dict(pinned.assignment)
-    return dict(pinned)
+    try:
+        return dict(pinned)
+    except (TypeError, ValueError):
+        pass
+    # Name the first entry dict() cannot take, when pinned is iterable.
+    try:
+        entries = list(pinned)
+    except TypeError:
+        entries = []
+    for entry in entries:
+        try:
+            dict([entry])
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"bad pin entry {entry!r}: pins must be (vertex, colour) pairs"
+            ) from None
+    raise ParseError(f"pins must be a mapping or (vertex, colour) pairs, got {pinned!r}")
 
 
 def _check_pin_types(v, c):

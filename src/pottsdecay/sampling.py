@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decay import (
-    RecursionLimits,
     _canonical,
     _check_q,
     _depth,
+    _limits,
     _permute,
     _region_steps,
     marginal_distribution,
@@ -91,14 +91,14 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
     every earlier draw, so the sampler runs on one thread; `threads` accepts
     only 1 and goes with ROADMAP item 1's "Pass no `threads=`" bullet.
     """
-    if threads != 1:
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads != 1:
         raise ParseError(f"sample_batch runs on one thread, got threads={threads!r}")
     _check_q(instance.params)
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
         raise ParseError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     _check_seed(seed, bits=64)
     depth = _depth(L)
-    limits = limits or RecursionLimits()
+    limits = _limits(limits)
     colours = range(1, instance.params.q + 1)
     # steps lists (v, the pinned vertices of v's read region, ascending) in
     # sampling order; entries[v] maps a pattern of colours on those vertices

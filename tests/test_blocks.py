@@ -144,6 +144,19 @@ def test_block_budget():
         minimal_permissive_block(inst, [0], block_budget=4)
 
 
+@pytest.mark.parametrize("budget", ["x", None, -1, 2.0, True])
+def test_budgets_are_checked(budget):
+    # A negative budget is a ParseError, as for the oracles' budgets.
+    inst = Instance(generate_path(3), PottsParams(7, 0))
+    with pytest.raises(ParseError, match="block_budget"):
+        minimal_permissive_block(inst, [0], budget)
+    with pytest.raises(ParseError, match="config_budget"):
+        feasible_tuples(inst, [0], budget)
+    assert minimal_permissive_block(inst, [0], 1).vertices == (0,)
+    with pytest.raises(BudgetError):
+        feasible_tuples(inst, [0], 0)
+
+
 def test_block_budget_stops_the_growth(monkeypatch):
     # Every vertex of gnp(300, 8) is high-degree at q = 3, so the closure of
     # vertex 0 is its whole component; a failing call absorbs at most

@@ -189,6 +189,16 @@ def test_partition_z_property():
     assert math.isclose(est.z, 24.0, rel_tol=1e-10)
 
 
+@pytest.mark.parametrize("beta", ["0", "0.5"])
+@pytest.mark.parametrize("budget", ["x", None, -1, 2.0, True])
+def test_anchor_search_checks_its_block_budget(beta, budget):
+    # beta > 0 never grows a block, and still rejects a bad budget.
+    inst = Instance(generate("cycle", n=6), PottsParams(7, beta))
+    with pytest.raises(ParseError, match="block_budget"):
+        find_feasible_config(inst, budget)
+    find_feasible_config(inst, 0 if beta != "0" else 1)
+
+
 def test_partition_anchor_search_honours_block_budget(forced_caterpillar):
     # limits.block_budget bounds the anchor search's blocks too
     g, pins = forced_caterpillar

@@ -21,6 +21,7 @@ from pottsdecay import (
     default_depth,
     error_bound,
     escape_paths,
+    estimate_partition,
     exact_marginal_vector,
     e_delta_profile,
     feasible_tuples,
@@ -31,6 +32,7 @@ from pottsdecay import (
     marginal_distribution,
     marginal_vector,
     minimal_permissive_block,
+    sample_batch,
 )
 
 
@@ -312,6 +314,26 @@ def test_recursion_limits_accept_their_ranges():
     limits = RecursionLimits(max_calls=100, deadline=time.monotonic() + 60)
     vec, _ = marginal_vector(inst, 1, 0, limits)
     assert math.isclose(sum(vec), 1.0, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("limits", [5, 0, {}, "x", [], RecursionLimits])
+def test_limits_must_be_recursion_limits(limits):
+    # Every entry that takes limits reads them through decay._limits: None
+    # means the defaults, and anything but a RecursionLimits is an error,
+    # a falsy one included.
+    inst = _inst(generate("cycle", n=6), 4, "0.5")
+    block = minimal_permissive_block(inst, (0,))
+    calls = [
+        lambda: marginal_vector(inst, 0, 2, limits=limits),
+        lambda: marg_block(inst, block, {0: 1}, 2, limits=limits),
+        lambda: estimate_partition(inst.graph, inst.params, 2, limits=limits),
+        lambda: sample_batch(inst, 2, 1, 1, limits=limits),
+    ]
+    for call in calls:
+        with pytest.raises(ParseError, match="limits must be None or a RecursionLimits"):
+            call()
+    vec, _ = marginal_vector(inst, 0, 2, limits=None)
+    assert vec == marginal_vector(inst, 0, 2, limits=RecursionLimits())[0]
 
 
 def test_abort_keeps_partial_diagnostics():

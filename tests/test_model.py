@@ -183,6 +183,22 @@ def test_non_int_pins_rejected(bad):
         Configuration(bad)
 
 
+@pytest.mark.parametrize(
+    "pins, entry",
+    [([1, 2], "1"), ("ab", "'a'"), ([(0,)], r"\(0,\)"), ([(0, 1), ([2], 1)], r"\(\[2\], 1\)")],
+    ids=["ints", "str", "1-tuple", "unhashable vertex"],
+)
+def test_malformed_pins_name_the_bad_entry(pins, entry):
+    g, params = generate_cycle(6), PottsParams(4, "0.5")
+    with pytest.raises(ParseError, match=f"bad pin entry {entry}"):
+        Instance(g, params, pins)
+    with pytest.raises(ParseError, match=f"bad pin entry {entry}"):
+        estimate_partition(g, params, 2, pinned=pins)
+    with pytest.raises(ParseError, match="mapping or"):
+        Instance(g, params, 5)
+    assert Instance(g, params, [(0, 1), (2, 3)]).pinned == {0: 1, 2: 3}
+
+
 def test_int_subclass_pins_accepted():
     inst = Instance(generate_cycle(6), PottsParams(4, "0.5"), {_Vertex(1): _Vertex(2)})
     assert inst.pinned == {1: 2}

@@ -177,6 +177,13 @@ def test_sampler_rejects_threads_other_than_one():
         sample_batch(_triangle(), 6, 2, seed=1, threads=2)
 
 
+@pytest.mark.parametrize("threads", [True, 1.0])
+def test_sampler_rejects_threads_that_only_equal_one(threads):
+    # True == 1 and 1.0 == 1, but neither is the integer 1.
+    with pytest.raises(ParseError, match="runs on one thread"):
+        sample_batch(_triangle(), 6, 2, seed=1, threads=threads)
+
+
 def test_sampler_infeasible_instance():
     inst = Instance(generate("complete", n=4), PottsParams(3, "0"), {})
     with pytest.raises(InfeasibleError):
