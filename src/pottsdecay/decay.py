@@ -47,16 +47,18 @@ memo; MargDiagnostics.evaluations and cache_hits say what the memo saved.
 
 In-place leaves. A call is a leaf when its vertex is pinned (one-hot
 vector) or unpinned at beta > 0 with ell < 0 (uniform, one termination);
-_leaf holds that rule. A leaf reads its pin and nothing else, so a leaf
-child is answered without deriving its graph, pin dict or Instance: its
-parent hands it to _node_vector with no removed set (None), and _leaf
-answers it before that would be read. Whether the child v_i is pinned is
-read off the parent's pins, because sub-instances pin only block vertices
-and v_i lies outside the block. A leaf child of _block_terms still passes
-through the colour memo. _node_vector calls _leaf first on every call, the
-root's included, so each call is counted in one place (recursive_calls
-and evaluations, then the limit check, then the termination): no float
-and no counter moves, and a max_calls abort lands on the same call.
+_node_vector holds that rule and answers a leaf in its own frame. A leaf
+reads its pin and nothing else, so a leaf child is answered without
+deriving its graph, pin dict or Instance: its parent hands it to
+_node_vector with no removed set (None), and _node_vector answers it
+before that set would be read. Whether the child v_i is pinned is read
+off the parent's pins, because sub-instances pin only block vertices and
+v_i lies outside the block. A leaf child of _block_terms still passes
+through the colour memo. _node_vector counts every call first, the root's
+included, so each call is counted in one place (recursive_calls and
+evaluations, then the limit check when max_calls or deadline is set, then
+the termination): no float and no counter moves, and a max_calls abort
+lands on the same call.
 
 Prefix trie. The factor 1 - (1-beta) p_i(rho) depends on rho only through
 its spins at the first i boundary positions, so there is one factor per
@@ -151,39 +153,39 @@ a singleton block as any other block.
 
 Children. Every call has one form: the root graph, the frozenset of
 canonical edges removed from it, and a pin dict. Every call enters through
-_node_vector, the one call step: _root_vector hands it the root
-instance's graph root, removed edges and pins; _lean_vector hands it each
-child, leaves included; and _memo_child hands it each child of
-_block_terms that the colour memo misses. _node_vector counts the call
-with _leaf and answers a leaf. Otherwise it tries _lean_vector, and when
-that declines the node (an unpinned high-degree neighbour, children that
-can read v's pin, the beta = 0 gate, or a budget), it builds the node's
-view (graph._view) and Instance, the one place that builds them, and runs
-_block_vector, the general path, on them. A root that falls back builds
-its own Instance too; with no edge removed, the root graph is its view.
-_block_terms' children of index i remove the node's removed edges, the
-block's internal edges and its boundary edges at positions >= i, and get
-the node's pins with the kept prefix positions pinned: on a miss
-_memo_child copies the pins to add them, and a child with no kept
-position shares the node's pin dict. _lean_vector's children of index i
-remove the node's removed edges and its boundary edges at positions >= i
-and share the node's pin dict, since none of them reads v's pin; no lean
-child goes through the memo. No call changes a pin dict it is handed, and
-an Instance copies its pins. Rows are the root's rows filtered by the
-removed set (graph._kept_row), and the high-degree test reads the root
-degree first, since a derived degree is never larger. A child's pins need
-no check: the root's were checked when its Instance was built, a child
-only adds pins, and an added pin puts a vertex of the graph to a palette
-colour. (A node that falls back still has them checked again, by its
-Instance's __init__.) No removed edge is checked (graph._view holds the
-set as given): each is an edge of its node's graph, which is why
-marg_block checks a caller's block first. Besides the fallback, a view is
-built only for a region walk. Through singleton nodes the recursion
-alternates _node_vector and _lean_vector, a flat kernel: a served node runs
-_node_vector, _leaf and its _check_limits, _lean_vector, and _denominator
-with its _logsumexp, six Python frames, plus _view and _read_region for
-each region walk; a leaf child runs the first three. The kernel filters
-v's row, updates the size maxima, charges the memo hits and clamps to
+_node_vector, the one call step: _root_vector hands it the root instance's
+graph root, removed edges and pins; _lean_vector hands it each child,
+leaves included; and _memo_child hands it each child of _block_terms that
+the colour memo misses. _node_vector counts the call and answers a leaf.
+Otherwise it tries _lean_vector, and when that declines the node (an
+unpinned high-degree neighbour, children that can read v's pin, the beta = 0
+gate, or a budget), it builds the node's view (graph._view) and Instance,
+the one place that builds them, and runs _block_vector, the general path,
+on them. A root that falls back builds its own Instance too; with no edge
+removed, the root graph is its view. _block_terms' children of index i
+remove the node's removed edges, the block's internal edges and its
+boundary edges at positions >= i, and get the node's pins with the kept
+prefix positions pinned: on a miss _memo_child copies the pins to add them,
+and a child with no kept position shares the node's pin dict.
+_lean_vector's children of index i remove the node's removed edges and its
+boundary edges at positions >= i and share the node's pin dict, since none
+of them reads v's pin; no lean child goes through the memo. No call changes
+a pin dict it is handed, and an Instance copies its pins. Rows are the
+root's rows filtered by the removed set (graph._kept_row), and the
+high-degree test reads the root degree first, since a derived degree is
+never larger. A child's pins need no check: the root's were checked when
+its Instance was built, a child only adds pins, and an added pin puts a
+vertex of the graph to a palette colour. (A node that falls back still has
+them checked again, by its Instance's __init__.) No removed edge is checked
+(graph._view holds the set as given): each is an edge of its node's graph,
+which is why marg_block checks a caller's block first. Besides the
+fallback, a view is built only for a region walk. Through singleton nodes
+the recursion alternates _node_vector and _lean_vector, a flat kernel: a
+served node runs _node_vector, _lean_vector, and _denominator with its
+_logsumexp, four Python frames, plus _view and _read_region for each region
+walk; a leaf child runs _node_vector alone. A call adds a _check_limits
+frame only when max_calls or deadline is set. The kernel filters v's row,
+updates the size maxima, charges the memo hits and clamps to
 params.marginal_upper_bound inline. The root call runs in a plain try in
 _root_vector (and marg_block): a BudgetError gets the root's diagnostics
 attached and is re-raised, and a RecursionError becomes _too_deep's
@@ -453,9 +455,9 @@ def _memo_child(memo, key, diag, limits, root, removed, params, pinned, at, v, e
     never changes). The added pins put vertices of the graph to palette
     colours, so they need no check. A miss stores the vector with the
     calls, terminations and infeasible events its subtree counted. A hit
-    adds those counts again, counts a cache hit and checks the limits, so
-    the counters and a max_calls abort keep the values of the schedule
-    without the memo.
+    adds those counts again, counts a cache hit and checks the limits when
+    max_calls or deadline is set, so the counters and a max_calls abort
+    keep the values of the schedule without the memo.
     """
     hit = memo.get(key)
     if hit is None:
@@ -478,7 +480,8 @@ def _memo_child(memo, key, diag, limits, root, removed, params, pinned, at, v, e
     diag.termination_events += terminations
     diag.infeasible_events += infeasible
     diag.cache_hits += 1
-    _check_limits(diag, limits)
+    if limits.max_calls is not None or limits.deadline is not None:
+        _check_limits(diag, limits)
     return vec
 
 
@@ -526,7 +529,7 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
         # pattern restricted to them.
         kept = range(i)
         if pin_i is not None or (params.beta_positive and sub_ell < 0):
-            kept = ()  # leaf children read only v_i's pin (_leaf's rule)
+            kept = ()  # leaf children read only v_i's pin (_node_vector's leaf rule)
         else:
             # Every child of index i drops the block's internal edges and
             # the boundary edges at positions >= i.
@@ -571,29 +574,6 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
             terms[k] += logs[j]
         pats = next_pats
     return terms
-
-
-def _leaf(params, pin, ell, diag, limits):
-    """Count one call of the recursion; return its vector if it is a leaf.
-
-    _node_vector calls it first on every call. A leaf is a pinned vertex
-    (its one-hot vector) or an unpinned one at beta > 0 with ell < 0
-    (uniform, one termination). It reads nothing but its pin, so it needs
-    no graph, removed set or instance. Any other call returns None, for
-    _node_vector to evaluate by _lean_vector or _block_vector.
-    """
-    diag.recursive_calls += 1
-    diag.evaluations += 1
-    _check_limits(diag, limits)
-    q = params.q
-    if pin is not None:
-        out = [0.0] * q
-        out[pin - 1] = 1.0
-        return out
-    if params.beta_positive and ell < 0:
-        diag.termination_events += 1
-        return [1.0 / q] * q
-    return None
 
 
 def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
@@ -717,25 +697,38 @@ def _node_vector(root, removed, params, pinned, v, ell, diag, limits):
     """The vector of one call of the recursion: the call at v with depth ell
     on the root graph minus the edges `removed`, with the pins `pinned`.
 
-    Every call, the root's included, enters here. _leaf counts it and
-    answers a leaf, which reads only v's pin (so a leaf child may pass
-    removed = None); _lean_vector evaluates a node it serves; any other
-    node gets its view and Instance built here, the one place that builds
-    them, and runs the general path, _block_vector. Only the root call can
-    have no edge removed, and its view is then the root graph itself.
+    Every call, the root's included, enters here and is counted here, before
+    the limits are checked (only when max_calls or deadline is set). A leaf
+    is answered in place: a pinned v gets its one-hot vector, and an
+    unpinned v at beta > 0 with ell < 0 the uniform vector and one
+    termination. It reads only v's pin, so a leaf child may pass removed =
+    None. _lean_vector evaluates a node it serves; any other node gets its
+    view and Instance built here, the one place that builds them, and runs
+    the general path, _block_vector. Only the root call can have no edge
+    removed, and its view is then the root graph itself.
     """
-    out = _leaf(params, pinned.get(v), ell, diag, limits)
+    diag.recursive_calls += 1
+    diag.evaluations += 1
+    if limits.max_calls is not None or limits.deadline is not None:
+        _check_limits(diag, limits)
+    pin = pinned.get(v)
+    if pin is not None:
+        out = [0.0] * params.q
+        out[pin - 1] = 1.0
+        return out
+    if params.beta_positive and ell < 0:
+        diag.termination_events += 1
+        return [1.0 / params.q] * params.q
+    out = _lean_vector(root, removed, params, pinned, v, ell, diag, limits)
     if out is None:
-        out = _lean_vector(root, removed, params, pinned, v, ell, diag, limits)
-        if out is None:
-            instance = Instance(_view(root, removed) if removed else root, params, pinned)
-            out = _block_vector(instance, v, ell, diag, limits)
+        instance = Instance(_view(root, removed) if removed else root, params, pinned)
+        out = _block_vector(instance, v, ell, diag, limits)
     return out
 
 
 def _block_vector(instance, v, ell, diag, limits):
     """Full per-color estimate vector at v by the general block path, for a
-    call _leaf counted as no leaf and _lean_vector declined."""
+    call _node_vector counted and found no leaf, and _lean_vector declined."""
     params = instance.params
     q = params.q
     block = minimal_permissive_block(instance, (v,), limits.block_budget)
@@ -784,9 +777,9 @@ def read_region(instance, v, ell):
     only pins outside the region, which by this claim move nothing.)
 
     Proof, by induction on the depth of the call. A call of the recursion
-    (_node_vector: _leaf, then _lean_vector or _block_vector) at u with
-    depth e, in a derived instance whose graph is a subgraph of the root's
-    and whose pinned set contains the root's, reads:
+    (_node_vector: its leaf rule, then _lean_vector or _block_vector) at u
+    with depth e, in a derived instance whose graph is a subgraph of the
+    root's and whose pinned set contains the root's, reads:
 
     - u's pin. A pinned u is a leaf and reads nothing else; so is an
       unpinned u at beta > 0 with e < 0.
@@ -954,6 +947,7 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
     the graph, and its boundary_edges must list each edge leaving it once,
     as (block vertex, outside vertex), in any order.
     """
+    _check_q(instance.params)
     limits = _limits(limits)
     graph = instance.graph
     verts = block.vertices

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .model import _check_int, _check_seed
+from .model import _check_int, _check_seed, _is_real
 
 
 def _endpoint(x, e):
@@ -234,8 +234,8 @@ def generate_gnp(n, d, seed):
     depends only on (n, d, seed).
     """
     _check_int(n, "n", 1)
-    if not (0 <= d <= n):
-        raise ParseError(f"gnp mean degree must satisfy 0 <= d <= n, got {d}")
+    if not (_is_real(d) and 0 <= d <= n):
+        raise ParseError(f"gnp mean degree must be a real number with 0 <= d <= n, got {d!r}")
     _check_seed(seed, "gnp seed")
     rng = np.random.Generator(np.random.Philox(key=seed))
     p = d / n

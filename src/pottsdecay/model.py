@@ -149,14 +149,16 @@ class PottsParams:
 
 
 class Configuration:
-    """A partial map from vertices to 1-based colors."""
+    """A partial map from vertices to 1-based colors, built from a
+    Configuration, a mapping or an iterable of (vertex, colour) pairs; a
+    malformed entry raises _as_pin_dict's ParseError, and so does None."""
 
     __slots__ = ("assignment",)
 
     def __init__(self, assignment):
-        if isinstance(assignment, Configuration):
-            assignment = assignment.assignment
-        pairs = dict(assignment)
+        if assignment is None:
+            raise ParseError("a configuration needs a mapping or (vertex, colour) pairs, not None")
+        pairs = _as_pin_dict(assignment)
         for v, c in pairs.items():
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ParseError(f"bad vertex {v!r} in configuration")

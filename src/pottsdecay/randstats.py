@@ -20,7 +20,7 @@ from .counting import find_feasible_config
 from .blocks import verify_locally_sparse
 from .errors import BudgetError, InfeasibleError, ParseError
 from .graph import generate_gnp
-from .model import Instance, PottsParams, _check_int, _check_seed
+from .model import Instance, PottsParams, _check_int, _check_seed, _is_real
 from .saw import verify_contraction
 
 # float(scipy.stats.norm.ppf(0.975)), written out so that importing the
@@ -49,8 +49,8 @@ class GrowthProcessReport:
 def expected_contraction(n, degree, q, beta=0):
     """Exact E[delta(X)] for X ~ Bin(n, degree/n), binomials in log space."""
     _check_int(n, "n", 1)
-    if not 0 < degree <= n:
-        raise ParseError(f"mean degree must satisfy 0 < degree <= n, got {degree}")
+    if not (_is_real(degree) and 0 < degree <= n):
+        raise ParseError(f"mean degree must be a real number with 0 < degree <= n, got {degree!r}")
     from scipy import stats  # imported here: it dominates the package's import time
 
     params = PottsParams(q, beta)
@@ -84,8 +84,8 @@ def simulate_block_growth(L, n, d, q, t_max, trials, seed):
     _check_int(q, "q", 6)
     _check_int(t_max, "t_max", 1)
     _check_int(trials, "trials", 1)
-    if not 0 <= d <= n:
-        raise ParseError(f"d must satisfy 0 <= d <= n, got {d}")
+    if not (_is_real(d) and 0 <= d <= n):
+        raise ParseError(f"d must be a real number with 0 <= d <= n, got {d!r}")
     _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     y = np.full(trials, L, dtype=np.int64)

@@ -36,6 +36,24 @@ from pottsdecay import (  # noqa: E402
 )
 
 
+def _leaf(params, pin, ell, diag, limits):
+    """Reference copy of the recursion's leaf rule: count the call, check
+    the limits, and return the vector of a leaf (a pinned vertex, or an
+    unpinned one at beta > 0 with ell < 0); None for any other call."""
+    diag.recursive_calls += 1
+    diag.evaluations += 1
+    decay._check_limits(diag, limits)
+    q = params.q
+    if pin is not None:
+        out = [0.0] * q
+        out[pin - 1] = 1.0
+        return out
+    if params.beta_positive and ell < 0:
+        diag.termination_events += 1
+        return [1.0 / q] * q
+    return None
+
+
 def _naive_block_terms(instance, block, F, anchor, ell, diag, limits):
     """Reference: every child per boundary index in F's order, then each
     configuration's term from one prefix tuple and one log per boundary edge."""
@@ -89,7 +107,7 @@ def _naive_block_terms(instance, block, F, anchor, ell, diag, limits):
                 calls = diag.recursive_calls
                 terminations = diag.termination_events
                 infeasible = diag.infeasible_events
-                vec = decay._leaf(params, pin_i, sub_ell, diag, limits)
+                vec = _leaf(params, pin_i, sub_ell, diag, limits)
                 if vec is None:
                     if g_i is None:
                         g_i = graph.remove_edges([*internal, *bedges[i:]])

@@ -693,6 +693,18 @@ def test_marg_block_no_boundary_is_gibbs_weight():
     assert math.isclose(p, 1.0 / 6.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "family, n, beta, ell", [("path", 3, "0.5", 2), ("cycle", 6, "0", 3)], ids=["path", "cycle"]
+)
+def test_marg_block_requires_q_at_least_3(family, n, beta, ell):
+    # marg_block used to run at q = 2 and return 0.5 on both, where
+    # marginal_vector refuses.
+    inst = _inst(generate(family, n=n), 2, beta)
+    block = Block([1], [(1, 0), (1, 2)])
+    with pytest.raises(ParseError, match="q >= 3"):
+        marg_block(inst, block, {1: 1}, ell)
+
+
 def test_marg_block_rejects_partial_or_infeasible_pi():
     g = generate("star", k=5)
     inst = _inst(g, 7)

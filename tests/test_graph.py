@@ -157,6 +157,10 @@ def test_gnp_seed_range():
 def test_gnp_mean_degree_range():
     with pytest.raises(ParseError, match="0 <= d <= n, got 11"):
         generate_gnp(10, 11, 1)
+    # "x" and None used to be a bare TypeError; True built a graph with d = 1.
+    for bad in ("x", True, None):
+        with pytest.raises(ParseError, match="real number"):
+            generate_gnp(10, bad, 1)
 
 
 def _gnp_edges_all_pairs(n, d, seed):

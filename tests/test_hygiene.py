@@ -14,11 +14,14 @@ through `_absorb` and calls `min` nowhere (one closure step, in no
 particular absorption order), and `decay._block_terms` calls
 `escape_paths` and `induced_edges` outside every `if` (one code path for
 every block shape), `decay._block_terms` alone calls `_memo_child` (the
-colour memo has one home), `decay._node_vector` alone calls `_leaf`,
+colour memo has one home), `decay._node_vector` alone calls
 `_lean_vector` and `_block_vector` (every call of the recursion enters
-through one call step), the "q >= 3" check is written once, in
-`decay.py`, and no function named in `__all__` only indexes the result
-of another `__all__` name (one public entry per quantity).
+through one call step, which answers a leaf in its own frame), the
+"q >= 3" check is written once, in `decay.py`, no function named in
+`__all__` only indexes the result of another `__all__` name (one public
+entry per quantity), and every module-level private function is named
+by package code other than its own definition (no helper lives on for
+tests alone).
 
 The package's `__init__.py` is exempt from the import check (it imports to
 re-export), and so are `from __future__` imports.
@@ -329,34 +332,84 @@ def test_colour_memo_has_one_home():
     assert callers == ["_block_terms"]
 
 
-CALL_STEP = ("_leaf", "_lean_vector", "_block_vector")
+CALL_STEP = ("_lean_vector", "_block_vector")
 
 
 def test_checker_finds_call_step_callers():
     source = (
         "def _node_vector(r):\n"
-        "    return _leaf(r) or _lean_vector(r) or decay._block_vector(r)\n"
+        "    return _lean_vector(r) or decay._block_vector(r)\n"
         "def _root_vector(r):\n"
         "    def evaluate(k):\n"
-        "        return _leaf(k)\n"
-        "    return _node_vector(r), _lean_vector\n"
+        "        return _lean_vector(k)\n"
+        "    return _node_vector(r), _block_vector\n"
         "x = _block_vector(0)\n"
     )
     assert {name: _callers(source, name) for name in CALL_STEP} == {
-        "_leaf": ["_node_vector", "evaluate"],
-        "_lean_vector": ["_node_vector"],
+        "_lean_vector": ["_node_vector", "evaluate"],
         "_block_vector": [None, "_node_vector"],
     }
 
 
 def test_recursion_enters_through_node_vector():
     # One call step: the root, a lean node's children and the colour memo's
-    # misses all call _node_vector, which counts the call with _leaf and
-    # tries _lean_vector before the general path.
+    # misses all call _node_vector, which counts the call, answers a leaf
+    # and tries _lean_vector before the general path.
     source = (PACKAGE / "decay.py").read_text()
     for name in CALL_STEP:
         callers = _callers(source, name)
         assert callers == ["_node_vector"], f"decay.{name} is called from {callers}"
+
+
+def _unreferenced_private_functions(sources):
+    """The module-level private functions of {module: source} that no
+    module names, as "module.function", sorted. A name counts when it is
+    read as a plain name or an attribute anywhere in the sources; a def and
+    an import are not reads, and neither is docstring text."""
+    defined = []
+    named = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(f"{m}.{f}" for m, f in defined if f not in named)
+
+
+def test_checker_flags_unreferenced_private_functions_only():
+    sources = {
+        "a": (
+            "from .b import _imported\n"
+            "def _called():\n"
+            "    return 1\n"
+            "def _tests_only():\n"
+            '    """Only the docstring of _tests_only names it."""\n'
+            "def _read_by_attribute():\n"
+            "    return 2\n"
+            "def _imported_only():\n"
+            "    return 3\n"
+            "def public():\n"
+            "    def _nested():\n"
+            "        return 4\n"
+            "    return _called() + b._read_by_attribute\n"
+        ),
+        "b": "from .a import _imported_only\ndef _imported():\n    return _imported\n",
+    }
+    assert _unreferenced_private_functions(sources) == ["a._imported_only", "a._tests_only"]
+
+
+def test_every_private_function_is_named_by_package_code():
+    # A helper that only tests still call (as a leaf rule folded into its
+    # caller would be) is dead package code; delete it or inline it.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    unreferenced = _unreferenced_private_functions(sources)
+    assert not unreferenced, f"private functions no package code names: {unreferenced}"
 
 
 def test_q_check_has_one_home():

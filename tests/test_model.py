@@ -13,6 +13,7 @@ from pottsdecay import (
     e_delta_profile,
     enumerate_saws,
     estimate_partition,
+    exact_block_marginal,
     exact_marginal_vector,
     expected_contraction,
     feasible_tuples,
@@ -194,9 +195,17 @@ def test_malformed_pins_name_the_bad_entry(pins, entry):
         Instance(g, params, pins)
     with pytest.raises(ParseError, match=f"bad pin entry {entry}"):
         estimate_partition(g, params, 2, pinned=pins)
+    with pytest.raises(ParseError, match=f"bad pin entry {entry}"):
+        Configuration(pins)
+    with pytest.raises(ParseError, match=f"bad pin entry {entry}"):
+        exact_block_marginal(Instance(g, params), [1], pins)
     with pytest.raises(ParseError, match="mapping or"):
         Instance(g, params, 5)
+    for bad in (5, None):
+        with pytest.raises(ParseError, match="mapping or"):
+            Configuration(bad)
     assert Instance(g, params, [(0, 1), (2, 3)]).pinned == {0: 1, 2: 3}
+    assert Configuration([(0, 1), (2, 3)]) == Configuration({0: 1, 2: 3})
 
 
 def test_int_subclass_pins_accepted():

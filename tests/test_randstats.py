@@ -84,6 +84,9 @@ def test_expected_contraction_validation():
         expected_contraction(10, 0, 17)
     with pytest.raises(ParseError):
         expected_contraction(10, 11, 17)
+    for bad in ("x", True, None):
+        with pytest.raises(ParseError, match="real number"):
+            expected_contraction(10, bad, 5)
 
 
 # ------------------------------------------------------------- growth walk
@@ -154,6 +157,8 @@ def test_growth_walk_validation():
         ("q", 5),
         ("d", -0.5),
         ("d", 101),
+        ("d", "x"),
+        ("d", True),
         ("seed", -3),
         ("seed", 1.5),
         ("seed", 2**128),
