@@ -22,7 +22,8 @@ import itertools
 import numpy as np
 
 from .errors import BudgetError, ParseError
-from .model import _check_int, _check_seed, _check_vertex
+from .graph import _check_graph
+from .model import Instance, _check_instance, _check_int, _check_params, _check_seed, _check_vertex
 from .saw import _saws
 
 DEFAULT_BLOCK_BUDGET = 64
@@ -79,6 +80,8 @@ def minimal_permissive_block(instance, seeds, block_budget=DEFAULT_BLOCK_BUDGET)
     block_budget + 1. The budget must be an integer >= 0, and every seed
     is checked before the seed set is sorted (ParseError).
     """
+    if not isinstance(instance, Instance):  # inline: the recursion calls this per node
+        _check_instance(instance)
     _check_int(block_budget, "block_budget", 0)
     graph = instance.graph
     pinned = instance.pinned
@@ -180,6 +183,8 @@ def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
     More than config_budget of them raise BudgetError; config_budget must be
     an integer >= 0 (ParseError).
     """
+    if not isinstance(instance, Instance):  # inline: the recursion calls this per node
+        _check_instance(instance)
     _check_int(config_budget, "config_budget", 0)
     verts = tuple(sorted(verts))
     for v in verts:
@@ -197,6 +202,7 @@ def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
 
 def first_feasible_tuple(instance, verts):
     """First feasible configuration in lexicographic order, or None."""
+    _check_instance(instance)
     verts = tuple(sorted(verts))
     for v in verts:
         _check_vertex(instance.graph, v)
@@ -269,6 +275,8 @@ def verify_locally_sparse(
     grows `trials` (at least 1) random self-avoiding walks from a Philox
     stream keyed by the seed, so it needs at least one vertex to start from.
     """
+    _check_graph(graph)
+    _check_params(params)
     _check_int(l_max, "l_max", 0)
     _check_int(walk_budget, "walk_budget", 0)
     if mode not in ("exhaustive", "sampled"):

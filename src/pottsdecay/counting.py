@@ -11,7 +11,11 @@ earlier pins that decay._region_steps lists for v, so log Z and every
 per-vertex marginal are those of the step that carries all earlier pins.
 Each node of the recursion then copies and checks O(region) pins, not O(n).
 The colour memo's held colours shrink to the region's, so its evaluations
-and cache_hits may fall.
+and cache_hits may fall. One step Instance serves the whole pass: each step
+replaces its pins with the step's region pins, which are the instance's
+own, already checked, or anchor colours in 1..q, so no step builds an
+Instance or checks its pins again (find_feasible_config grows its Instance
+in place the same way). Each step still calls marg or marg_coloring.
 """
 
 from __future__ import annotations
@@ -33,7 +37,14 @@ from .decay import (
     marg_coloring,
 )
 from .errors import InfeasibleError
-from .model import Configuration, Instance, _check_int, _check_seed, monochromatic_edges
+from .model import (
+    Configuration,
+    Instance,
+    _check_instance,
+    _check_int,
+    _check_seed,
+    monochromatic_edges,
+)
 
 
 @dataclass
@@ -74,6 +85,7 @@ def find_feasible_config(instance, block_budget=DEFAULT_BLOCK_BUDGET):
     block has no proper coloring, and BudgetError when a block outgrows
     block_budget, which must be an integer >= 0 (ParseError) at every beta.
     """
+    _check_instance(instance)
     params = instance.params
     _check_q(params)
     _check_int(block_budget, "block_budget", 0)
@@ -136,8 +148,11 @@ def estimate_partition(graph, params, L=None, pinned=None, order_seed=None, limi
     pins = dict(instance.pinned)
     per_vertex = []
     diagnostics = MargDiagnostics()
+    # The region pins are the instance's own or anchor colours, so each step
+    # sets them on one Instance without checking them again.
+    step = Instance(graph, params)
     for v, region_pins in _region_steps(instance, order, depth):
-        step = Instance(graph, params, {u: pins[u] for u in region_pins})
+        step.pinned = {u: pins[u] for u in region_pins}
         x = anchor[v]
         p, diag = estimate(step, v, x, depth, limits=limits)
         diagnostics.merge(diag)

@@ -92,7 +92,11 @@ positions, and a miss pins the kept positions only. The dropped prefix pins
 lie outside the region, so leaving them unpinned moves neither the vector
 nor recursive_calls, termination_events, infeasible_events, max_block_size
 or max_f_size, nor the error raised. When no position is kept, every
-pattern shares one vector as is. An index that walks its region holds only
+pattern shares one vector as is. A walk costs one pass over its region: it
+runs breadth first, with no heap, while every vertex it expands has only
+low-degree unpinned neighbours, as every vertex does in the paper's FPTAS
+regime, and only a walk that meets a high-degree unpinned neighbour runs
+the heap walk (see _read_region). An index that walks its region holds only
 the colours of the parent's pins inside it (held_i, and free_i the other
 colours): its children read no other pin, so a colour permutation that
 moves the colour of a pin outside the region changes nothing they read,
@@ -183,15 +187,16 @@ fallback, a view is built only for a region walk. Through singleton nodes
 the recursion alternates _node_vector and _lean_vector, a flat kernel: a
 served node runs _node_vector, _lean_vector, and _denominator with its
 _logsumexp, four Python frames, plus _view and _read_region for each region
-walk; a leaf child runs _node_vector alone. A call adds a _check_limits
-frame only when max_calls or deadline is set. The kernel filters v's row,
-updates the size maxima, charges the memo hits and clamps to
-params.marginal_upper_bound inline. The root call runs in a plain try in
-_root_vector (and marg_block): a BudgetError gets the root's diagnostics
-attached and is re-raised, and a RecursionError becomes _too_deep's
-BudgetError. On perfbench's partition-cycle workload every block is one
-vertex and no child can read its node's pin, so no call falls back: no
-Instance is built, and the only views are those of the region walks.
+walk (a low-degree walk never enters _heap_region); a leaf child runs
+_node_vector alone. A call adds a _check_limits frame only when max_calls
+or deadline is set. The kernel filters v's row, updates the size maxima,
+charges the memo hits and clamps to params.marginal_upper_bound inline. The
+root call runs in a plain try in _root_vector (and marg_block): a
+BudgetError gets the root's diagnostics attached and is re-raised, and a
+RecursionError becomes _too_deep's BudgetError. On perfbench's
+partition-cycle workload every block is one vertex and no child can read
+its node's pin, so no call falls back: no Instance is built, and the only
+views are those of the region walks.
 """
 
 from __future__ import annotations
@@ -210,8 +215,17 @@ from .blocks import (
     minimal_permissive_block,
 )
 from .errors import BudgetError, InfeasibleError, ParseError
-from .graph import _kept_row, _view
-from .model import Configuration, Instance, _check_color, _check_int, _check_vertex, _is_real
+from .graph import Graph, _check_graph, _kept_row, _view
+from .model import (
+    Configuration,
+    Instance,
+    _check_color,
+    _check_instance,
+    _check_int,
+    _check_params,
+    _check_vertex,
+    _is_real,
+)
 from .saw import e_delta_profile
 
 
@@ -308,6 +322,8 @@ def escape_paths(graph, block, v):
     vertices to u and finishes with the hop to w, so its length is the hop
     distance from v to u inside the block, plus one.
     """
+    if not isinstance(graph, Graph):  # inline: the recursion calls this per node
+        _check_graph(graph)
     inside = set(block.vertices)
     if v not in inside:
         raise ParseError(f"escape path anchor {v} is not in the block")
@@ -803,13 +819,62 @@ def read_region(instance, v, ell):
     the walk takes that one hop without a search. R(u, e) only grows with e,
     so a state (u, e) is pruned when u was already expanded at a depth >= e;
     states are expanded deepest first, so each vertex is expanded once.
+
+    Breadth first. While every state the walk expands is a one-hop state,
+    each hop costs exactly one unit of depth. So the states come in levels,
+    all of depth e before any of depth e - 1, and a vertex is deepest when
+    first seen: the first expanded vertex whose row holds x is at the
+    deepest level any such vertex reaches, and it gives x the state e - 1. A
+    vertex already in the region was added at a level >= e, so it holds a
+    state >= e - 1 already, unless it was added at a level below 0, which is
+    the last level expanded. A walk level by level, with the region as its
+    visited set, thus expands the states the heap walk expands and returns
+    the same set, with no heap and no best map. At the first expanded vertex
+    with an unpinned high-degree neighbour a hop may cost more than one
+    unit, so _read_region starts the heap walk (_heap_region) afresh from v.
     """
+    _check_instance(instance)
     _common_checks(instance, v)
     return _read_region(instance.graph, instance.params, instance.pinned, v, _depth(ell))
 
 
 def _read_region(graph, params, pinned, v, ell):
     """read_region on a graph and any container of pinned vertices.
+
+    Breadth first, one level per unit of depth, with the region as its
+    visited set, while every vertex it expands has only low-degree unpinned
+    neighbours; at the first vertex that has another, it hands the walk to
+    _heap_region, which starts again from v (see read_region's proof).
+    """
+    adj = graph.adjacency
+    max_low = params.max_low_degree
+    region = {v}
+    level = [v]
+    e = ell
+    # At beta > 0 a state with e < 0 is a leaf, so no level below 0 expands.
+    while level and (e >= 0 or not params.beta_positive):
+        nxt = []
+        for u in level:
+            if u in pinned:
+                continue
+            row = adj[u]
+            for w in row:
+                if w not in pinned and len(adj[w]) > max_low:
+                    return _heap_region(graph, params, pinned, v, ell)
+            if e < 0:  # the beta = 0 cut-off reads its row and expands nothing
+                region.update(row)
+                continue
+            for x in row:
+                if x not in region:
+                    region.add(x)
+                    nxt.append(x)
+        level = nxt
+        e -= 1
+    return region
+
+
+def _heap_region(graph, params, pinned, v, ell):
+    """_read_region's walk over states (u, e), popped deepest first.
 
     A popped, expanded state u whose unpinned neighbours are all low-degree
     has B*(u) = {u} and d* = 1 on u's row: the walk adds the row and pushes
@@ -883,7 +948,7 @@ def _region_steps(instance, order, depth):
     steps = []
     for v in order:
         region = _read_region(graph, params, pinned, v, depth)
-        steps.append((v, sorted(x for x in region if x in pinned)))
+        steps.append((v, sorted(region & pinned)))
         pinned.add(v)
     return steps
 
@@ -909,6 +974,7 @@ def _marg_scalar(instance, v, x, ell, limits):
 
 def marg(instance, v, x, ell, limits=None):
     """Estimate Pr[c(v) = x], beta > 0 variant. Returns (value, diagnostics)."""
+    _check_instance(instance)
     if instance.params.beta == 0:
         raise ParseError("beta = 0: use marg_coloring")
     return _marg_scalar(instance, v, x, ell, limits)
@@ -916,6 +982,7 @@ def marg(instance, v, x, ell, limits=None):
 
 def marg_coloring(instance, v, x, ell, limits=None):
     """Estimate Pr[c(v) = x], beta = 0 (proper coloring) variant."""
+    _check_instance(instance)
     if instance.params.beta != 0:
         raise ParseError("beta > 0: use marg")
     return _marg_scalar(instance, v, x, ell, limits)
@@ -923,6 +990,7 @@ def marg_coloring(instance, v, x, ell, limits=None):
 
 def marginal_vector(instance, v, ell, limits=None):
     """Raw clamped per-color estimates at v (no normalization applied)."""
+    _check_instance(instance)
     _common_checks(instance, v)
     vec, diag = _root_vector(instance, v, ell, limits)
     diag.raw_sum = math.fsum(vec)
@@ -947,6 +1015,7 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
     the graph, and its boundary_edges must list each edge leaving it once,
     as (block vertex, outside vertex), in any order.
     """
+    _check_instance(instance)
     _check_q(instance.params)
     limits = _limits(limits)
     graph = instance.graph
@@ -1003,6 +1072,8 @@ def error_bound(graph, v, L, params, alpha, prefactor="conservative"):
     prefactor: q + n*ln(1/beta) by default (prefactor="degree" uses the
     vertex degree instead of n), or n*ln(q) when beta = 0.
     """
+    _check_graph(graph)
+    _check_params(params)
     _check_vertex(graph, v)
     if _depth(L) < 1:
         raise ParseError("depth L must be >= 1")

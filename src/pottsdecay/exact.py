@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, InfeasibleError, ParseError
-from .model import Configuration, _check_int, _check_vertex, monochromatic_edges
+from .model import Configuration, _check_instance, _check_int, _check_vertex, monochromatic_edges
 
 DEFAULT_BUDGET = 10**7
 _CHUNK = 1 << 16
@@ -196,6 +196,7 @@ def _enumerate(instance, budget, root=None, first_only=False):
 
 def exact_partition(instance, budget=DEFAULT_BUDGET):
     """Exact partition function (0.0 when no positive-weight configuration exists)."""
+    _check_instance(instance)
     _check_int(budget, "budget", 0)
     z, _, iso = _enumerate(instance, budget)
     return z * instance.params.q**iso
@@ -207,6 +208,7 @@ def exact_marginal_vector(instance, v, budget=DEFAULT_BUDGET):
     A pinned v yields its indicator vector. Raises InfeasibleError when the
     instance has no positive-weight configuration at all.
     """
+    _check_instance(instance)
     graph = instance.graph
     params = instance.params
     _check_vertex(graph, v)
@@ -231,6 +233,7 @@ def exact_block_marginal(instance, block, pi, budget=DEFAULT_BUDGET):
 
     Every block vertex is checked before the block is sorted.
     """
+    _check_instance(instance)
     verts = tuple(block.vertices if hasattr(block, "vertices") else block)
     for v in verts:
         _check_vertex(instance.graph, v)
@@ -249,6 +252,7 @@ def exact_block_marginal(instance, block, pi, budget=DEFAULT_BUDGET):
 
 def is_feasible(instance, budget=DEFAULT_BUDGET):
     """Whether any configuration of positive weight extends the pinning."""
+    _check_instance(instance)
     _check_int(budget, "budget", 0)
     if instance.params.beta > 0:
         return True
@@ -263,6 +267,7 @@ def exact_gibbs_table(instance, budget=10**6):
     are omitted, so the keys are exactly the Gibbs support. Raises
     InfeasibleError when the total weight is 0.
     """
+    _check_instance(instance)
     _check_int(budget, "budget", 0)
     graph = instance.graph
     params = instance.params

@@ -166,6 +166,12 @@ class _ViewAdjacency(dict):
         return (self[v] for v in range(len(self._rows)))
 
 
+def _check_graph(graph):
+    """Raise ParseError unless graph is a Graph."""
+    if not isinstance(graph, Graph):
+        raise ParseError(f"expected a Graph, got {type(graph).__name__}")
+
+
 def _view(root, removed):
     """The view of root graph `root` without the canonical edges in `removed`.
 
@@ -275,6 +281,7 @@ def generate(family, **params):
 
 def serialize_graph(graph, pinned=None):
     """Render graph (and optional pinning) in the instance file format."""
+    _check_graph(graph)
     lines = [f"graph {graph.n}"]
     for u, v in graph.edges:
         lines.append(f"edge {u} {v}")

@@ -238,12 +238,32 @@ def _check_pin_types(v, c):
         )
 
 
+# graph.Graph, bound by _check_instance_graph on first use: graph.py imports
+# this module, so this module cannot import graph.py when it loads.
+_Graph = None
+
+
+def _check_instance_graph(graph):
+    """Raise ParseError unless graph is a Graph, and bind _Graph."""
+    global _Graph
+    from .graph import Graph, _check_graph
+
+    _Graph = Graph
+    _check_graph(graph)
+
+
 class Instance:
     """A graph together with model parameters and a pinning of some vertices."""
 
     __slots__ = ("graph", "params", "pinned")
 
     def __init__(self, graph, params, pinned=None):
+        # The recursion builds an Instance per fallback node, so the types
+        # are tested inline; a helper runs only on first use or to raise.
+        if type(graph) is not _Graph:
+            _check_instance_graph(graph)
+        if not isinstance(params, PottsParams):
+            _check_params(params)
         pins = _as_pin_dict(pinned)
         n = graph.n
         q = params.q
@@ -278,6 +298,18 @@ class Instance:
         )
 
 
+def _check_params(params):
+    """Raise ParseError unless params is a PottsParams."""
+    if not isinstance(params, PottsParams):
+        raise ParseError(f"expected PottsParams, got {type(params).__name__}")
+
+
+def _check_instance(instance):
+    """Raise ParseError unless instance is an Instance."""
+    if not isinstance(instance, Instance):
+        raise ParseError(f"expected an Instance, got {type(instance).__name__}")
+
+
 def _total_colors(instance, config):
     colors = _as_pin_dict(config) if not isinstance(config, Configuration) else config.assignment
     n = instance.graph.n
@@ -295,6 +327,7 @@ def monochromatic_edges(graph, colors):
 
 def weight(instance, config):
     """Weight beta^(#monochromatic edges), or 0.0 if the pinning is violated."""
+    _check_instance(instance)
     colors = _total_colors(instance, config)
     for v, c in instance.pinned.items():
         if colors[v] != c:

@@ -12,13 +12,14 @@ Reach-keyed cache. A depth-L estimate at v reads only the pins that
 decay._region_steps lists for v, computed once per batch. A conditional is
 keyed by v and the colours of those pins, relabelled in order of first
 appearance (decay._canonical's rule, no colour held). A miss evaluates
-marginal_distribution on an instance holding only the canonical region
-pins; every other pattern of the class reads the vector back through the
-colour permutation, once, and is then stored under its own key.
-This moves no float: the restricted instance reads exactly the values the
-full one reads, the estimator is colour-equivariant bit for bit (see
-decay's module docstring), and the normalising math.fsum does not depend on
-order. The cache lives for one sample_batch call.
+marginal_distribution on the batch's one step Instance, whose pins it
+replaces with the canonical region pins (palette colours on vertices of the
+graph, so they need no check); every other pattern of the class reads the
+vector back through the colour permutation, once, and is then stored under
+its own key. This moves no float: the restricted instance reads exactly the
+values the full one reads, the estimator is colour-equivariant bit for bit
+(see decay's module docstring), and the normalising math.fsum does not
+depend on order. The cache lives for one sample_batch call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .decay import (
 )
 from .errors import InfeasibleError, ParseError
 from .exact import exact_gibbs_table
-from .model import Configuration, Instance, _check_seed, weight
+from .model import Configuration, Instance, _check_instance, _check_seed, weight
 
 
 @dataclass
@@ -91,6 +92,7 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
     every earlier draw, so the sampler runs on one thread; `threads` accepts
     only 1 and goes with ROADMAP item 1's "Pass no `threads=`" bullet.
     """
+    _check_instance(instance)
     if isinstance(threads, bool) or not isinstance(threads, int) or threads != 1:
         raise ParseError(f"sample_batch runs on one thread, got threads={threads!r}")
     _check_q(instance.params)
@@ -105,6 +107,9 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
     # to (v's conditional vector, its termination events).
     steps = _region_steps(instance, instance.unpinned(), depth)
     entries = {v: {} for v, _ in steps}
+    # Each miss sets the canonical region pins, palette colours on vertices
+    # of the graph, on this one Instance without checking them again.
+    step = Instance(instance.graph, instance.params)
     batch = SampleBatch(seed=seed, depth=depth)
     for i in range(n_samples):
         rng = _rng_for(seed, i)
@@ -118,8 +123,7 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
                 canon, moves = _canonical(pat, (), colours)
                 entry = known.get(canon)
                 if entry is None:
-                    pins = dict(zip(region_pins, canon))
-                    step = Instance(instance.graph, instance.params, pins)
+                    step.pinned = dict(zip(region_pins, canon))
                     vec, diag = marginal_distribution(step, v, depth, limits=limits)
                     entry = known[canon] = (vec, diag.termination_events)
                     batch.conditionals_evaluated += 1
@@ -140,6 +144,8 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
 
 def empirical_tv(batch, instance, budget=10**6):
     """Total-variation distance between the batch and the exact Gibbs law."""
+    if not isinstance(batch, SampleBatch):
+        raise ParseError(f"expected a SampleBatch, got {type(batch).__name__}")
     probs = exact_gibbs_table(instance, budget)
     n = instance.graph.n
     counts = {}

@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, ParseError
+from .graph import _check_graph
 from .model import PottsParams, _check_int, _check_vertex, _is_real
 
 log = logging.getLogger(__name__)
@@ -125,6 +126,7 @@ def enumerate_saws(graph, v, length):
     Walks come out in lexicographic order of their vertex sequences; length 0
     yields the single walk (v,).
     """
+    _check_graph(graph)
     _check_vertex(graph, v)
     _check_int(length, "length", 0)
     for path in _saws(graph.adjacency, v, length):
@@ -134,6 +136,7 @@ def enumerate_saws(graph, v, length):
 
 def e_delta_profile(graph, v, l_max, delta, extension_budget=None):
     """Delta-weighted SAW sums for all lengths 0..l_max in one pass."""
+    _check_graph(graph)
     _check_vertex(graph, v)
     _check_int(l_max, "l_max", 0)
     if extension_budget is not None:
@@ -170,6 +173,7 @@ def verify_contraction(graph, delta, l_max, extension_budget=DEFAULT_EXTENSION_B
     budget_exhausted=true in the report; a truncated scan certifies nothing,
     so its verdict is contracting=false whatever its gamma.
     """
+    _check_graph(graph)
     _check_int(l_max, "l_max", 1)
     _check_int(extension_budget, "extension_budget", 0)
     values = _delta_by_vertex(graph, delta)

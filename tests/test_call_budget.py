@@ -9,16 +9,19 @@ path cheaper lowers a figure to its own; a change that must add calls
 raises it and says why.
 
 CALLS_PER_EVALUATION guards the partition-cycle regime (every block a
-singleton, beta > 0). With the flat singleton kernel (`decay._lean_vector`)
-and the leaf rule answered inside `decay._node_vector`, the run makes 3 081
-calls for 404 evaluations; with the leaf rule in a helper of its own it made
-3 888, and the evaluator before the kernel 5 786.
+singleton, beta > 0). With the flat singleton kernel (`decay._lean_vector`),
+the leaf rule answered inside `decay._node_vector`, breadth-first region
+walks (`decay._read_region`) and one step Instance per telescoping pass, the
+run makes 2 797 calls for 404 evaluations; with heap walks and an Instance
+per step it made 3 081, with the leaf rule in a helper of its own 3 888, and
+the evaluator before the kernel 5 786.
 
 GENERAL_CALLS_PER_EVALUATION guards the general block path: a caterpillar
 at q = 6 and beta = 0, whose spine vertices are high-degree, so blocks
 reach five vertices and the colour memo serves most children. The run makes
-73 463 calls for 179 evaluations; with the leaf rule in a helper of its own
-it made 79 341.
+73 409 calls for 179 evaluations; with an Instance per telescoping step and
+a generator in `decay._region_steps` it made 73 462, and with the leaf rule
+in a helper of its own 79 341.
 """
 
 import gc
@@ -26,8 +29,8 @@ import sys
 
 from pottsdecay import PottsParams, estimate_partition, generate_caterpillar, generate_cycle
 
-CALLS_PER_EVALUATION = 3081 / 404
-GENERAL_CALLS_PER_EVALUATION = 73463 / 179
+CALLS_PER_EVALUATION = 2858 / 404
+GENERAL_CALLS_PER_EVALUATION = 73430 / 179
 
 
 def _count_calls(graph, params, L):

@@ -3,14 +3,17 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import pottsdecay
 from pottsdecay import (
     Graph,
     Instance,
@@ -621,10 +624,16 @@ def test_instance_file_alias(edge_file, capsys):
 
 
 def test_console_script_installed():
+    # The child imports the package these tests import, with or without a
+    # PYTHONPATH in the caller's environment.
+    src = str(Path(pottsdecay.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pottsdecay.cli", "gen", "--family", "path", "--n", "2"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=60,
     )
     assert proc.returncode == 0

@@ -10,13 +10,20 @@ from pottsdecay import (
     ParseError,
     PottsError,
     PottsParams,
+    decay,
     e_delta_profile,
+    empirical_tv,
     enumerate_saws,
+    error_bound,
+    escape_paths,
     estimate_partition,
     exact_block_marginal,
+    exact_gibbs_table,
     exact_marginal_vector,
+    exact_partition,
     expected_contraction,
     feasible_tuples,
+    find_feasible_config,
     first_feasible_tuple,
     generate_caterpillar,
     generate_complete,
@@ -24,12 +31,17 @@ from pottsdecay import (
     generate_gnp,
     generate_path,
     generate_star,
+    is_feasible,
     marg,
+    marg_block,
     marg_coloring,
+    marginal_distribution,
+    marginal_vector,
     minimal_permissive_block,
     monochromatic_edges,
     parse_activity,
     sample_batch,
+    serialize_graph,
     simulate_block_growth,
     verify_contraction,
     verify_locally_sparse,
@@ -344,4 +356,57 @@ _INT_ARGS_NOT_1 = {
 def test_integer_argument_rejected_where_1_is_out_of_range(call, good, bad):
     with pytest.raises(PottsError):
         call(bad)
+    call(good)
+
+
+# Public entries, each as a function of its one Instance, Graph or
+# PottsParams argument, with a value of the right type.
+_INST3 = Instance(_PATH3, _Q3)
+_HALF_INST3 = Instance(_PATH3, _HALF3)
+_BLOCK = minimal_permissive_block(_INST3, [0])
+_BATCH = sample_batch(_INST3, 1, 2, 1)
+_TYPED_ARGS = {
+    "Instance-graph": (lambda g: Instance(g, _Q3), _PATH3),
+    "Instance-params": (lambda p: Instance(_PATH3, p), _Q3),
+    "estimate_partition-graph": (lambda g: estimate_partition(g, _Q3, L=1), _PATH3),
+    "estimate_partition-params": (lambda p: estimate_partition(_PATH3, p, L=1), _Q3),
+    "marginal_vector": (lambda i: marginal_vector(i, 0, 2), _INST3),
+    "marginal_distribution": (lambda i: marginal_distribution(i, 0, 2), _INST3),
+    "marg": (lambda i: marg(i, 0, 1, 2), _HALF_INST3),
+    "marg_coloring": (lambda i: marg_coloring(i, 0, 1, 2), _INST3),
+    "marg_block": (lambda i: marg_block(i, _BLOCK, {0: 1, 1: 2, 2: 1}, 2), _INST3),
+    "read_region": (lambda i: decay.read_region(i, 0, 2), _INST3),
+    "sample_batch": (lambda i: sample_batch(i, 2, 2, 1), _INST3),
+    "find_feasible_config": (lambda i: find_feasible_config(i), _INST3),
+    "empirical_tv-batch": (lambda b: empirical_tv(b, _INST3), _BATCH),
+    "empirical_tv-instance": (lambda i: empirical_tv(_BATCH, i), _INST3),
+    "error_bound-graph": (lambda g: error_bound(g, 0, 2, _HALF3, 0.5), _PATH3),
+    "error_bound-params": (lambda p: error_bound(_PATH3, 0, 2, p, 0.5), _HALF3),
+    "exact_partition": (lambda i: exact_partition(i), _INST3),
+    "exact_marginal_vector": (lambda i: exact_marginal_vector(i, 0), _INST3),
+    "exact_block_marginal": (lambda i: exact_block_marginal(i, _BLOCK, {0: 1, 1: 2, 2: 1}), _INST3),
+    "is_feasible": (lambda i: is_feasible(i), _INST3),
+    "exact_gibbs_table": (lambda i: exact_gibbs_table(i), _INST3),
+    "minimal_permissive_block": (lambda i: minimal_permissive_block(i, [0]), _INST3),
+    "feasible_tuples": (lambda i: feasible_tuples(i, [0]), _INST3),
+    "first_feasible_tuple": (lambda i: first_feasible_tuple(i, [0]), _INST3),
+    "weight": (lambda i: weight(i, {0: 1, 1: 2, 2: 1}), _INST3),
+    "escape_paths": (lambda g: escape_paths(g, _BLOCK, 0), _PATH3),
+    "e_delta_profile": (lambda g: e_delta_profile(g, 0, 2, 0.5), _PATH3),
+    "enumerate_saws": (lambda g: list(enumerate_saws(g, 0, 1)), _PATH3),
+    "verify_contraction": (lambda g: verify_contraction(g, _Q3, 2), _PATH3),
+    "verify_locally_sparse-graph": (lambda g: verify_locally_sparse(g, _Q3, 2), _PATH3),
+    "verify_locally_sparse-params": (lambda p: verify_locally_sparse(_PATH3, p, 2), _Q3),
+    "serialize_graph": (lambda g: serialize_graph(g), _PATH3),
+}
+
+
+@pytest.mark.parametrize("call, good", list(_TYPED_ARGS.values()), ids=list(_TYPED_ARGS))
+def test_argument_of_the_wrong_type_rejected(call, good):
+    # An Instance, Graph, PottsParams or SampleBatch argument of another type
+    # fails as a ParseError, never as a bare AttributeError (CLI exit 5).
+    for bad in (_PATH3, _INST3, _Q3, _BATCH, 4, None):
+        if type(bad) is not type(good):
+            with pytest.raises(ParseError, match="expected"):
+                call(bad)
     call(good)
