@@ -21,9 +21,9 @@ import itertools
 
 import numpy as np
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, _check_int, _check_seed
 from .graph import _check_graph
-from .model import Instance, _check_instance, _check_int, _check_params, _check_seed, _check_vertex
+from .model import Instance, _check_instance, _check_params, _check_vertex
 from .saw import _saws
 
 DEFAULT_BLOCK_BUDGET = 64
@@ -41,8 +41,13 @@ class Block:
     __slots__ = ("vertices", "boundary_edges")
 
     def __init__(self, vertices, boundary_edges):
-        self.vertices = tuple(sorted(vertices))
-        self.boundary_edges = tuple(boundary_edges)
+        try:
+            self.vertices = tuple(sorted(vertices))
+            self.boundary_edges = tuple(boundary_edges)
+        except TypeError:
+            raise ParseError(
+                "a Block needs an iterable of comparable vertices and one of boundary edges"
+            ) from None
 
     @property
     def m(self):

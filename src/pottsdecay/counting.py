@@ -36,15 +36,8 @@ from .decay import (
     marg,
     marg_coloring,
 )
-from .errors import InfeasibleError
-from .model import (
-    Configuration,
-    Instance,
-    _check_instance,
-    _check_int,
-    _check_seed,
-    monochromatic_edges,
-)
+from .errors import InfeasibleError, _check_int, _check_seed
+from .model import Configuration, Instance, _check_instance, monochromatic_edges
 
 
 @dataclass

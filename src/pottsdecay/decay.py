@@ -214,17 +214,15 @@ from .blocks import (
     feasible_tuples,
     minimal_permissive_block,
 )
-from .errors import BudgetError, InfeasibleError, ParseError
+from .errors import BudgetError, InfeasibleError, ParseError, _check_int, _is_real
 from .graph import Graph, _check_graph, _kept_row, _view
 from .model import (
     Configuration,
     Instance,
     _check_color,
     _check_instance,
-    _check_int,
     _check_params,
     _check_vertex,
-    _is_real,
 )
 from .saw import e_delta_profile
 
@@ -816,7 +814,7 @@ def read_region(instance, v, ell):
     B*(u) with its neighbours, together with R(x, e - d*(x)) for every x
     of those other than u when e >= 0. When every unpinned neighbour of u is
     low-degree, B*(u) is {u}, its neighbours are u's, and d* is 1 on each:
-    the walk takes that one hop without a search. R(u, e) only grows with e,
+    such a one-hop state adds u's row at e - 1. R(u, e) only grows with e,
     so a state (u, e) is pruned when u was already expanded at a depth >= e;
     states are expanded deepest first, so each vertex is expanded once.
 
@@ -876,38 +874,21 @@ def _read_region(graph, params, pinned, v, ell):
 def _heap_region(graph, params, pinned, v, ell):
     """_read_region's walk over states (u, e), popped deepest first.
 
-    A popped, expanded state u whose unpinned neighbours are all low-degree
-    has B*(u) = {u} and d* = 1 on u's row: the walk adds the row and pushes
-    each neighbour at e - 1, which is what the breadth-first search over
-    B*(u) would find, without building its distance dict.
+    Each expanded state runs a breadth-first search over B*(u) for d*, which
+    on a state whose unpinned neighbours are all low-degree finds u's row
+    at distance 1. Every state is pushed from a search's dist, which joins
+    the region first, so the region starts as {v} and a pop adds nothing.
     """
     adj = graph.adjacency
     max_low = params.max_low_degree
     beta_positive = params.beta_positive
-    region = set()
+    region = {v}
     best = {v: ell}
     heap = [(-ell, v)]
     while heap:
         neg_e, u = heapq.heappop(heap)
         e = -neg_e
-        if best[u] != e:
-            continue
-        region.add(u)
-        if u in pinned or (beta_positive and e < 0):
-            continue
-        row = adj[u]
-        for w in row:
-            if w not in pinned and len(adj[w]) > max_low:
-                break
-        else:
-            # One hop: B*(u) = {u}, and d* = 1 on u's row.
-            region.update(row)
-            if e >= 0:
-                ex = e - 1
-                for x in row:
-                    if ex > best.get(x, ex - 1):
-                        best[x] = ex
-                        heapq.heappush(heap, (-ex, x))
+        if best[u] != e or u in pinned or (beta_positive and e < 0):
             continue
         # d* over B*(u) and its neighbours, breadth first from u; only B*
         # vertices (u, then unpinned high-degree ones) are expanded.

@@ -1,26 +1,27 @@
 """Brute-force oracles: exact partition functions, marginals, and the Gibbs law.
 
 Everything here enumerates configurations, so it only runs on small problems;
-the point is to be an independent ground truth for the estimator. There is
-one enumerator per regime, each metered against a budget. At beta = 0 a
-backtracking walk counts proper colorings; it spends one budget unit per
-completed coloring and one per dead-ended prefix. At beta > 0 a chunked numpy
-sweep sums beta^mono over all q^k colorings of the k active vertices; q^k is
-checked against the budget before the sweep starts. Unpinned isolated
-vertices are factored out analytically (each contributes a factor q to every
-configuration class), so derived instances whose interiors were edge-stripped
-cost nothing extra.
+the point is to be an independent ground truth for the estimator. There are
+two enumerators, each metered against a budget. At beta = 0 a backtracking
+walk counts proper colorings; it spends one budget unit per completed
+coloring and one per dead-ended prefix. Otherwise a chunked numpy sweep
+(_sweep) runs over all q^k colorings of k vertices; q^k is checked against
+the budget before it starts. It weighs each configuration as model.weight
+does, beta**m for its m monochromatic edges, read from a table of Python
+floats. The beta > 0 oracles sum its weights, and the Gibbs table, at every
+beta, keeps its nonzero ones. Unpinned isolated vertices are factored out
+analytically (each contributes a factor q to every configuration class), so
+derived instances whose interiors were edge-stripped cost nothing extra.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .errors import BudgetError, InfeasibleError, ParseError
-from .model import Configuration, _check_instance, _check_int, _check_vertex, monochromatic_edges
+from .errors import BudgetError, InfeasibleError, ParseError, _check_int
+from .model import Configuration, _check_instance, _check_vertex
 
 DEFAULT_BUDGET = 10**7
 _CHUNK = 1 << 16
@@ -120,55 +121,49 @@ def _dfs_enumerate(instance, active, budget, root=None, first_only=False):
     return float(z), None if vec is None else [float(x) for x in vec]
 
 
-def _vector_enumerate(instance, active, budget, root=None):
-    """Chunked numpy sum of beta^mono over all q^k colorings of `active` (beta > 0).
+def _sweep(instance, verts):
+    """Yield (digits, weights) per _CHUNK of the q^k colorings of `verts`.
 
-    Returns (z, vec) like `_dfs_enumerate`, with weights in place of counts.
-    Raises BudgetError before any work when q^k exceeds the budget.
+    A coloring's code has the color minus 1 of verts[i] as its base-q digit
+    i, most significant first, and the codes run in ascending order:
+    digits[i] is the array of verts[i]'s digits over the chunk's codes. A
+    weight is beta**m, read from a table of Python floats, where m counts
+    the monochromatic edges with an endpoint in `verts` and the
+    monochromatic pinned-pinned edges. When every other vertex with an edge
+    is pinned, that is the float model.weight gives the configuration.
     """
     graph = instance.graph
     q = instance.params.q
     beta = instance.params.beta_float
     pinned = instance.pinned
-    k = len(active)
+    k = len(verts)
     total = q**k
-    if total > budget:
-        raise BudgetError(f"enumeration budget {budget} exceeded: q^k = {q}^{k}")
-    pos = {v: i for i, v in enumerate(active)}
-    # a coloring's code has the color minus 1 of active[i] as its base-q digit
-    # i, most significant first
-    aa_edges = []
-    ap_edges = []
+    pos = {v: i for i, v in enumerate(verts)}
+    table = np.array([beta**m for m in range(graph.m + 1)])
+    base = 0
+    vv_edges = []
+    vp_edges = []
     for u, v in graph.edges:
         iu, iv = pos.get(u), pos.get(v)
         if iu is not None and iv is not None:
-            aa_edges.append((iu, iv))
+            vv_edges.append((iu, iv))
         elif iu is not None:
-            ap_edges.append((iu, pinned[v] - 1))
+            vp_edges.append((iu, pinned[v] - 1))
         elif iv is not None:
-            ap_edges.append((iv, pinned[u] - 1))
-    root_pos = pos[root] if root is not None else None
-    z_parts = []
-    vec_parts = []
+            vp_edges.append((iv, pinned[u] - 1))
+        elif u in pinned and v in pinned and pinned[u] == pinned[v]:
+            base += 1
     for lo in range(0, total, _CHUNK):
         rest = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         digits = [None] * k
         for i in range(k - 1, -1, -1):
             rest, digits[i] = np.divmod(rest, q)
-        mono = np.zeros(rest.size, dtype=np.int32)
-        for i, j in aa_edges:
+        mono = np.full(rest.size, base, dtype=np.int64)
+        for i, j in vv_edges:
             mono += digits[i] == digits[j]
-        for i, c in ap_edges:
+        for i, c in vp_edges:
             mono += digits[i] == c
-        w = beta**mono
-        z_parts.append(float(w.sum()))
-        if root_pos is not None:
-            vec_parts.append(np.bincount(digits[root_pos], weights=w, minlength=q))
-    z = math.fsum(z_parts)
-    vec = None
-    if root_pos is not None:
-        vec = [math.fsum(p[c] for p in vec_parts) for c in range(q)]
-    return z, vec
+        yield digits, table[mono]
 
 
 def _enumerate(instance, budget, root=None, first_only=False):
@@ -179,19 +174,26 @@ def _enumerate(instance, budget, root=None, first_only=False):
     The caller checks budget.
     """
     active, iso, mono_base = _base_state(instance)
-    params = instance.params
-    if params.beta == 0 and mono_base > 0:
-        return 0.0, [0.0] * params.q if root is not None else None, iso
-    if params.beta == 0:
-        z, vec = _dfs_enumerate(instance, active, budget, root, first_only)
-    else:
-        z, vec = _vector_enumerate(instance, active, budget, root)
+    q = instance.params.q
+    if instance.params.beta == 0:
         if mono_base > 0:
-            scale = params.beta_float**mono_base
-            z *= scale
-            if vec is not None:
-                vec = [x * scale for x in vec]
-    return z, vec, iso
+            return 0.0, [0.0] * q if root is not None else None, iso
+        z, vec = _dfs_enumerate(instance, active, budget, root, first_only)
+        return z, vec, iso
+    k = len(active)
+    if q**k > budget:
+        raise BudgetError(f"enumeration budget {budget} exceeded: q^k = {q}^{k}")
+    root_pos = active.index(root) if root is not None else None
+    z_parts = []
+    vec_parts = []
+    for digits, w in _sweep(instance, active):
+        z_parts.append(float(w.sum()))
+        if root_pos is not None:
+            vec_parts.append(np.bincount(digits[root_pos], weights=w, minlength=q))
+    vec = None
+    if root_pos is not None:
+        vec = [math.fsum(p[c] for p in vec_parts) for c in range(q)]
+    return math.fsum(z_parts), vec, iso
 
 
 def exact_partition(instance, budget=DEFAULT_BUDGET):
@@ -277,16 +279,14 @@ def exact_gibbs_table(instance, budget=10**6):
         raise BudgetError(
             f"Gibbs table budget {budget} exceeded: q^unpinned = {params.q}^{len(unp)}"
         )
-    beta = params.beta_float
-    colors = [instance.pinned.get(v) for v in range(graph.n)]
+    row = np.array([instance.pinned.get(v, 0) for v in range(graph.n)], dtype=np.int64)
     law = {}
-    for combo in itertools.product(range(1, params.q + 1), repeat=len(unp)):
-        for v, c in zip(unp, combo):
-            colors[v] = c
-        mono = monochromatic_edges(graph, colors)
-        w = 1.0 if mono == 0 else beta**mono
-        if w > 0.0:
-            law[tuple(colors)] = w
+    for digits, w in _sweep(instance, unp):
+        keep = np.flatnonzero(w)
+        colors = np.tile(row, (keep.size, 1))
+        for v, d in zip(unp, digits):
+            colors[:, v] = d[keep] + 1
+        law.update(zip(map(tuple, colors.tolist()), w[keep].tolist()))
     if not law:
         raise InfeasibleError("Gibbs table has zero total weight")
     z = math.fsum(law.values())

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError
-from .model import _check_int, _check_seed, _is_real
+from .errors import ParseError, _check_int, _check_seed, _is_real
 
 
 def _endpoint(x, e):
@@ -297,6 +296,8 @@ def load_graph(text):
     "edge <u> <v>" and "pin <v> <color>" lines. "#" starts a comment, blank
     lines are ignored. Errors report 1-based line numbers.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"instance text must be a str, got {type(text).__name__}")
     n = None
     edges = []
     seen_edges = set()

@@ -12,15 +12,17 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from numbers import Real
 
 from .errors import ParseError
+from .graph import Graph, _check_graph
 
 _DECIMAL = re.compile(r"^\d+(\.\d{1,9})?$")
 
 
 def parse_activity(text):
     """Parse a plain decimal activity string exactly (<= 9 fractional digits)."""
+    if not isinstance(text, str):
+        raise ParseError(f"activity text must be a str, got {type(text).__name__}")
     text = text.strip()
     if not _DECIMAL.match(text):
         raise ParseError(
@@ -45,25 +47,6 @@ def _as_fraction(beta):
         # decimal reading matters near a degree threshold.
         return Fraction(beta)
     raise ParseError(f"cannot interpret activity {beta!r}")
-
-
-def _check_seed(seed, name="seed", bits=128):
-    """Raise ParseError unless seed is an integer (not a bool) in [0, 2**bits)."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**bits:
-        raise ParseError(f"{name} must be an integer in [0, 2**{bits}), got {seed!r}")
-
-
-def _check_int(value, name, minimum):
-    """Raise ParseError unless value is an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ParseError(f"{name} must be >= {minimum}, got {value}")
-
-
-def _is_real(x):
-    """Whether x is a real number (a numbers.Real) and not a bool."""
-    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def _check_vertex(graph, v):
@@ -238,20 +221,6 @@ def _check_pin_types(v, c):
         )
 
 
-# graph.Graph, bound by _check_instance_graph on first use: graph.py imports
-# this module, so this module cannot import graph.py when it loads.
-_Graph = None
-
-
-def _check_instance_graph(graph):
-    """Raise ParseError unless graph is a Graph, and bind _Graph."""
-    global _Graph
-    from .graph import Graph, _check_graph
-
-    _Graph = Graph
-    _check_graph(graph)
-
-
 class Instance:
     """A graph together with model parameters and a pinning of some vertices."""
 
@@ -259,9 +228,9 @@ class Instance:
 
     def __init__(self, graph, params, pinned=None):
         # The recursion builds an Instance per fallback node, so the types
-        # are tested inline; a helper runs only on first use or to raise.
-        if type(graph) is not _Graph:
-            _check_instance_graph(graph)
+        # are tested inline; a helper runs only to raise.
+        if type(graph) is not Graph:
+            _check_graph(graph)
         if not isinstance(params, PottsParams):
             _check_params(params)
         pins = _as_pin_dict(pinned)
@@ -321,8 +290,18 @@ def _total_colors(instance, config):
 
 
 def monochromatic_edges(graph, colors):
-    """Count edges whose endpoints share a color under a total assignment."""
-    return sum(1 for u, v in graph.edges if colors[u] == colors[v])
+    """Count edges whose endpoints share a color under a total assignment.
+
+    colors maps each vertex (a mapping, or a sequence indexed by vertex) to
+    its color; a graph of another type, or colors that miss an endpoint of
+    an edge, raise ParseError.
+    """
+    if not isinstance(graph, Graph):
+        _check_graph(graph)
+    try:
+        return sum(1 for u, v in graph.edges if colors[u] == colors[v])
+    except (KeyError, IndexError, TypeError):
+        raise ParseError("colors must give every endpoint of an edge a color") from None
 
 
 def weight(instance, config):

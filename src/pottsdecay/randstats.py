@@ -18,9 +18,9 @@ import numpy as np
 
 from .counting import find_feasible_config
 from .blocks import verify_locally_sparse
-from .errors import BudgetError, InfeasibleError, ParseError
+from .errors import BudgetError, InfeasibleError, ParseError, _check_int, _check_seed, _is_real
 from .graph import generate_gnp
-from .model import Instance, PottsParams, _check_int, _check_seed, _is_real
+from .model import Instance, PottsParams
 from .saw import verify_contraction
 
 # float(scipy.stats.norm.ppf(0.975)), written out so that importing the

@@ -38,9 +38,9 @@ from .decay import (
     _region_steps,
     marginal_distribution,
 )
-from .errors import InfeasibleError, ParseError
+from .errors import InfeasibleError, ParseError, _check_seed
 from .exact import exact_gibbs_table
-from .model import Configuration, Instance, _check_instance, _check_seed, weight
+from .model import Configuration, Instance, _check_instance, weight
 
 
 @dataclass

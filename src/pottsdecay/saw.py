@@ -26,9 +26,9 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, _check_int, _is_real
 from .graph import _check_graph
-from .model import PottsParams, _check_int, _check_vertex, _is_real
+from .model import PottsParams, _check_vertex
 
 log = logging.getLogger(__name__)
 
@@ -121,17 +121,16 @@ def _saws(adj, v, l_max):
 
 
 def enumerate_saws(graph, v, length):
-    """Yield every self-avoiding walk of exactly `length` edges from v.
+    """A generator of every self-avoiding walk of exactly `length` edges from v.
 
+    The arguments are checked at the call, before the generator is made.
     Walks come out in lexicographic order of their vertex sequences; length 0
     yields the single walk (v,).
     """
     _check_graph(graph)
     _check_vertex(graph, v)
     _check_int(length, "length", 0)
-    for path in _saws(graph.adjacency, v, length):
-        if len(path) == length + 1:
-            yield tuple(path)
+    return (tuple(path) for path in _saws(graph.adjacency, v, length) if len(path) == length + 1)
 
 
 def e_delta_profile(graph, v, l_max, delta, extension_budget=None):

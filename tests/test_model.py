@@ -1,16 +1,21 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import pottsdecay
 from pottsdecay import (
+    Block,
     Configuration,
     Graph,
     Instance,
     ParseError,
     PottsError,
     PottsParams,
+    RecursionLimits,
     decay,
+    default_depth,
     e_delta_profile,
     empirical_tv,
     enumerate_saws,
@@ -25,6 +30,7 @@ from pottsdecay import (
     feasible_tuples,
     find_feasible_config,
     first_feasible_tuple,
+    generate,
     generate_caterpillar,
     generate_complete,
     generate_cycle,
@@ -37,6 +43,7 @@ from pottsdecay import (
     marg_coloring,
     marginal_distribution,
     marginal_vector,
+    load_graph,
     minimal_permissive_block,
     monochromatic_edges,
     parse_activity,
@@ -44,6 +51,7 @@ from pottsdecay import (
     serialize_graph,
     simulate_block_growth,
     verify_contraction,
+    verify_gnp_properties,
     verify_locally_sparse,
     weight,
 )
@@ -398,6 +406,7 @@ _TYPED_ARGS = {
     "verify_locally_sparse-graph": (lambda g: verify_locally_sparse(g, _Q3, 2), _PATH3),
     "verify_locally_sparse-params": (lambda p: verify_locally_sparse(_PATH3, p, 2), _Q3),
     "serialize_graph": (lambda g: serialize_graph(g), _PATH3),
+    "monochromatic_edges": (lambda g: monochromatic_edges(g, {0: 1, 1: 2, 2: 1}), _PATH3),
 }
 
 
@@ -410,3 +419,101 @@ def test_argument_of_the_wrong_type_rejected(call, good):
             with pytest.raises(ParseError, match="expected"):
                 call(bad)
     call(good)
+
+
+def test_monochromatic_edges_needs_a_color_at_every_endpoint():
+    # A colouring that misses an endpoint is the caller's error, not a bare
+    # KeyError, IndexError or TypeError.
+    for colors in ({0: 1, 1: 1}, [1, 1], None, 3):
+        with pytest.raises(ParseError, match="every endpoint"):
+            monochromatic_edges(_PATH3, colors)
+    assert monochromatic_edges(_PATH3, [1, 1, 2]) == 1
+    assert monochromatic_edges(Graph(3, [(0, 1)]), {0: 2, 1: 2}) == 1
+    with pytest.raises(ParseError, match="expected a Graph, got Instance"):
+        monochromatic_edges(_INST3, {0: 1, 1: 2, 2: 1})
+
+
+def test_enumerate_saws_checks_its_arguments_at_the_call():
+    # The walks are a generator, but a bad argument raises before it is made.
+    for call in (
+        lambda: enumerate_saws(_INST3, 0, 2),
+        lambda: enumerate_saws(_PATH3, 3, 2),
+        lambda: enumerate_saws(_PATH3, 0, -1),
+    ):
+        with pytest.raises(ParseError):
+            call()
+    walks = enumerate_saws(_PATH3, 1, 1)
+    assert next(walks) == (1, 0)
+    assert list(walks) == [(1, 2)]
+
+
+# Every public callable of the package as a function of its first argument,
+# the others valid. Exception classes and the four result records, which
+# hold what they are given, are exempt.
+_EXEMPT = {"MargDiagnostics", "PartitionEstimate", "SampleBatch", "GrowthProcessReport"}
+_FIRST_ARG = {
+    "Block": lambda x: Block(x, ()),
+    "Configuration": lambda x: Configuration(x),
+    "Graph": lambda x: Graph(x),
+    "Instance": lambda x: Instance(x, _Q3),
+    "PottsParams": lambda x: PottsParams(x),
+    "RecursionLimits": lambda x: RecursionLimits(x),
+    "default_depth": lambda x: default_depth(x),
+    "e_delta_profile": lambda x: e_delta_profile(x, 0, 2, 0.5),
+    "empirical_tv": lambda x: empirical_tv(x, _INST3),
+    "enumerate_saws": lambda x: enumerate_saws(x, 0, 1),
+    "error_bound": lambda x: error_bound(x, 0, 2, _HALF3, 0.5),
+    "escape_paths": lambda x: escape_paths(x, _BLOCK, 0),
+    "estimate_partition": lambda x: estimate_partition(x, _Q3, L=1),
+    "exact_block_marginal": lambda x: exact_block_marginal(x, _BLOCK, {0: 1, 1: 2, 2: 1}),
+    "exact_gibbs_table": lambda x: exact_gibbs_table(x),
+    "exact_marginal_vector": lambda x: exact_marginal_vector(x, 0),
+    "exact_partition": lambda x: exact_partition(x),
+    "expected_contraction": lambda x: expected_contraction(x, 1, 9),
+    "feasible_tuples": lambda x: feasible_tuples(x, [0]),
+    "find_feasible_config": lambda x: find_feasible_config(x),
+    "first_feasible_tuple": lambda x: first_feasible_tuple(x, [0]),
+    "generate": lambda x: generate(x, n=3),
+    "generate_caterpillar": lambda x: generate_caterpillar(x, 1),
+    "generate_complete": lambda x: generate_complete(x),
+    "generate_cycle": lambda x: generate_cycle(x),
+    "generate_gnp": lambda x: generate_gnp(x, 1, 1),
+    "generate_path": lambda x: generate_path(x),
+    "generate_star": lambda x: generate_star(x),
+    "is_feasible": lambda x: is_feasible(x),
+    "load_graph": lambda x: load_graph(x),
+    "marg": lambda x: marg(x, 0, 1, 2),
+    "marg_block": lambda x: marg_block(x, _BLOCK, {0: 1, 1: 2, 2: 1}, 2),
+    "marg_coloring": lambda x: marg_coloring(x, 0, 1, 2),
+    "marginal_distribution": lambda x: marginal_distribution(x, 0, 2),
+    "marginal_vector": lambda x: marginal_vector(x, 0, 2),
+    "minimal_permissive_block": lambda x: minimal_permissive_block(x, [0]),
+    "monochromatic_edges": lambda x: monochromatic_edges(x, {0: 1, 1: 2, 2: 1}),
+    "parse_activity": lambda x: parse_activity(x),
+    "sample_batch": lambda x: sample_batch(x, 2, 2, 1),
+    "serialize_graph": lambda x: serialize_graph(x),
+    "simulate_block_growth": lambda x: simulate_block_growth(x, 100, 2, 7, 3, 10, 0),
+    "verify_contraction": lambda x: verify_contraction(x, _Q3, 2),
+    "verify_gnp_properties": lambda x: verify_gnp_properties(x, 2, 7),
+    "verify_locally_sparse": lambda x: verify_locally_sparse(x, _Q3, 2),
+    "weight": lambda x: weight(x, {0: 1, 1: 2, 2: 1}),
+}
+
+
+def test_wrong_type_sweep_covers_every_public_callable():
+    public = {
+        name
+        for name in pottsdecay.__all__
+        if callable(obj := getattr(pottsdecay, name))
+        and not (inspect.isclass(obj) and issubclass(obj, BaseException))
+    }
+    assert set(_FIRST_ARG) == public - _EXEMPT
+
+
+@pytest.mark.parametrize("name", sorted(_FIRST_ARG))
+def test_wrong_type_first_argument_raises_at_the_call(name):
+    # object() fits no parameter of the package. The call itself raises a
+    # PottsError: not a bare exception, and not a generator or other lazy
+    # value whose error surfaces on iteration.
+    with pytest.raises(PottsError):
+        _FIRST_ARG[name](object())

@@ -1,11 +1,14 @@
-"""Differential test: `decay._read_region`'s one-hop step against the walk
+"""Differential test: `decay._read_region`'s one-hop steps against the walk
 that runs a breadth-first search over B*(u) at every expanded state.
 
 A state u whose unpinned neighbours are all low-degree has B*(u) = {u} and
-d* = 1 on u's row, so the walk adds the row and pushes each neighbour at
-e - 1 without a search. The returned set must be `==` to the search-only
-walk's, and the walk must read the same adjacency rows: a pinned vertex's
-row is never read by either.
+d* = 1 on u's row, so `_read_region`'s breadth-first phase adds the row and
+goes on at e - 1 without a search. The returned set must be `==` to the
+search-only walk's, and the walk must read the same adjacency rows: a pinned
+vertex's row is never read by either. `decay._heap_region`, which
+`_read_region` hands a walk that meets a high-degree neighbour, is now
+`_search_only_read_region` line for line: it searches at every expanded
+state, and starts its region as {v} in place of adding each popped state.
 
 Needs Hypothesis (in the `test` extras); the module skips without it.
 """
