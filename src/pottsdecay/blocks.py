@@ -13,6 +13,12 @@ under an empty pinning and with no cap: the exhaustive scan from its parent
 walk's closure, the sampled scan from empty along each trial's walk. The
 exhaustive scan takes its walks from saw._saws, which keeps its own stack,
 so l_max is not bounded by Python's recursion limit.
+
+Feasible configurations at beta = 0 come from one proper-colouring search,
+_backtrack_proper. feasible_tuples lists them, first_feasible_tuple stops
+at the first, and the recursion's beta = 0 cut-off asks for their number
+and the colours of one position only, which the search counts without
+building a tuple.
 """
 
 from __future__ import annotations
@@ -90,7 +96,12 @@ def minimal_permissive_block(instance, seeds, block_budget=DEFAULT_BLOCK_BUDGET)
     _check_int(block_budget, "block_budget", 0)
     graph = instance.graph
     pinned = instance.pinned
-    seeds = tuple(seeds)
+    try:
+        seeds = tuple(seeds)
+    except TypeError:
+        raise ParseError(
+            f"block seeds must be an iterable of vertex ids, got {type(seeds).__name__}"
+        ) from None
     for s in seeds:
         _check_vertex(graph, s)
     seeds = sorted(set(seeds))
@@ -111,7 +122,7 @@ def minimal_permissive_block(instance, seeds, block_budget=DEFAULT_BLOCK_BUDGET)
     return Block(inside, _boundary_edges(graph, inside))
 
 
-def _backtrack_proper(instance, verts, config_budget, first_only=False):
+def _backtrack_proper(instance, verts, config_budget, first_only=False, count_at=None):
     """Proper colorings of the induced subgraph on verts, consistent with pins.
 
     Colors are constrained away from pinned neighbors (anywhere in the graph)
@@ -119,12 +130,16 @@ def _backtrack_proper(instance, verts, config_budget, first_only=False):
     aligned with `verts` and produced in lexicographic order; no vertices
     give the one empty coloring.
 
+    This is the one proper-colouring search: feasible_tuples,
+    first_feasible_tuple and the recursion's beta = 0 cut-off all run it.
     Each position's palette minus its pinned neighbours' colours is listed
     once; entering a position filters that list by the colours of its
     earlier neighbours into the position's candidates, ascending. The last
-    position emits all its candidates in one pass, so a singleton block
-    costs one pass over the palette. More than config_budget colorings
-    raise BudgetError.
+    position takes all its candidates in one pass, so a singleton block
+    costs one pass over the palette. With count_at, a position in verts, it
+    builds no tuple and returns (the number of colorings, the set of colours
+    position count_at takes in them) instead. More than config_budget colorings
+    raise BudgetError, at the same point in either form.
     """
     graph = instance.graph
     q = instance.params.q
@@ -144,10 +159,13 @@ def _backtrack_proper(instance, verts, config_budget, first_only=False):
                 bn.add(pinned[w])
         earlier.append(eh)
         allowed.append([c for c in range(1, q + 1) if c not in bn])
+    out = []
+    seen = set()
+    count = 0
     if not k:
-        out = [()]
+        out.append(())
+        count = 1
     else:
-        out = []
         last = k - 1
         colors = [0] * last
         cands = [None] * k
@@ -167,31 +185,46 @@ def _backtrack_proper(instance, verts, config_budget, first_only=False):
                 cands[idx] = [c for c in allowed[idx] if c not in used]
                 nxt[idx] = 0
                 continue
-            if cands[idx]:
-                prefix = tuple(colors)
-                if first_only:
-                    return [(*prefix, cands[idx][0])]
-                out.extend([(*prefix, c) for c in cands[idx]])
-                if len(out) > config_budget:
+            tail = cands[idx]
+            if tail:
+                if count_at is None:
+                    prefix = tuple(colors)
+                    if first_only:
+                        return [(*prefix, tail[0])]
+                    out.extend([(*prefix, c) for c in tail])
+                    count = len(out)
+                else:
+                    count += len(tail)
+                    if count_at == last:
+                        seen.update(tail)
+                    else:
+                        seen.add(colors[count_at])
+                if count > config_budget:
                     break
             idx -= 1
-    if out and len(out) > config_budget:
+    if count > config_budget:
         raise BudgetError(f"feasible-configuration budget {config_budget} exceeded")
-    return out
+    return out if count_at is None else (count, seen)
 
 
 def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
     """Feasible block configurations as color tuples aligned with sorted verts.
 
     beta > 0: every configuration in [q]^B, lexicographic. beta = 0: proper
-    colorings of the induced subgraph that avoid all pinned neighbor colors.
-    More than config_budget of them raise BudgetError; config_budget must be
-    an integer >= 0 (ParseError).
+    colorings of the induced subgraph that avoid all pinned neighbor colors,
+    from _backtrack_proper. More than config_budget of them raise
+    BudgetError; config_budget must be an integer >= 0, and verts an
+    iterable of vertices (ParseError).
     """
     if not isinstance(instance, Instance):  # inline: the recursion calls this per node
         _check_instance(instance)
     _check_int(config_budget, "config_budget", 0)
-    verts = tuple(sorted(verts))
+    try:  # inline: the recursion calls this per node
+        verts = tuple(sorted(verts))
+    except TypeError:
+        raise ParseError(
+            f"block vertices must be an iterable of vertex ids, got {type(verts).__name__}"
+        ) from None
     for v in verts:
         _check_vertex(instance.graph, v)
     q = instance.params.q
@@ -206,9 +239,15 @@ def feasible_tuples(instance, verts, config_budget=DEFAULT_CONFIG_BUDGET):
 
 
 def first_feasible_tuple(instance, verts):
-    """First feasible configuration in lexicographic order, or None."""
+    """First feasible configuration in lexicographic order, or None; at
+    beta = 0 _backtrack_proper stops at it."""
     _check_instance(instance)
-    verts = tuple(sorted(verts))
+    try:
+        verts = tuple(sorted(verts))
+    except TypeError:
+        raise ParseError(
+            f"block vertices must be an iterable of vertex ids, got {type(verts).__name__}"
+        ) from None
     for v in verts:
         _check_vertex(instance.graph, v)
     if instance.params.beta > 0:

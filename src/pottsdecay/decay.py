@@ -64,17 +64,25 @@ Prefix trie. The factor 1 - (1-beta) p_i(rho) depends on rho only through
 its spins at the first i boundary positions, so there is one factor per
 distinct prefix of length i, not one per configuration. _block_terms walks
 F as a prefix trie, one level per boundary index i: it evaluates one child
-per level-i node, in order of first appearance in F, which is the order
-in which the per-configuration schedule meets each new prefix; it then
-takes one math.log per level-(i+1) node, keyed (parent node, spin), and
-adds that log to the running term of every configuration below the node.
-No float moves: each log is that of the same factor, and each term adds the
-same logs in boundary-index order from the same log-weight. A factor <= 0
-is logged as -inf, which every later addition keeps, so the term is -inf
-as before. No counter moves either: children are evaluated, memo hits
-included, in the same order, annihilated configurations' children
-included, so every count, max_calls abort and first raised error is the
-same.
+per distinct prefix pattern, in order of first appearance in F, which is
+the order in which the per-configuration schedule meets each new prefix.
+Each trie node carries the running term of its path, so each term is read
+once, at the end. Level 0 has one node per distinct starting log-weight
+(mono * ln beta at beta > 0 with internal edges, else one node at 0.0), in
+order of first appearance; a node is thus a (starting weight, pattern)
+pair, and the patterns alone key the children. At an index i whose block
+vertex first faced a boundary edge at an earlier index j, every node's spin
+is its pattern's spin at j: level i+1 has the same nodes, in the same
+order, and each node adds its pattern's one log, with no pass over F. Only
+an index at a new block vertex branches over F, into one node per (parent
+node, spin), which adds the log of its (parent pattern, spin) factor to its
+parent's term. No float moves: each log is that of the same factor, and
+each term adds the same logs in boundary-index order from the same
+log-weight. A factor <= 0 is logged as -inf, which every later addition
+keeps, so the term is -inf as before. No counter moves either: children
+are evaluated, memo hits included, in the same order, annihilated
+configurations' children included, so every count, max_calls abort and
+first raised error is the same.
 
 Region key. The children of one boundary index differ only in their prefix
 pins, and by read_region's proof a child at (v_i, e) reads no pin outside
@@ -210,6 +218,8 @@ from dataclasses import asdict, dataclass
 from .blocks import (
     DEFAULT_BLOCK_BUDGET,
     DEFAULT_CONFIG_BUDGET,
+    Block,
+    _backtrack_proper,
     _boundary_edges,
     feasible_tuples,
     minimal_permissive_block,
@@ -322,7 +332,11 @@ def escape_paths(graph, block, v):
     """
     if not isinstance(graph, Graph):  # inline: the recursion calls this per node
         _check_graph(graph)
-    inside = set(block.vertices)
+    try:
+        inside = set(block.vertices)
+        bedges = block.boundary_edges
+    except (AttributeError, TypeError):
+        raise ParseError(f"expected a Block, got {type(block).__name__}") from None
     if v not in inside:
         raise ParseError(f"escape path anchor {v} is not in the block")
     dist = {v: 0}
@@ -336,7 +350,7 @@ def escape_paths(graph, block, v):
                     nxt.append(b)
         frontier = nxt
     lengths = []
-    for u, _ in block.boundary_edges:
+    for u, _ in bedges:
         if u not in dist:
             raise ParseError(
                 f"boundary vertex {u} is unreachable from anchor {v} inside the block"
@@ -523,16 +537,23 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
 
     cut = [(u, w) if u < w else (w, u) for u, w in bedges]  # canonical boundary edges
 
-    terms = [0.0] * len(F)
+    node = [0] * len(F)  # each configuration's trie node at the current level
+    sums = [0.0]  # each node's running term; level 0 has one node per starting log-weight
     if params.beta_positive and internal:
         ln_beta = math.log(params.beta_float)
         ipos = [(pos[a], pos[b]) for a, b in internal]
+        starts = {}
+        sums = []
         for k, t in enumerate(F):
             mono = sum(1 for a, b in ipos if t[a] == t[b])
-            if mono:
-                terms[k] = mono * ln_beta
-    node = [0] * len(F)  # each configuration's trie node at the current level
-    pats = [()]  # each node's prefix pattern, in first-appearance order; F is not empty
+            j = starts.get(mono)
+            if j is None:
+                j = starts[mono] = len(sums)
+                sums.append(mono * ln_beta if mono else 0.0)
+            node[k] = j
+    npat = [0] * len(sums)  # each node's index in pats
+    pats = [()]  # the distinct prefix patterns, in first-appearance order; F is not empty
+    first = {}  # block position -> the first boundary index at it
     for i, (_, v_i) in enumerate(bedges):
         pin_i = instance.pinned.get(v_i)  # v_i lies outside the block
         sub_ell = ell - lengths[i]
@@ -568,26 +589,47 @@ def _block_terms(instance, block, F, anchor, ell, diag, limits):
             )
             vectors.append(_permute(vec, moves))
 
-        # Level i+1: one node, and one log factor, per (parent node, spin),
-        # numbered in first-appearance order.
         p = upos[i]
+        j0 = first.setdefault(p, i)
+        if j0 < i:
+            # Position p was met at index j0, so every node's spin here is
+            # its pattern's spin at j0: level i+1 has the same nodes, in the
+            # same order, and one log factor per pattern.
+            logs = []
+            for pat, vec in zip(pats, vectors):
+                factor = 1.0 - one_minus * vec[pat[j0] - 1]
+                logs.append(math.log(factor) if factor > 0.0 else -math.inf)
+            for n, a in enumerate(npat):
+                sums[n] += logs[a]
+            pats = [pat + (pat[j0],) for pat in pats]
+            continue
+        # A new position: level i+1 has one node per (parent node, spin) and
+        # one pattern, with one log factor, per (parent pattern, spin), each
+        # numbered in first-appearance order in F.
         children = {}
+        branches = {}
         logs = []
         next_pats = []
+        next_npat = []
+        next_sums = []
         for k, t in enumerate(F):
             parent = node[k]
             spin = t[p]
-            key = parent * q1 + spin
-            j = children.get(key)
+            j = children.get(parent * q1 + spin)
             if j is None:
-                j = children[key] = len(logs)
-                next_pats.append(pats[parent] + (spin,))
-                factor = 1.0 - one_minus * vectors[parent][spin - 1]
-                logs.append(math.log(factor) if factor > 0.0 else -math.inf)
+                j = children[parent * q1 + spin] = len(next_sums)
+                a = npat[parent]
+                b = branches.get(a * q1 + spin)
+                if b is None:
+                    b = branches[a * q1 + spin] = len(next_pats)
+                    next_pats.append(pats[a] + (spin,))
+                    factor = 1.0 - one_minus * vectors[a][spin - 1]
+                    logs.append(math.log(factor) if factor > 0.0 else -math.inf)
+                next_npat.append(b)
+                next_sums.append(sums[parent] + logs[b])
             node[k] = j
-            terms[k] += logs[j]
-        pats = next_pats
-    return terms
+        pats, npat, sums = next_pats, next_npat, next_sums
+    return [sums[j] for j in node]
 
 
 def _lean_vector(root, removed, params, pinned, v, ell, diag, limits):
@@ -742,23 +784,32 @@ def _node_vector(root, removed, params, pinned, v, ell, diag, limits):
 
 def _block_vector(instance, v, ell, diag, limits):
     """Full per-color estimate vector at v by the general block path, for a
-    call _node_vector counted and found no leaf, and _lean_vector declined."""
+    call _node_vector counted and found no leaf, and _lean_vector declined.
+
+    The beta = 0 feasibility cut-off (ell < 0) reads only |F| and v's
+    colours in F, so it has blocks._backtrack_proper count them and builds
+    no tuple; the count raises feasible_tuples' BudgetError at the same
+    point, before max_f_size is updated.
+    """
     params = instance.params
     q = params.q
     block = minimal_permissive_block(instance, (v,), limits.block_budget)
-    if len(block.vertices) > diag.max_block_size:
-        diag.max_block_size = len(block.vertices)
-    F = feasible_tuples(instance, block.vertices, limits.config_budget)
-    if len(F) > diag.max_f_size:
-        diag.max_f_size = len(F)
-    vpos = block.vertices.index(v)
+    verts = block.vertices
+    if len(verts) > diag.max_block_size:
+        diag.max_block_size = len(verts)
+    vpos = verts.index(v)
     if not params.beta_positive and ell < 0:
+        n_f, ok = _backtrack_proper(instance, verts, limits.config_budget, count_at=vpos)
+        if n_f > diag.max_f_size:
+            diag.max_f_size = n_f
         diag.termination_events += 1
-        if not F:
+        if not n_f:
             diag.infeasible_events += 1
             return [0.0] * q
-        ok = {t[vpos] for t in F}
         return [1.0 / q if x in ok else 0.0 for x in range(1, q + 1)]
+    F = feasible_tuples(instance, verts, limits.config_budget)
+    if len(F) > diag.max_f_size:
+        diag.max_f_size = len(F)
     if not F:
         raise InfeasibleError(f"no feasible block configuration around vertex {v}")
     terms = _block_terms(instance, block, F, v, ell, diag, limits)
@@ -1000,6 +1051,8 @@ def marg_block(instance, block, pi, ell, anchor=None, limits=None):
     _check_q(instance.params)
     limits = _limits(limits)
     graph = instance.graph
+    if not isinstance(block, Block):
+        raise ParseError(f"expected a Block, got {type(block).__name__}")
     verts = block.vertices
     if not verts:
         raise ParseError("a block needs at least one vertex")

@@ -236,7 +236,12 @@ def exact_block_marginal(instance, block, pi, budget=DEFAULT_BUDGET):
     Every block vertex is checked before the block is sorted.
     """
     _check_instance(instance)
-    verts = tuple(block.vertices if hasattr(block, "vertices") else block)
+    try:
+        verts = tuple(block.vertices if hasattr(block, "vertices") else block)
+    except TypeError:
+        raise ParseError(
+            f"block must be a Block or an iterable of vertex ids, got {type(block).__name__}"
+        ) from None
     for v in verts:
         _check_vertex(instance.graph, v)
     verts = sorted(verts)

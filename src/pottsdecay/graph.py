@@ -44,6 +44,12 @@ class Graph:
         n = int(n)
         seen = set()
         canon = []
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise ParseError(
+                f"edges must be an iterable of pairs, got {type(edges).__name__}"
+            ) from None
         for e in edges:
             try:
                 u, v = e
@@ -284,8 +290,12 @@ def serialize_graph(graph, pinned=None):
     lines = [f"graph {graph.n}"]
     for u, v in graph.edges:
         lines.append(f"edge {u} {v}")
-    for v in sorted(pinned or {}):
-        lines.append(f"pin {v} {pinned[v]}")
+    try:
+        lines.extend([f"pin {v} {pinned[v]}" for v in sorted(pinned or {})])
+    except (TypeError, KeyError, IndexError):
+        raise ParseError(
+            f"pins must be a dict of vertex colours, got {type(pinned).__name__}"
+        ) from None
     return "\n".join(lines) + "\n"
 
 

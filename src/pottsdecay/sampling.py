@@ -68,8 +68,8 @@ def _rng_for(seed, index):
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
-def _draw(vec, rng):
-    r = float(rng.random())
+def _draw(vec, r):
+    """The colour whose prefix sum of vec first passes the uniform r."""
     acc = 0.0
     last_positive = None
     for i, p in enumerate(vec):
@@ -112,10 +112,12 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
     step = Instance(instance.graph, instance.params)
     batch = SampleBatch(seed=seed, depth=depth)
     for i in range(n_samples):
-        rng = _rng_for(seed, i)
+        # One uniform per step, drawn in one call: the same doubles, in the
+        # same order, as one rng.random() per step.
+        uniforms = _rng_for(seed, i).random(len(steps)).tolist()
         colors = dict(instance.pinned)
         logp = 0.0
-        for v, region_pins in steps:
+        for (v, region_pins), r in zip(steps, uniforms):
             pat = tuple([colors[x] for x in region_pins])
             known = entries[v]
             entry = known.get(pat)
@@ -130,7 +132,7 @@ def sample_batch(instance, L, n_samples, seed, threads=1, limits=None):
                 if moves:
                     entry = known[pat] = (_permute(entry[0], moves), entry[1])
             vec, events = entry
-            c = _draw(vec, rng)
+            c = _draw(vec, r)
             logp += math.log(vec[c - 1])
             colors[v] = c
             batch.termination_events += events

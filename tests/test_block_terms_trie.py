@@ -4,7 +4,11 @@ edge) returns, with the same counters and the same errors. Both key the
 colour memo on the prefix positions the children can read (the region key),
 and at an index that walks its region both hold only the colours of the
 parent's pins inside it; `test_region_key.py` checks that key against the
-whole-prefix one.
+whole-prefix one. The `marg_block` queries also give boundary edges in any
+order, so a block vertex's edges need not be contiguous (the trie's
+repeated-vertex levels), and run at beta > 0, where a block with internal
+edges starts its configurations from different log-weights (the trie's
+level-0 nodes).
 
 Needs Hypothesis (in the `test` extras); the module skips without it.
 """
@@ -177,19 +181,26 @@ def _forced_block_query(draw):
     # marg_block takes any block. One that is not permissive can have a
     # boundary neighbour that its pins force to one colour; at full depth its
     # factor for that colour is exactly 0, so configurations are annihilated,
-    # all of them when the block's colours are forced too.
+    # all of them when the block's colours are forced too (beta = 0 only).
+    # Its boundary edges come in any order, so the edges at one block vertex
+    # need not be contiguous; at beta > 0 a block with internal edges starts
+    # its configurations from different log-weights.
     q = draw(st.integers(3, 4))
     n = draw(st.integers(3, 7))
+    beta = draw(st.sampled_from(["0", "0", "0.25", "0.5"]))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if draw(st.integers(0, 3))]
     pins = draw(st.dictionaries(st.integers(1, n - 1), st.integers(1, q), max_size=n - 2))
-    inside = {0} | draw(st.sets(st.sampled_from([u for u in range(n) if u not in pins])))
+    free = [u for u in range(n) if u not in pins]
+    # q^|B| configurations at beta > 0: at most four block vertices.
+    inside = {0} | draw(st.sets(st.sampled_from(free), max_size=3 if beta != "0" else None))
     ell = draw(st.sampled_from([n, n, 0, 1]))
     max_calls = draw(st.sampled_from([20_000, 20_000, 5, 40]))
     pick = draw(st.integers(0, 10**6))
-    inst = Instance(Graph(n, edges), PottsParams(q, "0"), pins)
+    inst = Instance(Graph(n, edges), PottsParams(q, beta), pins)
     adj = inst.graph.adjacency
     boundary = [(u, w) for u in sorted(inside) for w in adj[u] if w not in inside]
+    boundary = draw(st.sampled_from([boundary, draw(st.permutations(boundary))]))
     return inst, Block(inside, boundary), pick, ell, max_calls
 
 

@@ -359,6 +359,54 @@ def test_feasible_matches_brute_force():
             assert feasible_tuples(inst, verts, len(F)) == expect
 
 
+def _cut_off_reference(inst, verts, vpos, budget):
+    """(|F|, v's colours in F) from feasible_tuples, or its BudgetError."""
+    try:
+        F = feasible_tuples(inst, verts, budget)
+    except BudgetError as err:
+        return "BudgetError", str(err)
+    return len(F), {t[vpos] for t in F}
+
+
+def _cut_off_count(inst, verts, vpos, budget):
+    """The count the recursion's beta = 0 cut-off asks the search for."""
+    try:
+        return blocks._backtrack_proper(inst, verts, budget, count_at=vpos)
+    except BudgetError as err:
+        return "BudgetError", str(err)
+
+
+def test_cut_off_count_matches_feasible_tuples():
+    # The cut-off reads |F| and the colours of v in F without building F;
+    # it must agree with F itself, raise the same BudgetError at budget
+    # |F| - 1 and pass at |F|, for every position of v.
+    rng = random.Random(11)
+    empty = budgets_hit = 0
+    cases = [
+        (Instance(generate_complete(4), PottsParams(3, 0)), (0, 1, 2, 3)),
+        (Instance(generate_path(3), PottsParams(3, 0), {0: 1, 2: 2}), (1,)),
+    ]
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, [e for e in pairs if rng.random() < 0.5])
+        q = rng.randint(3, 5)
+        pins = {v: rng.randint(1, q) for v in range(n) if rng.random() < 0.3}
+        free = [v for v in range(n) if v not in pins]
+        if free:
+            verts = tuple(sorted(rng.sample(free, rng.randint(1, len(free)))))
+            cases.append((Instance(g, PottsParams(q, 0), pins), verts))
+    for inst, verts in cases:
+        n_f = len(feasible_tuples(inst, verts))
+        empty += not n_f
+        for vpos in range(len(verts)):
+            for budget in {n_f - 1, n_f, 10**6} - {-1}:
+                got = _cut_off_count(inst, verts, vpos, budget)
+                assert got == _cut_off_reference(inst, verts, vpos, budget)
+                budgets_hit += got[0] == "BudgetError"
+    assert empty >= 2 and budgets_hit > 100
+
+
 def test_feasible_tuples_empty_block():
     # no vertices: the one empty configuration, in both regimes
     g = generate_path(3)

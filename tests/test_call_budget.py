@@ -12,16 +12,18 @@ CALLS_PER_EVALUATION guards the partition-cycle regime (every block a
 singleton, beta > 0). With the flat singleton kernel (`decay._lean_vector`),
 the leaf rule answered inside `decay._node_vector`, breadth-first region
 walks (`decay._read_region`) and one step Instance per telescoping pass, the
-run makes 2 797 calls for 404 evaluations; with heap walks and an Instance
+run makes 2 858 calls for 404 evaluations; with heap walks and an Instance
 per step it made 3 081, with the leaf rule in a helper of its own 3 888, and
 the evaluator before the kernel 5 786.
 
 GENERAL_CALLS_PER_EVALUATION guards the general block path: a caterpillar
 at q = 6 and beta = 0, whose spine vertices are high-degree, so blocks
 reach five vertices and the colour memo serves most children. The run makes
-73 409 calls for 179 evaluations; with an Instance per telescoping step and
-a generator in `decay._region_steps` it made 73 462, and with the leaf rule
-in a helper of its own 79 341.
+72 845 calls for 179 evaluations, with the beta = 0 cut-off counting F in
+`blocks._backtrack_proper` instead of building it through `feasible_tuples`;
+building it, it made 73 430; with an Instance per telescoping step and a
+generator in `decay._region_steps` 73 462, and with the leaf rule in a helper
+of its own 79 341.
 """
 
 import gc
@@ -30,7 +32,7 @@ import sys
 from pottsdecay import PottsParams, estimate_partition, generate_caterpillar, generate_cycle
 
 CALLS_PER_EVALUATION = 2858 / 404
-GENERAL_CALLS_PER_EVALUATION = 73430 / 179
+GENERAL_CALLS_PER_EVALUATION = 72845 / 179
 
 
 def _count_calls(graph, params, L):

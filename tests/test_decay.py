@@ -621,6 +621,34 @@ def test_beta_zero_base_case_infeasible_block():
         marginal_distribution(inst, 0, -1)
 
 
+@pytest.mark.parametrize("pins", [{}, {2: 1, 3: 2}, {2: 1, 3: 2, 4: 3, 5: 4, 6: 5}])
+def test_beta_zero_cut_off_counts_F_without_building_it(monkeypatch, pins):
+    # Leaf 1's block is {centre 0, leaf 1} (the centre's degree 7 is high at
+    # q = 6); five pinned leaves force the centre to colour 6, so leaf 1
+    # cannot take it. The cut-off at ell < 0 reads |F| and leaf 1's colours
+    # in F from the search, and never calls feasible_tuples.
+    inst = _inst(generate("star", k=7), 6, pins=pins)
+    block = minimal_permissive_block(inst, [1])
+    F = feasible_tuples(inst, block.vertices)
+    ok = {t[block.vertices.index(1)] for t in F}
+    expect = [1.0 / 6 if x in ok else 0.0 for x in range(1, 7)]
+
+    def no_tuples(*args):
+        raise AssertionError("the cut-off built F")
+
+    monkeypatch.setattr(decay, "feasible_tuples", no_tuples)
+    vec, diag = marginal_vector(inst, 1, -1)
+    assert vec == expect
+    assert (diag.max_block_size, diag.max_f_size, diag.termination_events) == (2, len(F), 1)
+    vec, _ = marginal_vector(inst, 1, -1, RecursionLimits(config_budget=len(F)))
+    assert vec == expect
+    # One configuration over the budget raises feasible_tuples' own error.
+    with pytest.raises(BudgetError) as err:
+        marginal_vector(inst, 1, -1, RecursionLimits(config_budget=len(F) - 1))
+    assert str(err.value) == f"feasible-configuration budget {len(F) - 1} exceeded"
+    assert err.value.diagnostics.max_f_size == 0
+
+
 def test_infeasible_instance_raises_at_positive_depth():
     g = generate("complete", n=4)
     inst = _inst(g, 3)

@@ -14,7 +14,10 @@ through `_absorb` and calls `min` nowhere (one closure step, in no
 particular absorption order), and `decay._block_terms` calls
 `escape_paths` and `induced_edges` outside every `if` (one code path for
 every block shape), `decay._block_terms` alone calls `_memo_child` (the
-colour memo has one home), `decay._node_vector` alone calls
+colour memo has one home), `blocks._backtrack_proper` alone lists a
+palette's candidate colours and serves `feasible_tuples`,
+`first_feasible_tuple` and `decay._block_vector`'s cut-off (the
+proper-colouring search has one home), `decay._node_vector` alone calls
 `_lean_vector` and `_block_vector` (every call of the recursion enters
 through one call step, which answers a leaf in its own frame), the
 "q >= 3" check is written once, in `decay.py`, no function named in
@@ -330,6 +333,56 @@ def test_colour_memo_has_one_home():
     callers = _callers((PACKAGE / "decay.py").read_text(), "_memo_child")
     assert "_lean_vector" not in callers, "decay._lean_vector calls _memo_child"
     assert callers == ["_block_terms"]
+
+
+def _palette_filters(source):
+    """The functions, sorted, with a comprehension over the palette
+    `range(1, ...)` filtered by a `not in` test: the start of a
+    proper-colouring search's per-position candidate lists."""
+    found = set()
+    stack = [(ast.parse(source), None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.comprehension):
+            it = node.iter
+            palette = (
+                isinstance(it, ast.Call)
+                and getattr(it.func, "id", None) == "range"
+                and len(it.args) == 2
+                and getattr(it.args[0], "value", None) == 1
+            )
+            if palette and any(
+                isinstance(c, ast.Compare) and isinstance(c.ops[0], ast.NotIn)
+                for c in node.ifs
+            ):
+                found.add(func)
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return sorted(found, key=str)
+
+
+def test_checker_finds_palette_filters():
+    source = (
+        "def search(q, bn):\n"
+        "    return [c for c in range(1, q + 1) if c not in bn]\n"
+        "def other(q, bn, adj):\n"
+        "    a = [c for c in range(q) if c not in bn]\n"
+        "    b = [c for c in range(1, q + 1) if c in bn]\n"
+        "    return a, b, [w for w in adj if w not in bn]\n"
+        "x = {c for c in range(1, 5) if c not in (2,)}\n"
+    )
+    assert _palette_filters(source) == [None, "search"]
+
+
+def test_proper_colouring_search_has_one_home():
+    # One search lists each position's candidate colours. feasible_tuples,
+    # first_feasible_tuple and the recursion's beta = 0 cut-off all run it.
+    source = (PACKAGE / "blocks.py").read_text()
+    assert _palette_filters(source) == ["_backtrack_proper"]
+    assert _callers(source, "_backtrack_proper") == ["feasible_tuples", "first_feasible_tuple"]
+    decay_callers = _callers((PACKAGE / "decay.py").read_text(), "_backtrack_proper")
+    assert decay_callers == ["_block_vector"]
 
 
 CALL_STEP = ("_lean_vector", "_block_vector")

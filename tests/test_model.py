@@ -517,3 +517,64 @@ def test_wrong_type_first_argument_raises_at_the_call(name):
     # value whose error surfaces on iteration.
     with pytest.raises(PottsError):
         _FIRST_ARG[name](object())
+
+
+# Every public callable with a second positional parameter, as a function of
+# that argument, the others valid; `generate` takes keyword parameters only.
+_PI3 = {0: 1, 1: 2, 2: 1}
+_SECOND_ARG = {
+    "Block": lambda x: Block((0,), x),
+    "Graph": lambda x: Graph(3, x),
+    "Instance": lambda x: Instance(_PATH3, x),
+    "PottsParams": lambda x: PottsParams(3, x),
+    "RecursionLimits": lambda x: RecursionLimits(64, x),
+    "default_depth": lambda x: default_depth(3, x),
+    "e_delta_profile": lambda x: e_delta_profile(_PATH3, x, 2, 0.5),
+    "empirical_tv": lambda x: empirical_tv(_BATCH, x),
+    "enumerate_saws": lambda x: enumerate_saws(_PATH3, x, 1),
+    "error_bound": lambda x: error_bound(_PATH3, x, 2, _HALF3, 0.5),
+    "escape_paths": lambda x: escape_paths(_PATH3, x, 0),
+    "estimate_partition": lambda x: estimate_partition(_PATH3, x, L=1),
+    "exact_block_marginal": lambda x: exact_block_marginal(_INST3, x, _PI3),
+    "exact_gibbs_table": lambda x: exact_gibbs_table(_INST3, x),
+    "exact_marginal_vector": lambda x: exact_marginal_vector(_INST3, x),
+    "exact_partition": lambda x: exact_partition(_INST3, x),
+    "expected_contraction": lambda x: expected_contraction(9, x, 9),
+    "feasible_tuples": lambda x: feasible_tuples(_INST3, x),
+    "find_feasible_config": lambda x: find_feasible_config(_INST3, x),
+    "first_feasible_tuple": lambda x: first_feasible_tuple(_INST3, x),
+    "generate_caterpillar": lambda x: generate_caterpillar(3, x),
+    "generate_gnp": lambda x: generate_gnp(10, x, 1),
+    "is_feasible": lambda x: is_feasible(_INST3, x),
+    "marg": lambda x: marg(_HALF_INST3, x, 1, 2),
+    "marg_block": lambda x: marg_block(_INST3, x, _PI3, 2),
+    "marg_coloring": lambda x: marg_coloring(_INST3, x, 1, 2),
+    "marginal_distribution": lambda x: marginal_distribution(_INST3, x, 2),
+    "marginal_vector": lambda x: marginal_vector(_INST3, x, 2),
+    "minimal_permissive_block": lambda x: minimal_permissive_block(_INST3, x),
+    "monochromatic_edges": lambda x: monochromatic_edges(_PATH3, x),
+    "sample_batch": lambda x: sample_batch(_INST3, x, 2, 1),
+    "serialize_graph": lambda x: serialize_graph(_PATH3, x),
+    "simulate_block_growth": lambda x: simulate_block_growth(2, x, 2, 7, 3, 10, 0),
+    "verify_contraction": lambda x: verify_contraction(_PATH3, x, 2),
+    "verify_gnp_properties": lambda x: verify_gnp_properties(100, x, 7),
+    "verify_locally_sparse": lambda x: verify_locally_sparse(_PATH3, x, 2),
+    "weight": lambda x: weight(_INST3, x),
+}
+
+
+def test_second_argument_sweep_covers_every_public_callable_with_two_parameters():
+    two = set()
+    for name in set(_FIRST_ARG) - {"generate"}:
+        params = inspect.signature(getattr(pottsdecay, name)).parameters.values()
+        if len([p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]) >= 2:
+            two.add(name)
+    assert set(_SECOND_ARG) == two
+
+
+@pytest.mark.parametrize("name", sorted(_SECOND_ARG))
+def test_wrong_type_second_argument_raises_at_the_call(name):
+    # A block or vertex set that is not one, among others, raises a
+    # PottsError at the call, not a bare AttributeError or TypeError.
+    with pytest.raises(PottsError):
+        _SECOND_ARG[name](object())

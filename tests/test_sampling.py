@@ -76,7 +76,7 @@ def _uncached_batch(inst, depth, n_samples, seed):
         for v in inst.unpinned():
             step = Instance(inst.graph, inst.params, pins)
             vec, diag = marginal_distribution(step, v, depth)
-            c = sampling._draw(vec, rng)
+            c = sampling._draw(vec, float(rng.random()))
             logp += math.log(vec[c - 1])
             terminations += diag.termination_events
             pins[v] = c
@@ -190,20 +190,26 @@ def test_sampler_infeasible_instance():
         sample_batch(inst, 4, 1, seed=0)
 
 
-class _StubRng:
-    def random(self):
-        return 0.99999999
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**63 + 5, 2**64 - 1])
+def test_one_call_per_sample_draws_the_per_step_uniforms(seed):
+    # sample_batch draws a sample's uniforms in one call; they are the
+    # doubles, in order, that one rng.random() per step would give.
+    for i in (0, 1, 9):
+        for steps in (0, 1, 7, 40):
+            batched = sampling._rng_for(seed, i).random(steps).tolist()
+            rng = sampling._rng_for(seed, i)
+            assert batched == [float(rng.random()) for _ in range(steps)]
 
 
 def test_draw_falls_back_to_last_positive_entry():
     # The entries sum to 0.9999999, below the draw, so no prefix sum passes
     # it and the last positive entry (colour 3) is drawn, not the zero one.
-    assert sampling._draw([0.3, 0.3, 0.3999999, 0.0], _StubRng()) == 3
+    assert sampling._draw([0.3, 0.3, 0.3999999, 0.0], 0.99999999) == 3
 
 
 def test_draw_rejects_vector_without_positive_entry():
     with pytest.raises(InfeasibleError, match="no positive entry"):
-        sampling._draw([0.0, 0.0], _StubRng())
+        sampling._draw([0.0, 0.0], 0.99999999)
 
 
 # ------------------------------------------------------- distributional sanity
